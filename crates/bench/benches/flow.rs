@@ -80,44 +80,19 @@ fn bench_implementation(c: &mut Criterion) {
     group.finish();
 }
 
-/// PnR throughput: end-to-end place+route on the small FIR `TMR_p2` for the
-/// sequential router (`workers: 1`, the `TMR_ROUTE=seq` oracle) and the
-/// deterministic parallel negotiation at 4 workers. The two configurations
-/// are asserted to produce identical `RouteTree`s and byte-identical
-/// bitstreams *before* anything is measured — the parallel row is only a
-/// performance claim once the identity claim holds.
+/// PnR throughput: end-to-end place+route on the small FIR `TMR_p2`, with
+/// one run's negotiation counters logged first.
 fn bench_pnr_throughput(c: &mut Criterion) {
     let netlist = small_tmr_netlist(&TmrConfig::paper_p2());
     let device = Device::small(20, 20); // 800 LUT sites; small TMR_p2 needs 777
-    let sequential = RouterOptions {
-        workers: 1,
-        ..RouterOptions::default()
-    };
-    let parallel = RouterOptions {
-        workers: 4,
-        ..RouterOptions::default()
-    };
+    let options = RouterOptions::default();
 
     let placement = place(&device, &netlist, &PlacerOptions::default()).expect("placement");
-    let (seq_routes, telemetry) =
-        tmr_pnr::route_with_telemetry(&device, &netlist, &placement, &sequential);
-    let seq_routes = seq_routes.expect("routing");
-    let par_routes = route(&device, &netlist, &placement, &parallel).expect("routing");
-    assert_eq!(
-        seq_routes, par_routes,
-        "parallel negotiation must produce the sequential oracle's RouteTrees"
-    );
-    let seq_design =
-        RoutedDesign::assemble(&device, &netlist, placement.clone(), seq_routes.clone());
-    let par_design = RoutedDesign::assemble(&device, &netlist, placement.clone(), par_routes);
-    assert_eq!(
-        seq_design.bitstream(),
-        par_design.bitstream(),
-        "parallel negotiation must produce a byte-identical bitstream"
-    );
+    let (routes, telemetry) =
+        tmr_pnr::route_with_telemetry(&device, &netlist, &placement, &options);
     eprintln!(
-        "pnr_throughput: {} nets routed in {} iterations, {} nodes expanded, {:.1} ms (seq)",
-        seq_routes.len(),
+        "pnr_throughput: {} nets routed in {} iterations, {} nodes expanded, {:.1} ms",
+        routes.expect("routing").len(),
         telemetry.iteration_count(),
         telemetry.total_nodes_expanded(),
         telemetry.total_elapsed().as_secs_f64() * 1e3,
@@ -125,16 +100,10 @@ fn bench_pnr_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("pnr_throughput");
     group.sample_size(10);
-    group.bench_function("place_route_seq", |b| {
+    group.bench_function("place_route", |b| {
         b.iter(|| {
             let placement = place(&device, &netlist, &PlacerOptions::default()).expect("placement");
-            route(&device, &netlist, &placement, &sequential).expect("routing")
-        })
-    });
-    group.bench_function("place_route_parallel_4", |b| {
-        b.iter(|| {
-            let placement = place(&device, &netlist, &PlacerOptions::default()).expect("placement");
-            route(&device, &netlist, &placement, &parallel).expect("routing")
+            route(&device, &netlist, &placement, &options).expect("routing")
         })
     });
     group.finish();
@@ -235,11 +204,10 @@ fn bench_campaign_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Simulator-backend throughput (faults/second): the interpreting oracle,
-/// the event-driven compiled engine and the always-full-level compiled
-/// engine (`TMR_SIM=compiled-full`) on the *same* sequential 600-fault
-/// campaign over the FIR `TMR_p2` design. All three backends are asserted
-/// to produce bit-identical `CampaignResult`s before anything is measured,
+/// Simulator-backend throughput (faults/second): the interpreting oracle
+/// and the event-driven compiled engine on the *same* sequential 600-fault
+/// campaign over the FIR `TMR_p2` design. Both backends are asserted to
+/// produce bit-identical `CampaignResult`s before anything is measured,
 /// the `SimStats` counters are asserted to show the fast paths actually ran
 /// (levels skipped, >64-lane words), and the one-shot speedups are logged
 /// for the CI bench output.
@@ -253,8 +221,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
         .cycles(12)
         .sequential();
     let interpreter = campaign.clone().backend(SimBackend::Interpreter);
-    let compiled = campaign.clone().backend(SimBackend::Compiled);
-    let compiled_full = campaign.backend(SimBackend::CompiledFull);
+    let compiled = campaign.backend(SimBackend::Compiled);
 
     let start = std::time::Instant::now();
     let interpreter_result = interpreter.run(&device, &routed).expect("campaign");
@@ -262,16 +229,9 @@ fn bench_sim_throughput(c: &mut Criterion) {
     let start = std::time::Instant::now();
     let compiled_result = compiled.run(&device, &routed).expect("campaign");
     let compiled_elapsed = start.elapsed();
-    let start = std::time::Instant::now();
-    let full_result = compiled_full.run(&device, &routed).expect("campaign");
-    let full_elapsed = start.elapsed();
     assert_eq!(
         compiled_result, interpreter_result,
         "the compiled engine must be bit-identical to the interpreter"
-    );
-    assert_eq!(
-        full_result, interpreter_result,
-        "the always-full-level engine must be bit-identical to the interpreter"
     );
     // The observability counters prove the fast paths ran instead of
     // trusting wall-clock anecdotes: the event-driven scheduler skipped
@@ -285,18 +245,11 @@ fn bench_sim_throughput(c: &mut Criterion) {
         stats.max_lanes_per_word > 64,
         "at least one word batch must run wider than 64 lanes: {stats}"
     );
-    assert_eq!(
-        full_result.stats.levels_skipped, 0,
-        "the always-full-level engine must not skip levels"
-    );
     eprintln!(
-        "sim_throughput: interpreter {:.3} s, compiled {:.3} s ({:.1}x), \
-         compiled-full {:.3} s ({:.1}x vs event-driven) — {} faults, {} simulated",
+        "sim_throughput: interpreter {:.3} s, compiled {:.3} s ({:.1}x) — {} faults, {} simulated",
         interpreter_elapsed.as_secs_f64(),
         compiled_elapsed.as_secs_f64(),
         interpreter_elapsed.as_secs_f64() / compiled_elapsed.as_secs_f64(),
-        full_elapsed.as_secs_f64(),
-        full_elapsed.as_secs_f64() / compiled_elapsed.as_secs_f64(),
         FAULTS,
         compiled_result.simulated,
     );
@@ -310,9 +263,6 @@ fn bench_sim_throughput(c: &mut Criterion) {
     });
     group.bench_function("compiled_packed", |b| {
         b.iter(|| compiled.run(&device, &routed).expect("campaign"))
-    });
-    group.bench_function("compiled_full", |b| {
-        b.iter(|| compiled_full.run(&device, &routed).expect("campaign"))
     });
     group.finish();
 }

@@ -20,10 +20,6 @@
 //! Options:
 //!
 //! * `<start> <end>` — seed range to fuzz (half-open; default `0 50`).
-//! * `--jobs <n>` — fuzz seeds on a pool of `n` worker threads (each seed
-//!   is independent); defaults to the machine's available parallelism.
-//!   Reports are printed in seed order and shrinking stays sequential, so
-//!   the output is byte-identical for any job count.
 //! * `--faults <n>` / `--cycles <n>` / `--shards <n>` — campaign budget per
 //!   oracle check (defaults 120 / 8 / 4).
 //! * `--emit <dir>` — shrink each failing seed and write a
@@ -32,11 +28,16 @@
 //!   (fast triage of long-running failures).
 //! * `--quiet` — only print failures and the final summary.
 //!
+//! Seeds are independent and run through `tmr_core::par_map`; reports are
+//! printed in seed order and shrinking stays sequential, so the output does
+//! not depend on the CPU count.
+//!
 //! Exit status is 0 when every seed passes all oracles, 1 otherwise.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tmr_fpga::fuzz::{run_seed, shrink_case, FuzzOptions, RegressionCase, SeedReport};
+use tmr_core::par_map;
+use tmr_fpga::fuzz::{run_seed, shrink_case, FuzzOptions, RegressionCase};
 
 fn main() -> ExitCode {
     let mut range = Vec::new();
@@ -44,15 +45,10 @@ fn main() -> ExitCode {
     let mut emit: Option<PathBuf> = None;
     let mut do_shrink = true;
     let mut quiet = false;
-    let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut arguments = std::env::args().skip(1);
     while let Some(argument) = arguments.next() {
         match argument.as_str() {
-            "--jobs" => match arguments.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => return usage("--jobs needs a number >= 1"),
-            },
             "--faults" => match arguments.next().and_then(|n| n.parse().ok()) {
                 Some(n) => options.faults = n,
                 None => return usage("--faults needs a number"),
@@ -70,7 +66,7 @@ fn main() -> ExitCode {
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: tmr-fuzz [<start> <end>] [--jobs <n>] [--faults <n>] \
+                    "usage: tmr-fuzz [<start> <end>] [--faults <n>] \
                      [--cycles <n>] [--shards <n>] [--emit <dir>] [--no-shrink] [--quiet]"
                 );
                 return ExitCode::SUCCESS;
@@ -93,7 +89,7 @@ fn main() -> ExitCode {
 
     let mut failed_seeds = 0usize;
     let mut failure_total = 0usize;
-    for report in fuzz_range(start, end, jobs, &options) {
+    for report in par_map((start..end).collect(), |seed| run_seed(seed, &options)) {
         let seed = report.seed;
         if report.passed() {
             if !quiet {
@@ -144,35 +140,6 @@ fn main() -> ExitCode {
         );
         ExitCode::FAILURE
     }
-}
-
-/// Fuzzes `[start, end)` on a pool of `jobs` worker threads and returns the
-/// reports sorted by seed. Seeds are striped across workers (worker `w`
-/// takes `start + w`, `start + w + jobs`, …); each seed is fully independent,
-/// so the reports — and therefore the printed output — are identical for any
-/// job count. `jobs == 1` runs inline without spawning.
-fn fuzz_range(start: u64, end: u64, jobs: usize, options: &FuzzOptions) -> Vec<SeedReport> {
-    if jobs <= 1 {
-        return (start..end).map(|seed| run_seed(seed, options)).collect();
-    }
-    let mut reports: Vec<SeedReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|worker| {
-                scope.spawn(move || {
-                    (start + worker as u64..end)
-                        .step_by(jobs)
-                        .map(|seed| run_seed(seed, options))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("fuzz worker panicked"))
-            .collect()
-    });
-    reports.sort_by_key(|report| report.seed);
-    reports
 }
 
 fn usage(message: &str) -> ExitCode {

@@ -200,7 +200,8 @@ pub fn perf_summary(report: &SweepReport) -> String {
     let route = report.route_stats();
     let route_line = if route.routed > 0 {
         format!(
-            "\nroute: {} variant(s), {} iterations, {} nodes expanded, {:.1} ms",
+            "\nroute: {} variant(s), {} iterations, {} nodes expanded, \
+             {:.1} ms routing summed over variants (not wall time)",
             route.routed,
             route.iterations,
             route.nodes_expanded,

@@ -49,6 +49,9 @@
 //! // block (at the pads), as the paper describes.
 //! assert_eq!(stats.outputs, 3);
 //! ```
+//!
+//! [`par_map`] is the workspace's one data-parallel primitive: sweep
+//! variants, campaign shards and fuzz seeds all fan out through it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,10 +60,12 @@ mod analysis;
 mod area;
 mod error;
 pub mod json;
+mod par;
 pub mod pipeline;
 mod transform;
 
 pub use analysis::{partition_report, redundant_signal_fraction, PartitionInfo, PartitionReport};
 pub use area::{estimate_resources, ResourceEstimate};
 pub use error::TmrError;
+pub use par::par_map;
 pub use transform::{apply_tmr, paper_variants, TmrConfig, VoterPlacement};

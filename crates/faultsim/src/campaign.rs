@@ -451,10 +451,9 @@ pub(crate) fn run_shard(
                 }
             }
         }
-        SimBackend::Compiled | SimBackend::CompiledFull => {
+        SimBackend::Compiled => {
             let compiled = ctx.compiled.expect("compiled backend without a netlist");
             let packed = ctx.packed.expect("compiled backend without a golden pack");
-            let event_driven = ctx.backend == SimBackend::Compiled;
             // Split the simulable faults into two lane streams: words
             // without bridged nets run incrementally over the fan-out cone,
             // words with bridges take the full multi-pass evaluation.
@@ -496,8 +495,7 @@ pub(crate) fn run_shard(
                 for word in stream.chunks(MAX_LANES) {
                     let overlays: Vec<&tmr_sim::FaultOverlay> =
                         word.iter().map(|&index| effects[index].overlay()).collect();
-                    let mismatches =
-                        compiled.run_lanes(packed, &overlays, event_driven, &mut stats);
+                    let mismatches = compiled.run_lanes(packed, &overlays, &mut stats);
                     for (&index, mismatch) in word.iter().zip(mismatches) {
                         results[index] = (mismatch.is_some(), mismatch);
                     }

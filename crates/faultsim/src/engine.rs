@@ -15,10 +15,12 @@
 //!    [`CampaignEngine::with_compiled`] and skip even that;
 //! 2. the sampled fault list is split into deterministic contiguous
 //!    **shards**;
-//! 3. each shard runs on its own [`std::thread::scope`] worker thread,
-//!    sharing the routed design, golden run and compiled stream immutably
-//!    (the interpreter backend hands each worker its own `Simulator` clone);
-//! 4. per-shard outcome vectors are concatenated in shard order, which *is*
+//! 3. the shards run through [`tmr_core::par_map`], on up to one worker per
+//!    CPU (inline when the campaign itself runs inside a `par_map` worker,
+//!    such as a sweep variant), sharing the routed design, golden run and
+//!    compiled stream immutably (the interpreter backend hands each shard
+//!    its own `Simulator` clone);
+//! 4. per-shard outcome vectors come back in shard order, which *is*
 //!    fault-list order — so the merged [`CampaignResult`] is bit-identical
 //!    to the sequential one regardless of the shard count.
 //!
@@ -52,33 +54,19 @@ pub enum SimBackend {
     /// dirty-level scheduling (the default).
     #[default]
     Compiled,
-    /// The compiled engine with event-driven scheduling disabled: every
-    /// level of the fan-out cone is evaluated every cycle, as in the
-    /// pre-event-driven engine. Bit-identical outcomes to
-    /// [`SimBackend::Compiled`] — kept reachable (`TMR_SIM=compiled-full`)
-    /// for A/B benchmarking and as a second differential anchor.
-    CompiledFull,
     /// The cell-by-cell interpreting simulator — the semantics oracle.
     Interpreter,
 }
 
 impl SimBackend {
     /// Resolves the backend from the `TMR_SIM` environment variable:
-    /// `interp`/`interpreter` selects the oracle, `compiled-full` (or
-    /// `compiled_full`) the compiled engine without event-driven
-    /// scheduling, and `compiled`/`packed` (or an unset/unknown value) the
-    /// default event-driven compiled engine.
+    /// `interp`/`interpreter` selects the oracle, and `compiled`/`packed`
+    /// (or an unset/unknown value) the default compiled engine.
     pub fn from_env() -> Self {
         match std::env::var("TMR_SIM").as_deref() {
             Ok("interp" | "interpreter") => SimBackend::Interpreter,
-            Ok("compiled-full" | "compiled_full") => SimBackend::CompiledFull,
             _ => SimBackend::Compiled,
         }
-    }
-
-    /// Whether this backend evaluates faults on the compiled engine.
-    pub fn is_compiled(&self) -> bool {
-        matches!(self, SimBackend::Compiled | SimBackend::CompiledFull)
     }
 
     /// A stable short label (the `TMR_SIM` spelling), used in traces and
@@ -86,7 +74,6 @@ impl SimBackend {
     pub fn label(&self) -> &'static str {
         match self {
             SimBackend::Compiled => "compiled",
-            SimBackend::CompiledFull => "compiled-full",
             SimBackend::Interpreter => "interp",
         }
     }
@@ -215,7 +202,7 @@ impl<'a> CampaignEngine<'a> {
         // levelized `Simulator` — neither pays for the other.
         let simulator = match backend {
             SimBackend::Interpreter => Some(Simulator::new(netlist)?),
-            SimBackend::Compiled | SimBackend::CompiledFull => None,
+            SimBackend::Compiled => None,
         };
         let golden = match &self.golden {
             Some(golden) => {
@@ -240,7 +227,7 @@ impl<'a> CampaignEngine<'a> {
         };
         let (compiled, packed) = match backend {
             SimBackend::Interpreter => (None, None),
-            SimBackend::Compiled | SimBackend::CompiledFull => {
+            SimBackend::Compiled => {
                 let compiled = match &self.compiled {
                     Some(compiled) => {
                         assert_eq!(

@@ -23,11 +23,11 @@
 //!   configure a campaign: fault count, stimulus, shard count, streaming
 //!   batch size and statistical early stop, plus reuse of a precomputed
 //!   [`tmr_sim::GoldenRun`];
-//! * the **campaign engine** ([`CampaignEngine`]) shards the sampled fault
-//!   list over worker threads — each with its own cloned simulator replaying
-//!   a shared stimulus against a shared golden trace — and merges outcomes in
-//!   fault-list order, bit-identical to the sequential path for any shard
-//!   count;
+//! * the **campaign engine** ([`CampaignEngine`]) splits the sampled fault
+//!   list into shards run through [`tmr_core::par_map`] — each with its own
+//!   cloned simulator replaying a shared stimulus against a shared golden
+//!   trace — and merges outcomes in fault-list order, bit-identical to the
+//!   sequential path for any shard count;
 //! * the **campaign session** ([`CampaignSession`]) streams the same
 //!   campaign incrementally: contiguous outcome batches for progress
 //!   reporting, and an [`EarlyStop`] rule that halts once the wrong-answer

@@ -23,6 +23,7 @@ use crate::campaign::{run_shard, ShardContext};
 use crate::{CampaignResult, FaultOutcome, SimBackend};
 use std::sync::Arc;
 use tmr_arch::Device;
+use tmr_core::par_map;
 use tmr_netlist::Domain;
 use tmr_pnr::RoutedDesign;
 use tmr_sim::{CompiledNetlist, GoldenRun, PackedGolden, SimStats, Simulator};
@@ -416,7 +417,7 @@ impl<'a> CampaignSession<'a> {
     }
 }
 
-/// The shared simulation-backend state handed to every worker shard.
+/// The shared simulation-backend state handed to every shard.
 #[derive(Clone, Copy)]
 struct BackendRefs<'a> {
     backend: SimBackend,
@@ -424,19 +425,19 @@ struct BackendRefs<'a> {
     packed: Option<&'a PackedGolden>,
 }
 
-/// Injects `faults` (a contiguous slice of the sampled fault list) across
-/// `shards` worker threads and merges the outcomes in slice order.
+/// Injects `faults` (a contiguous slice of the sampled fault list) as
+/// `shards` contiguous chunks run through [`par_map`], and merges the
+/// outcomes in slice order.
 ///
 /// This is the sharding core shared by every execution mode and every fault
 /// model: chunk boundaries depend only on the slice length and shard count,
-/// and per-shard outcome vectors are concatenated in chunk order — never in
-/// thread-completion order — which reproduces slice order (= fault-list
-/// order) exactly, so the merged outcomes are independent of the thread
-/// schedule. Each shard additionally packs its faults into cone-grouped lane
-/// words on the compiled backend; word boundaries live entirely inside a
-/// shard, so they never affect the merged order either. The per-shard
-/// [`SimStats`] blocks merge commutatively, so the counters are
-/// shard-schedule-independent too.
+/// and `par_map` returns the per-chunk outcome vectors in chunk order, which
+/// is slice order (= fault-list order), so the merged outcomes are
+/// independent of the thread schedule. Each shard additionally packs its
+/// faults into cone-grouped lane words on the compiled backend; word
+/// boundaries live entirely inside a shard, so they never affect the merged
+/// order either. The per-shard [`SimStats`] blocks merge commutatively, so
+/// the counters are shard-schedule-independent too.
 #[allow(clippy::too_many_arguments)]
 fn run_faults(
     device: &Device,
@@ -449,55 +450,29 @@ fn run_faults(
     shards: usize,
     faults: &[Vec<usize>],
 ) -> (Vec<FaultOutcome>, usize, SimStats) {
-    let shard_count = shards.min(faults.len()).max(1);
-    if shard_count == 1 {
-        let ctx = ShardContext {
-            device,
-            routed,
-            simulator: simulator.cloned(),
-            golden,
-            simulate_only,
-            maskable,
-            backend: backends.backend,
-            compiled: backends.compiled,
-            packed: backends.packed,
-        };
-        let (outcomes, simulated, stats) = traced_shard(0, &ctx, faults);
-        attach_merged_stats(simulated, &stats);
-        return (outcomes, simulated, stats);
-    }
-    let chunk = faults.len().div_ceil(shard_count);
-    // Captured before spawning so every worker's spans merge under the span
-    // open on the coordinating thread (the session's `campaign.batch`).
+    let chunk = faults.len().div_ceil(shards).max(1);
+    // Captured on the coordinating thread so every shard's spans merge under
+    // the span open here (the session's `campaign.batch`).
     let trace_parent = tmr_trace::current_span();
-    let shard_results: Vec<(Vec<FaultOutcome>, usize, SimStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = faults
-            .chunks(chunk)
-            .enumerate()
-            .map(|(index, chunk_faults)| {
-                let ctx = ShardContext {
-                    device,
-                    routed,
-                    simulator: simulator.cloned(),
-                    golden,
-                    simulate_only,
-                    maskable,
-                    backend: backends.backend,
-                    compiled: backends.compiled,
-                    packed: backends.packed,
-                };
-                scope.spawn(move || {
-                    let _task = tmr_trace::enabled()
-                        .then(|| tmr_trace::task(format!("shard-{index:02}"), trace_parent));
-                    traced_shard(index, &ctx, chunk_faults)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("campaign worker thread panicked"))
-            .collect()
-    });
+    let shard_results = par_map(
+        faults.chunks(chunk).enumerate().collect(),
+        |(index, part)| {
+            let _task = tmr_trace::enabled()
+                .then(|| tmr_trace::task(format!("shard-{index:02}"), trace_parent));
+            let ctx = ShardContext {
+                device,
+                routed,
+                simulator: simulator.cloned(),
+                golden,
+                simulate_only,
+                maskable,
+                backend: backends.backend,
+                compiled: backends.compiled,
+                packed: backends.packed,
+            };
+            traced_shard(index, &ctx, part)
+        },
+    );
     let mut merged = Vec::with_capacity(faults.len());
     let mut simulated = 0;
     let mut stats = SimStats::default();

@@ -62,7 +62,5 @@ mod routed;
 pub use error::PnrError;
 pub use lookahead::Lookahead;
 pub use place::{place, placement_wirelength, Placement, PlacerOptions};
-pub use route::{
-    resolved_workers, route, route_with_telemetry, RouteIteration, RouteTelemetry, RouterOptions,
-};
+pub use route::{route, route_with_telemetry, RouteIteration, RouteTelemetry, RouterOptions};
 pub use routed::{place_and_route, site_usage, BitReport, RouteTree, RoutedDesign};

@@ -19,8 +19,7 @@
 //!
 //! The table depends only on [`DeviceParams`] (device construction is
 //! deterministic), so it is cached process-wide and shared by every router
-//! instance — including the scoped worker threads of the parallel
-//! negotiation, which clone one `Arc` each.
+//! instance.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

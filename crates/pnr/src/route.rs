@@ -1,28 +1,19 @@
 //! Negotiated-congestion A* maze routing (PathFinder style).
 //!
-//! The router combines three mechanisms, each pinned by differential tests:
+//! The router combines three mechanisms:
 //!
 //! * **Directed search.** Every sink is found with A* over the device's
 //!   routing graph, guided by the admissible per-device
 //!   [`Lookahead`](crate::Lookahead) table and confined to the net's
 //!   bounding box (plus [`RouterOptions::bbox_margin`] tiles of slack); a
 //!   sink that cannot be reached inside the box deterministically retries
-//!   unconfined. All search state lives in per-worker
-//!   generation-stamped scratch arrays indexed by node id, so routing a net
-//!   allocates nothing.
-//! * **Snapshot-commit negotiation.** Within each PathFinder iteration the
-//!   to-be-rerouted nets are swept in net order and greedily packed into
-//!   *spatially disjoint* chunks: a net joins the current chunk only if its
-//!   search rectangle intersects none already admitted. At each flush the
-//!   chunk's nets are ripped up, routed against the *frozen* occupancy and
-//!   history costs (in parallel across `std::thread::scope` workers), and
-//!   committed in net order at the barrier. Disjoint rectangles mean
-//!   disjoint node sets, so the chunked result is identical to a pure
-//!   net-by-net (Gauss–Seidel) sweep for *every* chunk size — and
-//!   [`RouterOptions::chunk_size`] and the worker count are pure
-//!   performance knobs that never change the answer. The sequential router
-//!   (`TMR_ROUTE=seq`) is kept as the differential oracle and must produce
-//!   byte-identical [`RouteTree`]s.
+//!   unconfined. All search state lives in generation-stamped scratch
+//!   arrays indexed by node id, so routing a net allocates nothing.
+//! * **Net-by-net negotiation.** Each PathFinder iteration walks the nets
+//!   in order. A net whose tree is missing or touches an overused node is
+//!   ripped up, rerouted against the live occupancy and committed by the
+//!   time the walk examines the next congested net, so every later reroute
+//!   sees it.
 //! * **Congestion pricing.** Node costs follow the classic PathFinder
 //!   schedule: a present-congestion factor that grows gently each iteration
 //!   plus an accumulated history cost on every overused node.
@@ -56,16 +47,6 @@ pub struct RouterOptions {
     /// Search-confinement slack: tiles added around each net's terminal
     /// bounding box before the A* expansion is clipped to it.
     pub bbox_margin: u16,
-    /// Worker threads for the parallel negotiation. `0` resolves the
-    /// `TMR_ROUTE` environment variable at each [`route`] call: `seq` → 1
-    /// (the sequential differential oracle), a number → that many workers,
-    /// unset → the machine's available parallelism. Any other value falls
-    /// back to 1.
-    pub workers: usize,
-    /// Nets per snapshot-commit chunk. The chunk size — not the worker
-    /// count — defines the negotiation schedule, so results are identical
-    /// for any `workers` value.
-    pub chunk_size: usize,
 }
 
 impl Default for RouterOptions {
@@ -83,27 +64,7 @@ impl Default for RouterOptions {
             history_increment: 1.5,
             astar_weight: 2.25,
             bbox_margin: 3,
-            workers: 0,
-            chunk_size: 16,
         }
-    }
-}
-
-/// Resolves the effective worker count for `options` (see
-/// [`RouterOptions::workers`]).
-pub fn resolved_workers(options: &RouterOptions) -> usize {
-    if options.workers > 0 {
-        return options.workers;
-    }
-    match std::env::var("TMR_ROUTE") {
-        Ok(value) if value.trim() == "seq" => 1,
-        Ok(value) => value
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
@@ -154,21 +115,12 @@ impl TileBounds {
     fn covers_grid(&self, cols: u16, rows: u16) -> bool {
         self.min_x == 0 && self.min_y == 0 && self.max_x + 1 >= cols && self.max_y + 1 >= rows
     }
-
-    /// Whether two rectangles share at least one tile.
-    fn intersects(&self, other: &TileBounds) -> bool {
-        self.min_x <= other.max_x
-            && other.min_x <= self.max_x
-            && self.min_y <= other.max_y
-            && other.min_y <= self.max_y
-    }
 }
 
 /// The clipped search rectangle for one net attempt: the terminal bounding
 /// box, widened by the base margin plus one tile per rip-up the net has
 /// suffered (so congestion-locked nets progressively escape their
-/// neighbourhood). Used both to confine the A* expansion and to decide which
-/// nets may share a snapshot-commit chunk.
+/// neighbourhood).
 fn search_rect(
     terminals: &NetTerminals,
     rip_count: u16,
@@ -227,7 +179,7 @@ pub struct RouteIteration {
     /// Present-congestion penalty factor used during this iteration.
     pub present_factor: f64,
     /// A* queue pops across every net routed this iteration. Deterministic:
-    /// independent of the worker count.
+    /// a function of the design, device and options alone.
     pub nodes_expanded: u64,
     /// Wall-clock time of this iteration in nanoseconds.
     pub elapsed_ns: u64,
@@ -238,9 +190,6 @@ pub struct RouteIteration {
 pub struct RouteTelemetry {
     /// One entry per negotiation iteration, in order.
     pub iterations: Vec<RouteIteration>,
-    /// Worker threads the negotiation ran with (after `TMR_ROUTE`
-    /// resolution).
-    pub workers: usize,
 }
 
 impl RouteTelemetry {
@@ -303,7 +252,7 @@ pub fn route_with_telemetry(
     (result, telemetry)
 }
 
-/// Read-only per-call routing context shared by all workers.
+/// Read-only per-call routing context.
 struct RouteContext<'a> {
     device: &'a Device,
     netlist: &'a Netlist,
@@ -330,8 +279,7 @@ struct Edge {
 /// into a single 12-byte record so each neighbour touch costs one cache line
 /// instead of five (`cost_static`, `occupancy`, `is_in_pin`, `tile_x`,
 /// `tile_y` used to live in separate arrays). `cost_static` (base + history)
-/// is refreshed once per iteration and `occupancy` at chunk barriers — both
-/// on the main thread, so workers always read a frozen snapshot.
+/// is refreshed once per iteration, `occupancy` at every rip-up and commit.
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
     /// Congestion-free cost of the node this iteration: base + history.
@@ -353,8 +301,8 @@ struct SearchRec {
     prev_pip: u32,
 }
 
-/// Per-worker reusable search state, all indexed by node id and invalidated
-/// in O(1) with generation stamps.
+/// Reusable search state, all indexed by node id and invalidated in O(1)
+/// with generation stamps.
 struct RouterScratch {
     search: Vec<SearchRec>,
     /// Tree-membership stamps: `in_tree[i] == tree_generation` iff node `i`
@@ -393,10 +341,6 @@ fn route_inner(
     options: &RouterOptions,
     telemetry: &mut RouteTelemetry,
 ) -> Result<HashMap<NetId, RouteTree>, PnrError> {
-    let workers = resolved_workers(options);
-    let chunk_size = options.chunk_size.max(1);
-    telemetry.workers = workers;
-
     let node_count = device.node_count();
     let lookahead = Lookahead::for_device(device);
     let mut base = vec![0f32; node_count];
@@ -442,21 +386,14 @@ fn route_inner(
             .attr("lookahead_entries", lookahead.entries())
             .attr("astar_weight", options.astar_weight)
             .attr("bbox_margin", u32::from(options.bbox_margin));
-        tmr_trace::event("route.parallel")
-            .attr("workers", workers)
-            .attr("chunk_size", chunk_size)
-            .attr("nets", nets.len());
     }
 
     let mut history = vec![0f32; node_count];
-    let mut scratches: Vec<RouterScratch> = (0..workers.max(1))
-        .map(|_| RouterScratch::new(node_count))
-        .collect();
-
+    let mut scratch = RouterScratch::new(node_count);
     let mut trees: Vec<Option<RouteTree>> = (0..nets.len()).map(|_| None).collect();
     // Per-net rip-up counts: each rip-up widens that net's search margin, so
     // nets locked in a congestion fight progressively escape their bounding
-    // boxes. Part of the negotiation schedule — worker-independent.
+    // boxes.
     let mut rip_counts: Vec<u16> = vec![0; nets.len()];
     let mut present_factor = options.present_factor;
 
@@ -477,91 +414,37 @@ fn route_inner(
         let mut rerouted = 0usize;
         let mut ripped_up = 0usize;
 
-        // Every iteration sweeps all nets in net order, greedily packing the
-        // ones that need rerouting into *spatially disjoint* chunks: a net
-        // joins the open chunk only if its search rectangle overlaps none of
-        // the chunk's. Disjoint rectangles touch disjoint routing nodes, so
-        // the chunk's nets cannot contend — routing them against the frozen
-        // snapshot behaves like routing them one at a time, which keeps the
-        // convergence of sequential negotiation while exposing the chunk to
-        // the worker pool. A conflicting net flushes the chunk first, so
-        // contending nets always see each other's committed routes. The
-        // schedule depends only on committed state and `chunk_size` — never
-        // on the worker count.
-        let mut chunk: Vec<u32> = Vec::with_capacity(chunk_size);
-        let mut rects: Vec<TileBounds> = Vec::with_capacity(chunk_size);
-        let mut index = 0u32;
-        while (index as usize) < nets.len() {
-            // The live congestion check: a net displaced by an earlier flush
-            // in this same sweep is picked up here — the same-iteration
-            // cascade sequential negotiation relies on to converge. It runs
-            // against fully committed state: a conflicting net flushes the
-            // open chunk *without advancing*, so it is re-examined afterwards
-            // (the flush may have resolved its congestion).
-            let needs_reroute = match &trees[index as usize] {
-                None => true,
-                Some(tree) => tree.nodes.iter().any(|n| states[n.index()].occupancy > 1),
-            };
-            if !needs_reroute {
-                index += 1;
+        // The walk reroutes a congested net once it reaches the next
+        // congested one (or the end of the nets), then checks that next net
+        // again against the updated occupancy; the nets walked past in
+        // between were judged before the reroute. Checks read the live
+        // occupancy, so a net displaced by an earlier reroute of this walk
+        // is picked up in this walk too: the cascade negotiation relies on
+        // to converge.
+        let mut pending: Option<usize> = None;
+        for next in (0..nets.len()).map(Some).chain([None]) {
+            if next.is_some_and(|index| !needs_reroute(trees[index].as_ref(), &states)) {
                 continue;
             }
-            // The rect a flush would actually search: ripping an existing
-            // tree bumps the net's rip count (and so its margin) first.
-            let margin_rips = rip_counts[index as usize]
-                .saturating_add(u16::from(trees[index as usize].is_some()));
-            let rect = search_rect(
-                &nets[index as usize],
-                margin_rips,
-                ctx.bbox_margin,
-                ctx.cols,
-                ctx.rows,
-            );
-            if chunk.len() >= chunk_size || rects.iter().any(|r| r.intersects(&rect)) {
-                flush_chunk(
+            if let Some(index) = pending.take() {
+                reroute(
                     &ctx,
-                    &nets,
-                    &chunk,
-                    &mut rip_counts,
+                    &nets[index],
+                    &mut trees[index],
+                    &mut rip_counts[index],
                     &mut states,
-                    &mut trees,
                     present_f32,
                     weight,
-                    workers,
-                    &mut scratches,
-                    &mut rerouted,
+                    &mut scratch,
                     &mut ripped_up,
                 )?;
-                chunk.clear();
-                rects.clear();
-                continue;
+                rerouted += 1;
             }
-            chunk.push(index);
-            rects.push(rect);
-            index += 1;
-        }
-        if !chunk.is_empty() {
-            flush_chunk(
-                &ctx,
-                &nets,
-                &chunk,
-                &mut rip_counts,
-                &mut states,
-                &mut trees,
-                present_f32,
-                weight,
-                workers,
-                &mut scratches,
-                &mut rerouted,
-                &mut ripped_up,
-            )?;
+            pending = next.filter(|&index| needs_reroute(trees[index].as_ref(), &states));
         }
 
         let overused: usize = states.iter().filter(|s| s.occupancy > 1).count();
-        let nodes_expanded: u64 = scratches
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.nodes_expanded))
-            .sum();
+        let nodes_expanded = std::mem::take(&mut scratch.nodes_expanded);
         telemetry.iterations.push(RouteIteration {
             iteration,
             ripped_up,
@@ -611,86 +494,68 @@ fn route_inner(
     unreachable!("the loop either returns success or exhausts its iterations");
 }
 
-/// Rips up, routes, and commits one spatially disjoint chunk of nets.
-/// Occupancy is frozen for the duration of the chunk: every net — on any
-/// worker — routes against the same congestion snapshot, and the results are
-/// committed in net order at the barrier (the first failure in net order
-/// wins, keeping errors deterministic too).
+/// Whether a net must be (re)routed: it has no tree yet, or its tree
+/// touches an overused node.
+fn needs_reroute(tree: Option<&RouteTree>, states: &[NodeState]) -> bool {
+    tree.is_none_or(|tree| tree.nodes.iter().any(|n| states[n.index()].occupancy > 1))
+}
+
+/// Rips up one net's tree, routes it again against the live occupancy and
+/// commits the new tree. The rip-up is partial: the subtree serving sinks
+/// whose paths avoid every overused node seeds the search, so a high-fanout
+/// net with one congested branch re-searches one branch, not all of them.
+/// Occupancy is still released for the whole old tree and re-acquired at
+/// commit; the kept subtree is a search seed, not a committed claim.
 #[allow(clippy::too_many_arguments)]
-fn flush_chunk(
+fn reroute(
     ctx: &RouteContext<'_>,
-    nets: &[NetTerminals],
-    chunk: &[u32],
-    rip_counts: &mut [u16],
+    terminals: &NetTerminals,
+    tree: &mut Option<RouteTree>,
+    rip_count: &mut u16,
     states: &mut [NodeState],
-    trees: &mut [Option<RouteTree>],
     present_factor: f32,
     weight: f32,
-    workers: usize,
-    scratches: &mut [RouterScratch],
-    rerouted: &mut usize,
+    scratch: &mut RouterScratch,
     ripped_up: &mut usize,
 ) -> Result<(), PnrError> {
-    if chunk.is_empty() {
-        return Ok(());
-    }
-    *rerouted += chunk.len();
-
-    let mut starts: Vec<RouteTree> = Vec::with_capacity(chunk.len());
-    for &index in chunk {
-        let terminals = &nets[index as usize];
-        if let Some(old) = trees[index as usize].take() {
+    let start = match tree.take() {
+        Some(old) => {
             *ripped_up += 1;
-            rip_counts[index as usize] = rip_counts[index as usize].saturating_add(1);
-            // Partial rip-up: keep the subtree serving sinks whose paths
-            // avoid every overused node, so a high-fanout net with one
-            // congested branch re-searches one branch, not all of them.
-            // Occupancy is still released for the whole old tree and
-            // re-acquired at commit — the kept subtree is a search seed, not
-            // a committed claim.
+            *rip_count = rip_count.saturating_add(1);
             let start = prune_tree(ctx.device, &old, states);
             for node in &old.nodes {
                 states[node.index()].occupancy -= 1;
             }
-            starts.push(start);
-        } else {
-            starts.push(RouteTree {
-                source: terminals.source,
-                nodes: vec![terminals.source],
-                pips: Vec::new(),
-                sinks: Vec::new(),
-            });
+            start
         }
-    }
-
-    let results = route_chunk(
+        None => RouteTree {
+            source: terminals.source,
+            nodes: vec![terminals.source],
+            pips: Vec::new(),
+            sinks: Vec::new(),
+        },
+    };
+    let new_tree = route_net(
         ctx,
-        nets,
-        chunk,
-        starts,
-        rip_counts,
+        terminals,
+        start,
+        *rip_count,
         states,
         present_factor,
         weight,
-        workers,
-        scratches,
-    );
-
-    for (&index, result) in chunk.iter().zip(results) {
-        let tree = result?;
-        for node in &tree.nodes {
-            states[node.index()].occupancy += 1;
-        }
-        trees[index as usize] = Some(tree);
+        scratch,
+    )?;
+    for node in &new_tree.nodes {
+        states[node.index()].occupancy += 1;
     }
+    *tree = Some(new_tree);
     Ok(())
 }
 
 /// Splits a committed tree into the subtree serving sinks whose paths avoid
 /// every overused node. The pruned tree (sinks cleared — [`route_net`]
 /// re-collects them) becomes the search seed for the net's reroute, so only
-/// the congested branches are searched again. Depends only on committed
-/// negotiation state, so it is worker-independent.
+/// the congested branches are searched again.
 fn prune_tree(device: &Device, old: &RouteTree, states: &[NodeState]) -> RouteTree {
     // Each non-source tree node is entered by exactly one tree PIP; index
     // them by destination for the backwalks below.
@@ -752,92 +617,6 @@ fn prune_tree(device: &Device, old: &RouteTree, states: &[NodeState]) -> RouteTr
             .collect(),
         sinks: Vec::new(),
     }
-}
-
-/// Routes one chunk of ripped-up nets against the frozen congestion
-/// snapshot, inline when `workers == 1` and on scoped threads otherwise.
-/// Results come back in chunk order either way.
-#[allow(clippy::too_many_arguments)]
-fn route_chunk(
-    ctx: &RouteContext<'_>,
-    nets: &[NetTerminals],
-    chunk: &[u32],
-    starts: Vec<RouteTree>,
-    rip_counts: &[u16],
-    states: &[NodeState],
-    present_factor: f32,
-    weight: f32,
-    workers: usize,
-    scratches: &mut [RouterScratch],
-) -> Vec<Result<RouteTree, PnrError>> {
-    if workers <= 1 || chunk.len() <= 1 {
-        let scratch = &mut scratches[0];
-        return chunk
-            .iter()
-            .zip(starts)
-            .map(|(&index, start)| {
-                route_net(
-                    ctx,
-                    &nets[index as usize],
-                    start,
-                    rip_counts[index as usize],
-                    states,
-                    present_factor,
-                    weight,
-                    scratch,
-                )
-            })
-            .collect();
-    }
-
-    let threads = workers.min(chunk.len());
-    // Strided assignment, partitioned up front so each worker owns its
-    // starting trees: worker `w` gets chunk positions `w, w + threads, …`.
-    let mut assignments: Vec<Vec<(usize, u32, RouteTree)>> =
-        (0..threads).map(|_| Vec::new()).collect();
-    for (position, (&index, start)) in chunk.iter().zip(starts).enumerate() {
-        assignments[position % threads].push((position, index, start));
-    }
-    let mut slots: Vec<Option<Result<RouteTree, PnrError>>> =
-        (0..chunk.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = scratches
-            .iter_mut()
-            .take(threads)
-            .zip(assignments)
-            .map(|(scratch, assignment)| {
-                scope.spawn(move || {
-                    assignment
-                        .into_iter()
-                        .map(|(position, index, start)| {
-                            (
-                                position,
-                                route_net(
-                                    ctx,
-                                    &nets[index as usize],
-                                    start,
-                                    rip_counts[index as usize],
-                                    states,
-                                    present_factor,
-                                    weight,
-                                    scratch,
-                                ),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (position, result) in handle.join().expect("router worker panicked") {
-                slots[position] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk slot routed"))
-        .collect()
 }
 
 /// Gathers source and sink routing nodes for every net that must be routed:
@@ -925,8 +704,7 @@ fn route_net(
     // weight walks back by `WEIGHT_SLOPE` per additional rip toward the
     // near-admissible floor, because a net locked in a congestion fight needs
     // the true cheapest detour, not a beeline — sloppy paths there feed the
-    // very oscillation PathFinder is trying to price away. Deterministic:
-    // rip counts are committed negotiation state, independent of workers.
+    // very oscillation PathFinder is trying to price away.
     const WEIGHT_GRACE: f32 = 4.0;
     const WEIGHT_SLOPE: f32 = 0.25;
     const WEIGHT_FLOOR: f32 = 1.25;
@@ -936,9 +714,6 @@ fn route_net(
     let floor = WEIGHT_FLOOR.min(weight);
     let weight =
         (weight - WEIGHT_SLOPE * (f32::from(rip_count) - WEIGHT_GRACE).max(0.0)).max(floor);
-    // The same rectangle the scheduler used to admit this net into its
-    // chunk, so confined searches provably stay inside the net's reserved
-    // region (the per-sink unconfined retry below is the one escape hatch).
     let bounds = search_rect(terminals, rip_count, ctx.bbox_margin, ctx.cols, ctx.rows);
     let net_confined = !bounds.covers_grid(ctx.cols, ctx.rows);
     // `start` is either a fresh source-only tree or the clean subtree a
@@ -1049,8 +824,7 @@ fn route_net(
             }
             if confined {
                 // The bounding box was too tight for the congestion at hand;
-                // retry this sink over the whole grid. Deterministic: depends
-                // only on the same frozen snapshot.
+                // retry this sink over the whole grid.
                 confined = false;
                 continue;
             }
@@ -1178,7 +952,6 @@ mod tests {
         assert!(result.is_ok());
         assert!(telemetry.converged());
         assert!(telemetry.iteration_count() >= 1);
-        assert!(telemetry.workers >= 1);
         let first = &telemetry.iterations[0];
         assert_eq!((first.iteration, first.ripped_up), (1, 0));
         assert!(first.rerouted > 0, "every net is routed in iteration 1");
@@ -1196,36 +969,6 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (net, tree) in &a {
             assert_eq!(tree.pips, b[net].pips);
-        }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_routes() {
-        let device = Device::small(6, 6);
-        let netlist = techmap(&optimize(&lower(&counter(5)).unwrap())).unwrap();
-        let placement = place(&device, &netlist, &PlacerOptions::default()).unwrap();
-        let reference = route(
-            &device,
-            &netlist,
-            &placement,
-            &RouterOptions {
-                workers: 1,
-                ..RouterOptions::default()
-            },
-        )
-        .unwrap();
-        for workers in [2, 3, 8] {
-            let parallel = route(
-                &device,
-                &netlist,
-                &placement,
-                &RouterOptions {
-                    workers,
-                    ..RouterOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(reference, parallel, "workers={workers} diverged");
         }
     }
 }

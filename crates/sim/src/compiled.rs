@@ -41,10 +41,7 @@
 //! it over every short-affected reader), with the same per-instruction
 //! divergence skipping carrying the event-driven savings, so results stay
 //! bit-identical there too. The interpreter remains available as a
-//! differential oracle (`TMR_SIM=interp` in the campaign layer), and the
-//! exhaustive evaluation of every cone op over all lanes stays reachable for
-//! A/B measurement (`TMR_SIM=compiled-full`, the `event_driven: false` mode
-//! of [`CompiledNetlist::run_lanes`]).
+//! differential oracle (`TMR_SIM=interp` in the campaign layer).
 
 use crate::compare::majority;
 use crate::packed::{majority_word, LaneMask, TritVec, TritWord};
@@ -159,11 +156,6 @@ impl LevelSet {
     #[inline]
     fn contains(&self, level: u32) -> bool {
         (self.bits[(level / 64) as usize] >> (level % 64)) & 1 == 1
-    }
-
-    /// Makes every level dirty (the always-full evaluation mode).
-    fn fill(&mut self) {
-        self.bits.fill(!0);
     }
 
     /// Resets this set to a copy of `other` (same capacity).
@@ -531,7 +523,7 @@ impl CompiledNetlist {
             "a packed word holds 1..=64 experiment lanes"
         );
         let mut stats = SimStats::default();
-        self.run_lanes(golden, overlays, true, &mut stats)
+        self.run_lanes(golden, overlays, &mut stats)
     }
 
     /// Simulates up to [`MAX_LANES`] fault experiments in one word batch and
@@ -541,16 +533,13 @@ impl CompiledNetlist {
     ///
     /// The result is bit-identical to running the interpreting simulator on
     /// each overlay individually and comparing with
-    /// [`OutputGroups::first_voted_mismatch`] — for either value of
-    /// `event_driven`. Batches of more than 64 lanes evaluate on the wide
-    /// `4×u64` word, the rest on the scalar `1×u64` word. Every word runs
-    /// cone-restricted; `event_driven` additionally enables dirty-level
-    /// scheduling and the per-instruction per-lane divergence skipping
-    /// (`TMR_SIM=compiled-full` disables both, evaluating every cone
-    /// instruction over all lanes — the A/B baseline). Words containing
-    /// `shorted_nets` keep the interpreter's multi-pass settling loop,
-    /// restricted to the cone. `stats` accumulates the engine's
-    /// observability counters.
+    /// [`OutputGroups::first_voted_mismatch`]. Batches of more than 64 lanes
+    /// evaluate on the wide `4×u64` word, the rest on the scalar `1×u64`
+    /// word. Every word runs cone-restricted with per-instruction per-lane
+    /// divergence skipping; words without `shorted_nets` add dirty-level
+    /// scheduling, and words with them keep the interpreter's multi-pass
+    /// settling loop, restricted to the cone. `stats` accumulates the
+    /// engine's observability counters.
     ///
     /// # Panics
     ///
@@ -560,7 +549,6 @@ impl CompiledNetlist {
         &self,
         golden: &PackedGolden,
         overlays: &[&FaultOverlay],
-        event_driven: bool,
         stats: &mut SimStats,
     ) -> Vec<Option<usize>> {
         assert!(
@@ -578,10 +566,10 @@ impl CompiledNetlist {
         stats.max_lanes_per_word = stats.max_lanes_per_word.max(overlays.len() as u64);
         if overlays.len() <= 64 {
             stats.words_narrow += 1;
-            self.run_lanes_at_width::<1>(golden, overlays, event_driven, stats)
+            self.run_lanes_at_width::<1>(golden, overlays, stats)
         } else {
             stats.words_wide += 1;
-            self.run_lanes_at_width::<4>(golden, overlays, event_driven, stats)
+            self.run_lanes_at_width::<4>(golden, overlays, stats)
         }
     }
 
@@ -590,14 +578,13 @@ impl CompiledNetlist {
         &self,
         golden: &PackedGolden,
         overlays: &[&FaultOverlay],
-        event_driven: bool,
         stats: &mut SimStats,
     ) -> Vec<Option<usize>> {
         let word = WordOverlays::<W>::build(self, overlays);
         if word.has_shorts {
             stats.words_full_eval += 1;
         }
-        self.run_word_inc(golden, &word, overlays.len(), event_driven, stats)
+        self.run_word_inc(golden, &word, overlays.len(), stats)
     }
 
     /// The unified incremental engine: evaluate only the union fan-out cone
@@ -611,12 +598,12 @@ impl CompiledNetlist {
     ///    of the word's seeds can never differ from golden, so they are never
     ///    visited. Bridges perturb *reads* of their two nets, so seeding both
     ///    nets closes the cone over every short-affected reader.
-    /// 2. **Dirty-level scheduling** (`event_driven`, words without shorts) —
+    /// 2. **Dirty-level scheduling** (words without shorts) —
     ///    a level is skipped when no always-dirty site sits on it, no
     ///    diverged flip-flop woke it this cycle, and no earlier evaluated
     ///    instruction published a golden-divergence wake to it: every operand
     ///    of its instructions is then golden-equal by induction.
-    /// 3. **Per-instruction divergence checks** (`event_driven`) — within a
+    /// 3. **Per-instruction divergence checks** — within a
     ///    dirty level, an instruction whose operand lanes are all
     ///    golden-equal, whose stored output is golden-equal, and which no
     ///    overlay targets must produce its golden output; it is skipped, and
@@ -637,7 +624,6 @@ impl CompiledNetlist {
         golden: &PackedGolden,
         word: &WordOverlays<W>,
         lanes: usize,
-        event_driven: bool,
         stats: &mut SimStats,
     ) -> Vec<Option<usize>> {
         let all = LaneMask::<W>::first(lanes);
@@ -712,7 +698,7 @@ impl CompiledNetlist {
         // always-dirty seed: levels holding an instruction whose evaluation
         // is itself perturbed — truth-table overrides, opened input pins, or
         // reads of corrupted nets — must be visited every cycle.
-        let use_levels = event_driven && !word.has_shorts;
+        let use_levels = !word.has_shorts;
         let mut always_dirty = LevelSet::new(self.level_count);
         if use_levels {
             for &(op, _, _) in &word.lut {
@@ -726,8 +712,6 @@ impl CompiledNetlist {
                     always_dirty.insert(level);
                 }
             }
-        } else {
-            always_dirty.fill();
         }
         let mut dirty = always_dirty.clone();
         // The distinct levels present in the cone, for the skip counters of
@@ -812,12 +796,10 @@ impl CompiledNetlist {
             // value this pass; all other lanes are self-consistent and the
             // next pass provably reproduces them. Passes after the first
             // restrict all work to that window, and an empty window ends
-            // the settling loop without a confirmation walk. The
-            // always-full baseline keeps the window wide open (and runs
-            // its confirmation pass) instead.
+            // the settling loop without a confirmation walk.
             let mut settle_window = LaneMask::<W>::FULL;
             for pass in 0..max_passes {
-                let window = if event_driven && pass > 0 {
+                let window = if pass > 0 {
                     settle_window
                 } else {
                     LaneMask::FULL
@@ -867,32 +849,27 @@ impl CompiledNetlist {
                     if net_cycle[out_net] == stamp {
                         need |= diffg[out_net];
                     }
-                    if event_driven {
-                        need &= active & window;
-                        if need.is_empty() {
-                            stats.ops_skipped += 1;
-                            if word.has_shorts && pass == 0 {
-                                // Keep the stored value in lock-step with a
-                                // full-netlist walk: a skipped instruction
-                                // would have produced its golden output, and
-                                // raw partner reads (plus the settling
-                                // bookkeeping) must see it. Later passes
-                                // need no store — the first pass stamped
-                                // every cone output, and an empty need
-                                // means the stored window lanes are already
-                                // golden.
-                                let golden_out = TritVec::broadcast(frame[out_net]);
-                                let d = golden_out.diff(values[out_net]);
-                                pass_change |= d;
-                                short_delta |= d & word.short_mask[out_net];
-                                values[out_net] = golden_out;
-                                net_cycle[out_net] = stamp;
-                                diffg[out_net] = LaneMask::EMPTY;
-                            }
-                            continue;
+                    need &= active & window;
+                    if need.is_empty() {
+                        stats.ops_skipped += 1;
+                        if word.has_shorts && pass == 0 {
+                            // Keep the stored value in lock-step with a
+                            // full-netlist walk: a skipped instruction would
+                            // have produced its golden output, and raw
+                            // partner reads (plus the settling bookkeeping)
+                            // must see it. Later passes need no store — the
+                            // first pass stamped every cone output, and an
+                            // empty need means the stored window lanes are
+                            // already golden.
+                            let golden_out = TritVec::broadcast(frame[out_net]);
+                            let d = golden_out.diff(values[out_net]);
+                            pass_change |= d;
+                            short_delta |= d & word.short_mask[out_net];
+                            values[out_net] = golden_out;
+                            net_cycle[out_net] = stamp;
+                            diffg[out_net] = LaneMask::EMPTY;
                         }
-                    } else {
-                        need = all;
+                        continue;
                     }
                     stats.ops_evaluated += 1;
                     for (pin, &net) in self.op_inputs(op).iter().enumerate() {
@@ -966,7 +943,7 @@ impl CompiledNetlist {
                 if pass_change.is_empty() {
                     break;
                 }
-                if event_driven && short_delta.is_empty() {
+                if short_delta.is_empty() {
                     // Every change this pass landed on an un-shorted net (or
                     // an un-shorted lane of one), so no backwards raw read
                     // can have missed it — the next pass provably changes
@@ -1387,20 +1364,14 @@ mod tests {
         golden.groups().first_voted_mismatch(golden.trace(), &trace)
     }
 
-    /// Exhaustive per-overlay differential check of one word, through both
-    /// the event-driven and the always-full-level evaluation modes.
+    /// Exhaustive per-overlay differential check of one word against the
+    /// interpreter.
     fn check_word(netlist: &Netlist, cycles: usize, seed: u64, overlays: Vec<FaultOverlay>) {
         let golden = GoldenRun::compute(netlist, cycles, seed).unwrap();
         let compiled = CompiledNetlist::compile(netlist).unwrap();
         let packed = compiled.pack_golden(&golden);
         let refs: Vec<&FaultOverlay> = overlays.iter().collect();
         let got = compiled.run_word(&packed, &refs);
-        let mut stats = SimStats::default();
-        let full_levels = compiled.run_lanes(&packed, &refs, false, &mut stats);
-        assert_eq!(
-            got, full_levels,
-            "event-driven and full-level evaluation must agree"
-        );
         for (lane, overlay) in overlays.iter().enumerate() {
             let expected = interpreter_outcome(netlist, &golden, overlay);
             assert_eq!(got[lane], expected, "lane {lane}: {overlay:?}");
@@ -1526,7 +1497,7 @@ mod tests {
         let overlays: Vec<&FaultOverlay> = std::iter::repeat_n(&overlay, MAX_LANES + 1).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut stats = SimStats::default();
-            compiled.run_lanes(&packed, &overlays, true, &mut stats)
+            compiled.run_lanes(&packed, &overlays, &mut stats)
         }));
         assert!(result.is_err());
     }
@@ -1576,7 +1547,7 @@ mod tests {
         let packed = compiled.pack_golden(&golden);
         let refs: Vec<&FaultOverlay> = overlays.iter().collect();
         let mut stats = SimStats::default();
-        let wide = compiled.run_lanes(&packed, &refs, true, &mut stats);
+        let wide = compiled.run_lanes(&packed, &refs, &mut stats);
         assert_eq!(stats.words_wide, 1);
         assert_eq!(stats.words_narrow, 0);
         assert_eq!(stats.max_lanes_per_word, 200);
@@ -1593,9 +1564,9 @@ mod tests {
     }
 
     /// The event-driven scheduler actually skips clean levels (the counters
-    /// prove it) while staying bit-identical to full-level evaluation.
+    /// prove it) while staying bit-identical to the interpreter.
     #[test]
-    fn event_driven_mode_skips_levels_and_full_mode_does_not() {
+    fn event_driven_scheduling_skips_clean_levels() {
         // A 4-deep buffer chain after the faulted LUT gives the scheduler
         // levels to skip once a masked fault's effect dies out.
         let mut nl = Netlist::new("deep");
@@ -1629,20 +1600,15 @@ mod tests {
         let compiled = CompiledNetlist::compile(&nl).unwrap();
         let packed = compiled.pack_golden(&golden);
         let refs: Vec<&FaultOverlay> = overlays.iter().collect();
-        let mut event = SimStats::default();
-        let got = compiled.run_lanes(&packed, &refs, true, &mut event);
-        let mut full = SimStats::default();
-        let full_result = compiled.run_lanes(&packed, &refs, false, &mut full);
-        assert_eq!(got, full_result);
+        let mut stats = SimStats::default();
+        let got = compiled.run_lanes(&packed, &refs, &mut stats);
+        for (lane, overlay) in overlays.iter().enumerate() {
+            assert_eq!(got[lane], interpreter_outcome(&nl, &golden, overlay));
+        }
         assert!(
-            event.levels_skipped > 0,
-            "a state-only fault must leave clean levels to skip: {event}"
+            stats.levels_skipped > 0,
+            "a masked fault must leave clean levels to skip: {stats}"
         );
-        assert_eq!(
-            full.levels_skipped, 0,
-            "full-level mode must never skip: {full}"
-        );
-        assert!(full.levels_evaluated >= event.levels_evaluated);
     }
 
     /// Overlays perturbing the same cells/nets share a cone fingerprint;

@@ -25,15 +25,13 @@ pub struct SimStats {
     /// incremental (cone) mode.
     pub levels_evaluated: u64,
     /// Clean levels skipped because no operand word had changed against the
-    /// golden frame. Always 0 when the engine runs with event-driven
-    /// scheduling disabled (`TMR_SIM=compiled-full`).
+    /// golden frame.
     pub levels_skipped: u64,
     /// Instructions actually evaluated across all word-cycle-passes.
     pub ops_evaluated: u64,
     /// Instructions skipped by the per-instruction divergence check: every
     /// operand lane was golden-equal (and no overlay targeted the
-    /// instruction), so its output is provably the golden value. Always 0
-    /// with event-driven scheduling disabled.
+    /// instruction), so its output is provably the golden value.
     pub ops_skipped: u64,
     /// Word batches evaluated at the narrow 1×u64 (64-lane) width.
     pub words_narrow: u64,

@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Perf smoke: inject the same fault list into every variant of the small
-    // filter on the compiled backend (the default — set TMR_SIM=interp or
-    // TMR_SIM=compiled-full to A/B the other engines) and report the
+    // filter on the compiled backend (the default — set TMR_SIM=interp to
+    // A/B the interpreter) and report the
     // end-to-end campaign rate plus the engine's observability counters.
     let small = FirFilter::small_filter().to_design();
     // 24x24 = 1152 LUT sites: tmr_p1, the largest variant, needs 957.

@@ -496,7 +496,7 @@ impl Flow {
     fn compiled_for(&self, campaign: &CampaignBuilder) -> Result<Option<Arc<Compiled>>, Error> {
         match campaign.backend_hint().unwrap_or_else(SimBackend::from_env) {
             SimBackend::Interpreter => Ok(None),
-            SimBackend::Compiled | SimBackend::CompiledFull => Ok(Some(self.compiled()?)),
+            SimBackend::Compiled => Ok(Some(self.compiled()?)),
         }
     }
 

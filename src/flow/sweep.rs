@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use tmr_arch::{Device, DeviceParams};
 use tmr_core::pipeline::{fingerprint, ArtifactCache, CacheStats};
-use tmr_core::{estimate_resources, ResourceEstimate, TmrConfig};
+use tmr_core::{estimate_resources, par_map, ResourceEstimate, TmrConfig};
 use tmr_faultsim::{CampaignBuilder, CampaignResult};
 use tmr_netlist::Netlist;
 use tmr_pnr::BitReport;
@@ -335,10 +335,10 @@ impl Sweep {
     /// Runs the sweep: implements every variant, runs the configured
     /// campaign and analysis on each, and reports.
     ///
-    /// The variants are implemented on parallel `std::thread::scope` flow
-    /// threads — each variant's place-and-route is independent of the
-    /// others' — and the results are merged back in variant order, so the
-    /// report (and any error) is identical to a sequential run.
+    /// The variants are implemented as [`par_map`] items (each variant's
+    /// place-and-route is independent of the others') and come back in
+    /// variant order, so the report (and any error) is identical to a
+    /// sequential run. A variant's campaign shards run inline on its worker.
     ///
     /// # Errors
     ///
@@ -348,24 +348,11 @@ impl Sweep {
         let (device, flows) = self.flows()?;
         let flows_store = flows.first().and_then(|(_, flow)| flow.store().cloned());
         let trace_parent = tmr_trace::current_span();
-        let results: Vec<Result<VariantReport, Error>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = flows
-                .into_iter()
-                .map(|(name, flow)| {
-                    let device = &device;
-                    let campaign = self.campaign.as_ref();
-                    let analyze = self.analyze;
-                    scope.spawn(move || {
-                        let _task = tmr_trace::enabled()
-                            .then(|| tmr_trace::task(format!("variant-{name}"), trace_parent));
-                        implement_variant(name, &flow, device, campaign, analyze)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("variant flow thread panicked"))
-                .collect()
+        let campaign = self.campaign.as_ref();
+        let results = par_map(flows, |(name, flow)| {
+            let _task = tmr_trace::enabled()
+                .then(|| tmr_trace::task(format!("variant-{name}"), trace_parent));
+            implement_variant(name, &flow, &device, campaign, self.analyze)
         });
         let mut variants = Vec::with_capacity(results.len());
         for result in results {
@@ -384,8 +371,8 @@ impl Sweep {
 }
 
 /// Implements one sweep variant end to end: route, resource estimate, bit
-/// report, plus the optional campaign and static analysis. Runs on its own
-/// flow thread in [`Sweep::run`]; every stage memoizes into the sweep's
+/// report, plus the optional campaign and static analysis. Runs as one
+/// [`par_map`] item of [`Sweep::run`]; every stage memoizes into the sweep's
 /// shared (thread-safe) caches.
 fn implement_variant(
     name: String,
@@ -428,7 +415,9 @@ pub struct RouteStats {
     pub iterations: usize,
     /// A* queue pops summed over those variants.
     pub nodes_expanded: u64,
-    /// Routing wall time summed over those variants.
+    /// Routing time summed over those variants. [`Sweep::run`] routes
+    /// variants concurrently, so this per-variant sum can exceed the
+    /// sweep's wall time; it is not a wall-clock figure.
     pub elapsed: std::time::Duration,
 }
 

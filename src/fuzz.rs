@@ -6,7 +6,7 @@
 //!
 //! | oracle | checked against | failure variant |
 //! |---|---|---|
-//! | compiled engine (event-driven **and** always-full) | interpreting simulator, byte-equality of [`CampaignResult`] | [`OracleFailure::CompiledDivergence`] |
+//! | compiled engine | interpreting simulator, byte-equality of [`CampaignResult`] | [`OracleFailure::CompiledDivergence`] |
 //! | static `tmr-analyze` verdicts | dynamic campaign outcomes (wrong answers must be statically observable, dynamic domain crossings must be statically crossing) and pruning transparency | [`OracleFailure::StaticUnsound`] / [`OracleFailure::PruneDivergence`] |
 //! | sharded campaign merge | the sequential run, byte-equality | [`OracleFailure::ShardMergeDivergence`] |
 //!
@@ -140,12 +140,10 @@ pub enum OracleFailure {
     /// (the auto-sizing contract makes routability failures findings, not
     /// infrastructure noise) or simulator compilation.
     Flow(String),
-    /// A compiled backend diverged from the interpreting oracle.
+    /// The compiled engine diverged from the interpreting oracle.
     CompiledDivergence {
         /// The fault model under which the backends diverged.
         model: FaultModel,
-        /// `compiled` (event-driven) or `compiled-full`.
-        backend: &'static str,
         /// First differing outcome / aggregate diff.
         detail: String,
     },
@@ -194,13 +192,9 @@ impl fmt::Display for OracleFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OracleFailure::Flow(detail) => write!(f, "flow failure: {detail}"),
-            OracleFailure::CompiledDivergence {
-                model,
-                backend,
-                detail,
-            } => write!(
+            OracleFailure::CompiledDivergence { model, detail } => write!(
                 f,
-                "{backend} diverged from interpreter under {model}: {detail}"
+                "compiled engine diverged from interpreter under {model}: {detail}"
             ),
             OracleFailure::ShardMergeDivergence {
                 model,
@@ -343,23 +337,17 @@ pub fn check_design(
             }
         };
 
-        // Oracle 1: compiled backends are byte-identical to the interpreter.
-        for (backend, name) in [
-            (SimBackend::Compiled, "compiled"),
-            (SimBackend::CompiledFull, "compiled-full"),
-        ] {
-            match run(base.clone().backend(backend)) {
-                Ok(result) => {
-                    if result != oracle {
-                        failures.push(OracleFailure::CompiledDivergence {
-                            model,
-                            backend: name,
-                            detail: diff_results(&result, &oracle),
-                        });
-                    }
+        // Oracle 1: the compiled engine is byte-identical to the interpreter.
+        match run(base.clone().backend(SimBackend::Compiled)) {
+            Ok(result) => {
+                if result != oracle {
+                    failures.push(OracleFailure::CompiledDivergence {
+                        model,
+                        detail: diff_results(&result, &oracle),
+                    });
                 }
-                Err(error) => failures.push(OracleFailure::Flow(error.to_string())),
             }
+            Err(error) => failures.push(OracleFailure::Flow(error.to_string())),
         }
 
         // Oracle 3: the sharded merge is byte-identical to the sequential

@@ -1,120 +1,17 @@
-//! Differential tests of the deterministic parallel router and the
-//! incremental placement cost.
+//! Differential tests of the annealing placer's incremental cost.
 //!
-//! The parallel negotiation (`RouterOptions::workers` > 1, or `TMR_ROUTE`
-//! unset on a multi-core machine) must be a pure performance knob: for any
-//! worker count it has to produce the *same* `RouteTree`s — and therefore
-//! byte-identical bitstreams — as the sequential oracle (`workers: 1`,
-//! reachable in production as `TMR_ROUTE=seq`). This suite pins that claim
-//! across the five paper variants, every recorded fuzz-regression design,
-//! and a property test over generated designs × worker counts 1/2/4/8.
-//!
-//! The annealing placer's incremental per-net bounding-box cost is pinned
-//! the same way: the maintained wirelength must equal the from-scratch
-//! recompute on the final placement (and a `debug_assertions` check inside
-//! the placer verifies it per move).
+//! The placer maintains each net's bounding-box wirelength incrementally;
+//! the maintained total must equal the from-scratch recompute
+//! (`placement_wirelength`) on the final placement of every paper variant
+//! and of generated designs (a `debug_assertions` check inside the placer
+//! verifies it per move).
 
 use proptest::prelude::*;
-use std::collections::HashMap;
 use tmr_fpga::arch::Device;
 use tmr_fpga::designs::FirFilter;
 use tmr_fpga::flow::{device_for, Sweep};
-use tmr_fpga::fuzz::{variant_config, RegressionCase};
-use tmr_fpga::netlist::{NetId, Netlist};
-use tmr_fpga::pnr::{
-    place, placement_wirelength, route, Placement, PlacerOptions, RouteTree, RoutedDesign,
-    RouterOptions,
-};
+use tmr_fpga::pnr::{place, placement_wirelength, PlacerOptions};
 use tmr_fpga::synth::{lower, optimize, techmap};
-
-/// Routes `netlist` with `workers` worker threads (1 = the sequential
-/// oracle).
-fn route_with_workers(
-    device: &Device,
-    netlist: &Netlist,
-    placement: &Placement,
-    workers: usize,
-) -> HashMap<NetId, RouteTree> {
-    let options = RouterOptions {
-        workers,
-        ..RouterOptions::default()
-    };
-    route(device, netlist, placement, &options).expect("design routes")
-}
-
-/// Asserts that every parallel worker count reproduces the sequential
-/// oracle's `RouteTree`s and a byte-identical assembled bitstream.
-fn assert_workers_match_sequential(device: &Device, netlist: &Netlist, placement: &Placement) {
-    let oracle = route_with_workers(device, netlist, placement, 1);
-    let oracle_design = RoutedDesign::assemble(device, netlist, placement.clone(), oracle.clone());
-    for workers in [2usize, 4, 8] {
-        let routes = route_with_workers(device, netlist, placement, workers);
-        assert_eq!(
-            routes, oracle,
-            "{workers}-worker negotiation diverged from the sequential oracle's RouteTrees"
-        );
-        let design = RoutedDesign::assemble(device, netlist, placement.clone(), routes);
-        assert_eq!(
-            design.bitstream(),
-            oracle_design.bitstream(),
-            "{workers}-worker bitstream is not byte-identical to the sequential oracle"
-        );
-    }
-}
-
-#[test]
-fn paper_variants_route_identically_for_any_worker_count() {
-    let base = FirFilter::small_filter().to_design();
-    let device = Device::small(24, 24);
-    let (device, flows) = Sweep::paper(&base)
-        .on_device(&device)
-        .flows()
-        .expect("the paper variants implement on the 24x24 device");
-    for (name, flow) in flows {
-        let synthesized = flow.synthesized().expect("synthesis succeeds");
-        let placed = flow.placed().expect("placement succeeds");
-        eprintln!("checking variant {name}");
-        assert_workers_match_sequential(&device, synthesized.netlist(), placed.placement());
-    }
-}
-
-#[test]
-fn fuzz_regression_designs_route_identically_for_any_worker_count() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fuzz_regressions");
-    let mut cases: Vec<_> = std::fs::read_dir(&dir)
-        .expect("fuzz_regressions directory exists")
-        .map(|entry| entry.expect("directory entry").path())
-        .filter(|path| path.extension().is_some_and(|e| e == "case"))
-        .collect();
-    cases.sort();
-    assert!(!cases.is_empty(), "no regression cases found in {dir:?}");
-
-    for path in cases {
-        eprintln!("checking case {}", path.display());
-        let text = std::fs::read_to_string(&path).expect("case file reads");
-        let case = RegressionCase::parse(&text).expect("case file parses");
-        let design = case.spec.to_design().expect("case design rebuilds");
-        let tmr = variant_config(&case.variant).expect("case variant is known");
-        let protected = match &tmr {
-            Some(config) => {
-                tmr_fpga::tmr::apply_tmr(&design, config).expect("TMR transform succeeds")
-            }
-            None => design,
-        };
-        let netlist = techmap(&optimize(&lower(&protected).expect("lowering"))).expect("mapping");
-        let device = device_for(case.params, &[&netlist], 0.5);
-        let placement = place(
-            &device,
-            &netlist,
-            &PlacerOptions {
-                seed: case.pnr_seed,
-                ..PlacerOptions::default()
-            },
-        )
-        .expect("case design places");
-        assert_workers_match_sequential(&device, &netlist, &placement);
-    }
-}
 
 #[test]
 fn incremental_placement_cost_matches_full_recompute() {
@@ -139,12 +36,11 @@ fn incremental_placement_cost_matches_full_recompute() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Generated designs route identically for workers 1/2/4/8 — the same
-    /// parallel-vs-sequential contract the fixed designs pin, explored over
-    /// the fuzz generator's design space (and, through `arch_for_seed`'s
-    /// rotation inside `device_for`, over lean channel configurations).
+    /// The same contract over the fuzz generator's design space and, through
+    /// `arch_for_seed`'s rotation inside `device_for`, over lean channel
+    /// configurations.
     #[test]
-    fn generated_designs_route_identically_for_any_worker_count(seed in 0u64..512) {
+    fn generated_designs_keep_the_incremental_placement_cost(seed in 0u64..512) {
         let config = tmr_fpga::designs::GeneratorConfig::sampled(seed);
         let design = tmr_fpga::designs::generate(seed, &config);
         let params = tmr_fpga::fuzz::arch_for_seed(seed);
@@ -156,15 +52,9 @@ proptest! {
             &PlacerOptions { seed, ..PlacerOptions::default() },
         )
         .expect("generated design places");
-
-        let maintained = placement.wirelength();
-        let recomputed = placement_wirelength(&device, &netlist, &placement);
-        prop_assert_eq!(maintained, recomputed);
-
-        let oracle = route_with_workers(&device, &netlist, &placement, 1);
-        for workers in [2usize, 4, 8] {
-            let routes = route_with_workers(&device, &netlist, &placement, workers);
-            prop_assert_eq!(&routes, &oracle, "workers {} diverged", workers);
-        }
+        prop_assert_eq!(
+            placement.wirelength(),
+            placement_wirelength(&device, &netlist, &placement)
+        );
     }
 }
