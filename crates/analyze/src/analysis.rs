@@ -205,8 +205,8 @@ impl StaticAnalysis {
     /// the structural TMR preconditions ([`StaticAnalysis::voted_tmr`]) —
     /// without them nothing is maskable and nothing may be pruned.
     ///
-    /// Handed to [`tmr_faultsim::CampaignOptions::with_maskable_domains`] by
-    /// [`crate::PruneWith::prune_with`]: the campaign engine skips a
+    /// Handed to [`tmr_faultsim::CampaignBuilder::maskable_domains`] by
+    /// [`crate::PruneWith::prune_with`]: the campaign skips a
     /// multi-bit fault only when every behaviour-changing bit carries one
     /// common tag, and degrades conservatively (simulates) for any bit
     /// missing here.
@@ -229,7 +229,7 @@ impl StaticAnalysis {
 
     /// The sorted list of statically-possibly-observable bits — the
     /// simulation allow-list handed to
-    /// [`tmr_faultsim::CampaignOptions::restrict_to`] (see
+    /// [`tmr_faultsim::CampaignBuilder::restrict_to`] (see
     /// [`crate::PruneWith`]).
     pub fn observable_bits(&self) -> &[usize] {
         &self.observable

@@ -21,7 +21,7 @@
 //!   per-effect-class counts plus the TMR-defeating bit set, with text
 //!   ([`std::fmt::Display`]) and dependency-free JSON ([`Json`]) rendering;
 //! * [`PruneWith::prune_with`] feeds the statically-possibly-observable set
-//!   into the dynamic campaign ([`tmr_faultsim::CampaignOptions`]): the same
+//!   into the dynamic campaign ([`tmr_faultsim::CampaignBuilder`]): the same
 //!   faults are sampled and recorded, but simulations of bits the analysis
 //!   proves maskable are skipped — same outcomes, far fewer simulations.
 //!

@@ -2,15 +2,15 @@
 //! observable bits.
 
 use crate::StaticAnalysis;
-use tmr_faultsim::{CampaignBuilder, CampaignOptions};
+use tmr_faultsim::CampaignBuilder;
 
-/// Extension trait wiring a [`StaticAnalysis`] into
-/// [`tmr_faultsim::CampaignOptions`] and [`tmr_faultsim::CampaignBuilder`].
+/// Extension trait wiring a [`StaticAnalysis`] into a
+/// [`tmr_faultsim::CampaignBuilder`].
 ///
 /// `tmr-faultsim` cannot depend on `tmr-analyze` (the analyzer is built on
 /// top of it), so the pruning entry point lives here: `prune_with` hands the
-/// analyzer's observable set to [`CampaignOptions::restrict_to`] and its
-/// single-domain tags to [`CampaignOptions::with_maskable_domains`].
+/// analyzer's observable set to [`CampaignBuilder::restrict_to`] and its
+/// single-domain tags to [`CampaignBuilder::maskable_domains`].
 pub trait PruneWith {
     /// Restricts simulation to the statically-possibly-observable bits of
     /// `analysis`.
@@ -30,13 +30,6 @@ pub trait PruneWith {
     /// assert on the paper designs under every fault model.
     #[must_use]
     fn prune_with(self, analysis: &StaticAnalysis) -> Self;
-}
-
-impl PruneWith for CampaignOptions {
-    fn prune_with(self, analysis: &StaticAnalysis) -> Self {
-        self.restrict_to(analysis.observable_bits().iter().copied())
-            .with_maskable_domains(analysis.maskable_domains())
-    }
 }
 
 impl PruneWith for CampaignBuilder {

@@ -62,18 +62,14 @@ pub fn paper_device(netlists: &[&Netlist]) -> Device {
 /// placed on the `Device::small` architecture, whose richer input-pin
 /// candidates are what its TMR variants route on.
 pub fn paper_sweep(seed: u64) -> Sweep {
-    let mut sweep = if small_base_from_env() {
+    let sweep = if small_base_from_env() {
         // 24x24 = 1152 LUT sites: tmr_p1, the largest small variant, needs 957.
         Sweep::paper(&FirFilter::small_filter().to_design())
             .auto_device(DeviceParams::small(24, 24), 0.90)
     } else {
         Sweep::paper(&FirFilter::paper_filter().to_design())
     };
-    sweep = sweep.seed(seed);
-    if let Some(shards) = shards_from_env() {
-        sweep = sweep.shards(shards);
-    }
-    sweep
+    sweep.seed(seed)
 }
 
 /// Returns `true` when `TMR_BASE=small` asks the table binaries for the

@@ -245,18 +245,6 @@ impl ArtifactCache {
             .unwrap_or_else(|_| panic!("artifact type mismatch for stage `{}`", key.stage)))
     }
 
-    /// Infallible variant of [`ArtifactCache::get_or_try_insert`].
-    pub fn get_or_insert<T>(&self, key: CacheKey, compute: impl FnOnce() -> T) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-    {
-        let result: Result<Arc<T>, std::convert::Infallible> =
-            self.get_or_try_insert(key, || Ok(compute()));
-        match result {
-            Ok(artifact) => artifact,
-        }
-    }
-
     fn lookup<T: Send + Sync + 'static>(&self, key: CacheKey) -> Option<Arc<T>> {
         let map = self.map.lock().expect("artifact cache poisoned");
         let entry = map.get(&key)?.clone();
@@ -317,16 +305,22 @@ impl ArtifactCache {
             entries: self.map.lock().expect("artifact cache poisoned").len(),
         }
     }
-
-    /// Drops every stored artifact (counters are kept).
-    pub fn clear(&self) {
-        self.map.lock().expect("artifact cache poisoned").clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An infallible [`ArtifactCache::get_or_try_insert`].
+    fn insert<T: Send + Sync + 'static>(
+        cache: &ArtifactCache,
+        key: CacheKey,
+        compute: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        cache
+            .get_or_try_insert::<_, ()>(key, || Ok(compute()))
+            .unwrap()
+    }
 
     #[test]
     fn fingerprints_are_stable_and_separate_fields() {
@@ -344,11 +338,11 @@ mod tests {
         let cache = ArtifactCache::new();
         let key = CacheKey::new("stage", 7);
         let mut computed = 0;
-        let a = cache.get_or_insert(key, || {
+        let a = insert(&cache, key, || {
             computed += 1;
             String::from("artifact")
         });
-        let b = cache.get_or_insert(key, || {
+        let b = insert(&cache, key, || {
             computed += 1;
             String::from("other")
         });
@@ -375,8 +369,8 @@ mod tests {
         tmr_trace::configure(tmr_trace::TraceConfig::memory());
         let cache = ArtifactCache::new();
         let key = CacheKey::new("demo", 9);
-        let a = cache.get_or_insert(key, || 1u32);
-        let b = cache.get_or_insert(key, || 2u32);
+        let a = insert(&cache, key, || 1u32);
+        let b = insert(&cache, key, || 2u32);
         assert_eq!((*a, *b), (1, 1));
         let tree = tmr_trace::drain_tree();
         // Other tests may trace concurrently into the process-global
@@ -394,8 +388,8 @@ mod tests {
     #[test]
     fn distinct_stages_do_not_collide() {
         let cache = ArtifactCache::new();
-        let a = cache.get_or_insert(CacheKey::new("a", 1), || 1u32);
-        let b = cache.get_or_insert(CacheKey::new("b", 1), || 2u32);
+        let a = insert(&cache, CacheKey::new("a", 1), || 1u32);
+        let b = insert(&cache, CacheKey::new("b", 1), || 2u32);
         assert_eq!((*a, *b), (1, 2));
         assert_eq!(cache.stats().entries, 2);
     }

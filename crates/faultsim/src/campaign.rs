@@ -1,6 +1,6 @@
 //! The Fault Injection Manager: campaign options, outcomes and result tables.
 
-use crate::{classify_fault, FaultClass, FaultEffect, FaultModel, SimBackend};
+use crate::{classify_fault, FaultClass, FaultEffect, FaultModel};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -11,17 +11,17 @@ use tmr_sim::{CompiledNetlist, GoldenRun, PackedGolden, SimStats, Simulator, MAX
 
 /// Options of a fault-injection campaign.
 ///
-/// Construct through [`CampaignBuilder`](crate::CampaignBuilder) (or start from
-/// [`CampaignOptions::default`] and refine with the `with_*` methods); the
+/// Set through [`CampaignBuilder`](crate::CampaignBuilder) and read back
+/// with [`CampaignBuilder::options`](crate::CampaignBuilder::options); the
 /// fields are not public, so options can evolve without breaking every
 /// construction site.
 ///
 /// ```
 /// use tmr_faultsim::CampaignBuilder;
 ///
-/// let options = CampaignBuilder::new().faults(500).cycles(12).build();
-/// assert_eq!(options.faults(), 500);
-/// assert_eq!(options.cycles(), 12);
+/// let campaign = CampaignBuilder::new().faults(500).cycles(12);
+/// assert_eq!(campaign.options().faults(), 500);
+/// assert_eq!(campaign.options().cycles(), 12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignOptions {
@@ -87,24 +87,6 @@ impl CampaignOptions {
         &self.model
     }
 
-    /// Returns the options with a different fault model.
-    ///
-    /// Degenerate 1-bit spellings (`Mbu { Single }`,
-    /// `Accumulate { upsets_per_scrub: 1 }`) are canonicalized to
-    /// [`FaultModel::SingleBit`]: they provably produce bit-identical
-    /// campaigns (the differential harness pins this on the raw sampling
-    /// path), so canonical options let caches serve all three spellings
-    /// from one entry.
-    #[must_use]
-    pub fn with_fault_model(mut self, model: FaultModel) -> Self {
-        self.model = if model.is_single_bit() {
-            FaultModel::SingleBit
-        } else {
-            model
-        };
-        self
-    }
-
     /// When set, only sampled bits contained in this sorted list are actually
     /// simulated; the remaining sampled bits are still classified and
     /// recorded (with `wrong_answer == false`), but their simulation is
@@ -120,18 +102,6 @@ impl CampaignOptions {
         self.simulate_only.as_deref()
     }
 
-    /// Restricts simulation to the given bits (sorted and deduplicated
-    /// internally); see [`CampaignOptions::simulate_only`]. The static
-    /// analyzer's `prune_with` (in `tmr-analyze`) is the usual caller.
-    #[must_use]
-    pub fn restrict_to(mut self, bits: impl IntoIterator<Item = usize>) -> Self {
-        let mut bits: Vec<usize> = bits.into_iter().collect();
-        bits.sort_unstable();
-        bits.dedup();
-        self.simulate_only = Some(bits.into());
-        self
-    }
-
     /// The `(bit, domain)` tags justifying multi-bit pruning: every listed
     /// bit is statically guaranteed to corrupt signal copies of *only* that
     /// single redundant TMR domain.
@@ -145,49 +115,6 @@ impl CampaignOptions {
     /// fault simulated.
     pub fn maskable_domains(&self) -> Option<&[(usize, Domain)]> {
         self.maskable.as_deref()
-    }
-
-    /// Installs the maskable-domain tags (sorted and deduplicated by bit
-    /// internally); see [`CampaignOptions::maskable_domains`]. The static
-    /// analyzer's `prune_with` is the usual caller.
-    #[must_use]
-    pub fn with_maskable_domains(
-        mut self,
-        tags: impl IntoIterator<Item = (usize, Domain)>,
-    ) -> Self {
-        let mut tags: Vec<(usize, Domain)> = tags.into_iter().collect();
-        tags.sort_unstable();
-        tags.dedup_by_key(|&mut (bit, _)| bit);
-        self.maskable = Some(tags.into());
-        self
-    }
-
-    /// Returns the options with a different fault count.
-    #[must_use]
-    pub fn with_faults(mut self, faults: usize) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Returns the options with a different per-fault stimulus length.
-    #[must_use]
-    pub fn with_cycles(mut self, cycles: usize) -> Self {
-        self.cycles = cycles;
-        self
-    }
-
-    /// Returns the options with a different stimulus seed.
-    #[must_use]
-    pub fn with_stimulus_seed(mut self, seed: u64) -> Self {
-        self.stimulus_seed = seed;
-        self
-    }
-
-    /// Returns the options with a different fault-sampling seed.
-    #[must_use]
-    pub fn with_sampling_seed(mut self, seed: u64) -> Self {
-        self.sampling_seed = seed;
-        self
     }
 }
 
@@ -318,27 +245,31 @@ impl fmt::Display for CampaignResult {
     }
 }
 
-/// The immutable per-worker state of one campaign shard: the design under
-/// test, the simulation backend (the compiled bit-parallel engine or the
-/// interpreting oracle) and the shared golden reference (stimulus,
-/// fault-free trace and output voting).
+/// The evaluation engine a session's shards share.
+pub(crate) enum Backend<'a> {
+    /// The cell-by-cell interpreting oracle.
+    Interpreter(Simulator<'a>),
+    /// The compiled instruction stream and its packed golden reference.
+    Compiled {
+        compiled: Arc<CompiledNetlist>,
+        packed: PackedGolden,
+    },
+}
+
+/// The immutable state every shard of a session reads: the design under
+/// test, the shared golden reference (stimulus, fault-free trace and output
+/// voting), the evaluation engine and the static restriction.
 pub(crate) struct ShardContext<'a> {
     pub device: &'a Device,
     pub routed: &'a RoutedDesign,
-    pub simulator: Option<Simulator<'a>>,
-    pub golden: &'a GoldenRun,
+    pub golden: Arc<GoldenRun>,
+    pub backend: Backend<'a>,
     /// Sorted allow-list of [`CampaignOptions::simulate_only`]: sampled bits
     /// outside it are classified but not simulated.
-    pub simulate_only: Option<&'a [usize]>,
+    pub simulate_only: Option<Arc<[usize]>>,
     /// Sorted single-domain tags of [`CampaignOptions::maskable_domains`]:
     /// the justification needed to skip a *multi-bit* fault.
-    pub maskable: Option<&'a [(usize, Domain)]>,
-    /// Which engine actually evaluates the faulty device.
-    pub backend: SimBackend,
-    /// The compiled instruction stream (present on the compiled backend).
-    pub compiled: Option<&'a CompiledNetlist>,
-    /// The packed golden reference (present on the compiled backend).
-    pub packed: Option<&'a PackedGolden>,
+    pub maskable: Option<Arc<[(usize, Domain)]>>,
 }
 
 impl ShardContext<'_> {
@@ -361,7 +292,7 @@ impl ShardContext<'_> {
     ///   whatever the tags say. In particular a cluster with *no* active bit
     ///   but a non-empty merged overlay is never skipped.
     fn statically_skippable(&self, effect: &FaultEffect) -> bool {
-        let Some(allowed) = self.simulate_only else {
+        let Some(allowed) = self.simulate_only.as_deref() else {
             return false;
         };
         let covered = effect.overlay().opened_sinks.iter().all(|sink| {
@@ -384,7 +315,7 @@ impl ShardContext<'_> {
         if rest.is_empty() {
             return true;
         }
-        let Some(maskable) = self.maskable else {
+        let Some(maskable) = self.maskable.as_deref() else {
             return false;
         };
         let domain_of = |bit: usize| {
@@ -406,9 +337,8 @@ impl ShardContext<'_> {
 /// faults whose behaviour was actually simulated and the engine's
 /// observability counters.
 ///
-/// This is the single per-fault code path shared by the streaming session and
-/// the batch campaign engine: for a given `(fault bits, golden run)` pair the
-/// outcome is a pure function, which is what makes sharded and early-stopped
+/// This is the single per-fault code path of every campaign: for a given
+/// `(fault bits, golden run)` pair the outcome is a pure function, which is what makes sharded and early-stopped
 /// campaigns bit-identical to sequential full-length ones on the faults they
 /// simulate. On the compiled backend the simulable faults are additionally
 /// batched into packed word batches of up to [`MAX_LANES`] lanes — bridging
@@ -430,12 +360,8 @@ pub(crate) fn run_shard(
     let mut simulated = 0;
     let mut stats = SimStats::default();
 
-    match ctx.backend {
-        SimBackend::Interpreter => {
-            let simulator = ctx
-                .simulator
-                .as_ref()
-                .expect("interpreter backend without a simulator");
+    match &ctx.backend {
+        Backend::Interpreter(simulator) => {
             for (effect, result) in effects.iter().zip(results.iter_mut()) {
                 if effect.overlay().is_empty() || ctx.statically_skippable(effect) {
                     continue;
@@ -451,9 +377,7 @@ pub(crate) fn run_shard(
                 }
             }
         }
-        SimBackend::Compiled => {
-            let compiled = ctx.compiled.expect("compiled backend without a netlist");
-            let packed = ctx.packed.expect("compiled backend without a golden pack");
+        Backend::Compiled { compiled, packed } => {
             // Split the simulable faults into two lane streams: words
             // without bridged nets run incrementally over the fan-out cone,
             // words with bridges take the full multi-pass evaluation.
@@ -525,7 +449,7 @@ pub(crate) fn run_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CampaignBuilder;
+    use crate::{CampaignBuilder, SimBackend};
     use tmr_core::{apply_tmr, TmrConfig};
     use tmr_designs::counter;
     use tmr_pnr::place_and_route;
@@ -626,20 +550,5 @@ mod tests {
             .run(&device, &routed)
             .unwrap();
         assert_eq!(compiled, interpreted);
-    }
-
-    #[test]
-    fn options_accessors_and_with_setters_round_trip() {
-        let options = CampaignOptions::default()
-            .with_faults(7)
-            .with_cycles(3)
-            .with_stimulus_seed(11)
-            .with_sampling_seed(13)
-            .restrict_to([9, 4, 4]);
-        assert_eq!(options.faults(), 7);
-        assert_eq!(options.cycles(), 3);
-        assert_eq!(options.stimulus_seed(), 11);
-        assert_eq!(options.sampling_seed(), 13);
-        assert_eq!(options.simulate_only(), Some(&[4, 9][..]));
     }
 }

@@ -19,24 +19,22 @@
 //!   with identical stimuli, and classifies the outcome;
 //! * the classifier ([`FaultClass`]) reproduces the effect taxonomy of
 //!   Tables 1 and 4 of the paper;
-//! * the **campaign builder** ([`CampaignBuilder`]) is the documented way to
-//!   configure a campaign: fault count, stimulus, shard count, streaming
-//!   batch size and statistical early stop, plus reuse of a precomputed
-//!   [`tmr_sim::GoldenRun`];
-//! * the **campaign engine** ([`CampaignEngine`]) splits the sampled fault
-//!   list into shards run through [`tmr_core::par_map`] — each with its own
-//!   cloned simulator replaying a shared stimulus against a shared golden
-//!   trace — and merges outcomes in fault-list order, bit-identical to the
-//!   sequential path for any shard count;
-//! * the **campaign session** ([`CampaignSession`]) streams the same
-//!   campaign incrementally: contiguous outcome batches for progress
-//!   reporting, and an [`EarlyStop`] rule that halts once the wrong-answer
-//!   rate's confidence interval is tight enough — the outcomes are always the
-//!   exact prefix of the full batch run;
+//! * the **campaign builder** ([`CampaignBuilder`]) is the one way to
+//!   configure and start a campaign: fault count, stimulus, fault model,
+//!   shard count, simulation backend ([`SimBackend`]), streaming batch size
+//!   and statistical early stop, plus reuse of a precomputed
+//!   [`tmr_sim::GoldenRun`] and compiled netlist;
+//! * the **campaign session** ([`CampaignSession`]) it builds runs the
+//!   campaign in contiguous outcome batches: each batch is split into shards
+//!   run through [`tmr_core::par_map`] — all sharing one evaluation engine
+//!   and one golden trace — and merged in fault-list order, bit-identical to
+//!   the sequential path for any shard count; an [`EarlyStop`] rule halts
+//!   once the wrong-answer rate's confidence interval is tight enough — the
+//!   outcomes are always the exact prefix of the full run;
 //! * the structural machinery is exposed for reuse without simulation:
 //!   [`classify_bit`] and [`BitEffect::affected_domains`] power the static
 //!   criticality analyzer (`tmr-analyze`), and
-//!   [`CampaignOptions::restrict_to`] lets it prune campaigns down to the
+//!   [`CampaignBuilder::restrict_to`] lets it prune campaigns down to the
 //!   statically-possibly-observable bits ([`CampaignResult::simulated`]
 //!   counts the simulations actually run).
 //!
@@ -49,16 +47,14 @@
 mod builder;
 mod campaign;
 mod effect;
-mod engine;
 mod fault_list;
 mod model;
 mod session;
 
 pub use campaign::{CampaignOptions, CampaignResult, FaultOutcome};
 
-pub use builder::CampaignBuilder;
+pub use builder::{CampaignBuilder, SimBackend};
 pub use effect::{classify_bit, classify_fault, BitEffect, FaultClass, FaultEffect};
-pub use engine::{CampaignEngine, SimBackend};
 pub use fault_list::FaultList;
 pub use model::FaultModel;
 pub use session::{CampaignSession, EarlyStop, SessionProgress};

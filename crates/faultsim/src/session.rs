@@ -1,16 +1,16 @@
 //! The streaming campaign session: incremental batches, progress reporting
 //! and statistical early stop.
 //!
-//! A [`CampaignSession`] runs the *same* experiment sequence as the batch
-//! [`CampaignEngine`](crate::CampaignEngine) — the same sampled fault list,
-//! in the same order, against the same golden run — but yields outcomes in
-//! contiguous batches instead of one final result. Because every per-fault
-//! outcome is a pure function of `(bit, golden run)`, the outcomes produced
-//! by a session are **bit-identical to the matching prefix of the full batch
-//! run**, no matter where the session stops or how many worker shards it
-//! uses. That prefix property is what makes early stopping sound: halting
-//! after `n` faults gives exactly the first `n` outcomes the full campaign
-//! would have produced.
+//! A [`CampaignSession`] is the one way a campaign runs: it walks the
+//! sampled fault list in order, against one golden run, and yields outcomes
+//! in contiguous batches ([`CampaignBuilder::run`](crate::CampaignBuilder::run)
+//! just drains it). Because every per-fault outcome is a pure function of
+//! `(bit, golden run)`, the outcomes produced by a session are
+//! **bit-identical to the matching prefix of the full run**, no matter where
+//! the session stops, how it is batched or how many worker shards it uses.
+//! That prefix property is what makes early stopping sound: halting after
+//! `n` faults gives exactly the first `n` outcomes the full campaign would
+//! have produced.
 //!
 //! Early stopping itself is statistical: the campaign estimates the
 //! wrong-answer rate, and once the confidence interval around that estimate
@@ -20,13 +20,14 @@
 //! exhausted.
 
 use crate::campaign::{run_shard, ShardContext};
-use crate::{CampaignResult, FaultOutcome, SimBackend};
-use std::sync::Arc;
-use tmr_arch::Device;
+use crate::{CampaignResult, FaultOutcome};
+use std::fmt;
 use tmr_core::par_map;
-use tmr_netlist::Domain;
-use tmr_pnr::RoutedDesign;
-use tmr_sim::{CompiledNetlist, GoldenRun, PackedGolden, SimStats, Simulator};
+use tmr_sim::SimStats;
+
+/// The normal quantile of the 95 % confidence interval every early-stop
+/// rule and progress report uses.
+const CONFIDENCE_Z: f64 = 1.96;
 
 /// A statistical stopping rule for streaming campaigns: halt once the
 /// confidence interval of the wrong-answer rate is tighter than a bound.
@@ -47,32 +48,33 @@ use tmr_sim::{CompiledNetlist, GoldenRun, PackedGolden, SimStats, Simulator};
 /// assert!(!rule.satisfied(10, 2)); // far too few injections
 /// assert!(rule.satisfied(10_000, 100));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct EarlyStop {
     half_width: f64,
-    confidence_z: f64,
     min_injected: usize,
+}
+
+/// Renders the fixed `confidence_z` too: the rendering is part of the
+/// campaign fingerprint, so it must stay what it was when `z` was a field.
+impl fmt::Debug for EarlyStop {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EarlyStop")
+            .field("half_width", &self.half_width)
+            .field("confidence_z", &CONFIDENCE_Z)
+            .field("min_injected", &self.min_injected)
+            .finish()
+    }
 }
 
 impl EarlyStop {
     /// Stops once the confidence-interval half-width of the wrong-answer
-    /// *rate* (a fraction in `[0, 1]`) drops to `half_width` or below, with
-    /// the defaults of a 95 % interval (`z = 1.96`) and at least 100
-    /// injected faults.
+    /// *rate* (a fraction in `[0, 1]`) drops to `half_width` or below, on a
+    /// 95 % interval (`z = 1.96`) and after at least 100 injected faults.
     pub fn at_half_width(half_width: f64) -> Self {
         Self {
             half_width,
-            confidence_z: 1.96,
             min_injected: 100,
         }
-    }
-
-    /// Replaces the normal-quantile `z` of the interval (1.96 ≈ 95 %,
-    /// 2.58 ≈ 99 %).
-    #[must_use]
-    pub fn with_confidence_z(mut self, z: f64) -> Self {
-        self.confidence_z = z;
-        self
     }
 
     /// Replaces the minimum number of injected faults before the rule may
@@ -88,11 +90,6 @@ impl EarlyStop {
         self.half_width
     }
 
-    /// The normal quantile of the interval.
-    pub fn confidence_z(&self) -> f64 {
-        self.confidence_z
-    }
-
     /// The minimum injections before stopping is allowed.
     pub fn min_injected(&self) -> usize {
         self.min_injected
@@ -101,7 +98,7 @@ impl EarlyStop {
     /// The Agresti–Coull half-width of the wrong-answer-rate interval after
     /// observing `wrong` wrong answers in `injected` injections.
     pub fn interval_half_width(&self, injected: usize, wrong: usize) -> f64 {
-        adjusted_half_width(self.confidence_z, injected, wrong)
+        adjusted_half_width(injected, wrong)
     }
 
     /// Whether the rule fires for the given tally.
@@ -111,14 +108,15 @@ impl EarlyStop {
     }
 }
 
-/// Agresti–Coull (adjusted Wald) confidence-interval half-width for a
+/// Agresti–Coull (adjusted Wald) 95 % confidence-interval half-width for a
 /// binomial proportion: `z²` pseudo-trials, half successes, are added
 /// before computing the Wald interval (the familiar "+2 successes, +2
-/// failures" is the `z = 1.96` case).
-fn adjusted_half_width(z: f64, injected: usize, wrong: usize) -> f64 {
+/// failures").
+fn adjusted_half_width(injected: usize, wrong: usize) -> f64 {
     if injected == 0 {
         return f64::INFINITY;
     }
+    let z = CONFIDENCE_Z;
     let n = injected as f64 + z * z;
     let p = (wrong as f64 + z * z / 2.0) / n;
     z * (p * (1.0 - p) / n).sqrt()
@@ -142,11 +140,10 @@ pub struct SessionProgress {
 
 /// A fault-injection campaign that yields outcomes incrementally.
 ///
-/// Created by [`CampaignBuilder::session`](crate::CampaignBuilder::session)
-/// or [`CampaignEngine::session`](crate::CampaignEngine::session). Drive it
-/// with [`CampaignSession::next_batch`] (progress bars, dashboards, custom
-/// stopping rules) or let [`CampaignSession::run`] drain it; either way the
-/// accumulated outcomes are the exact prefix the batch engine would produce.
+/// Created by [`CampaignBuilder::session`](crate::CampaignBuilder::session).
+/// Drive it with [`CampaignSession::next_batch`] (progress bars, dashboards,
+/// custom stopping rules) or let [`CampaignSession::run`] drain it; either
+/// way the accumulated outcomes are the exact prefix of the full run.
 ///
 /// ```no_run
 /// use tmr_arch::Device;
@@ -169,16 +166,7 @@ pub struct SessionProgress {
 /// println!("{result}");
 /// ```
 pub struct CampaignSession<'a> {
-    device: &'a Device,
-    routed: &'a RoutedDesign,
-    simulator: Option<Simulator<'a>>,
-    golden: Arc<GoldenRun>,
-    backend: SimBackend,
-    compiled: Option<Arc<CompiledNetlist>>,
-    packed: Option<Arc<PackedGolden>>,
-    simulate_only: Option<Arc<[usize]>>,
-    maskable: Option<Arc<[(usize, Domain)]>>,
-    design: String,
+    ctx: ShardContext<'a>,
     fault_list_size: usize,
     sample: Vec<Vec<usize>>,
     shards: usize,
@@ -193,38 +181,21 @@ pub struct CampaignSession<'a> {
 }
 
 impl<'a> CampaignSession<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        device: &'a Device,
-        routed: &'a RoutedDesign,
-        simulator: Option<Simulator<'a>>,
-        golden: Arc<GoldenRun>,
-        backend: SimBackend,
-        compiled: Option<Arc<CompiledNetlist>>,
-        packed: Option<Arc<PackedGolden>>,
-        simulate_only: Option<Arc<[usize]>>,
-        maskable: Option<Arc<[(usize, Domain)]>>,
+        ctx: ShardContext<'a>,
         fault_list_size: usize,
         sample: Vec<Vec<usize>>,
         shards: usize,
+        batch_size: usize,
+        early_stop: Option<EarlyStop>,
     ) -> Self {
-        let batch_size = sample.len().max(1);
         Self {
-            device,
-            routed,
-            simulator,
-            golden,
-            backend,
-            compiled,
-            packed,
-            simulate_only,
-            maskable,
-            design: routed.netlist().name().to_string(),
+            ctx,
             fault_list_size,
             sample,
-            shards: shards.max(1),
+            shards,
             batch_size,
-            early_stop: None,
+            early_stop,
             cursor: 0,
             stopped_early: false,
             outcomes: Vec::new(),
@@ -232,22 +203,6 @@ impl<'a> CampaignSession<'a> {
             simulated: 0,
             stats: SimStats::default(),
         }
-    }
-
-    /// Sets the number of faults injected per [`CampaignSession::next_batch`]
-    /// call (clamped to at least 1). The default is the whole remaining
-    /// sample — one batch, like the batch engine.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Installs a statistical stopping rule, checked between batches.
-    #[must_use]
-    pub fn with_early_stop(mut self, rule: EarlyStop) -> Self {
-        self.early_stop = Some(rule);
-        self
     }
 
     /// Seeds the session with the outcomes of a previous, interrupted run of
@@ -304,7 +259,7 @@ impl<'a> CampaignSession<'a> {
                 self.stopped_early = true;
                 if tmr_trace::enabled() {
                     tmr_trace::event("campaign.early_stop")
-                        .attr("design", self.design.as_str())
+                        .attr("design", self.ctx.routed.netlist().name())
                         .attr("injected", self.outcomes.len())
                         .attr("wrong_answers", self.wrong_answers)
                         .attr("ci_half_width", self.ci_half_width())
@@ -317,28 +272,14 @@ impl<'a> CampaignSession<'a> {
         let end = (start + self.batch_size).min(self.sample.len());
         self.cursor = end;
         let mut batch_span = tmr_trace::span("campaign.batch");
-        let backends = BackendRefs {
-            backend: self.backend,
-            compiled: self.compiled.as_deref(),
-            packed: self.packed.as_deref(),
-        };
-        let (outcomes, simulated, stats) = run_faults(
-            self.device,
-            self.routed,
-            self.simulator.as_ref(),
-            &self.golden,
-            backends,
-            self.simulate_only.as_deref(),
-            self.maskable.as_deref(),
-            self.shards,
-            &self.sample[start..end],
-        );
+        let (outcomes, simulated, stats) =
+            run_faults(&self.ctx, self.shards, &self.sample[start..end]);
         self.wrong_answers += outcomes.iter().filter(|o| o.wrong_answer).count();
         self.simulated += simulated;
         self.stats.merge(&stats);
         self.outcomes.extend(outcomes);
         if tmr_trace::enabled() {
-            batch_span.attr("design", self.design.as_str());
+            batch_span.attr("design", self.ctx.routed.netlist().name());
             batch_span.attr("faults", end - start);
             batch_span.attr("injected", self.outcomes.len());
             batch_span.attr("wrong_answers", self.wrong_answers);
@@ -356,21 +297,15 @@ impl<'a> CampaignSession<'a> {
 
     /// Wraps whatever has been injected so far into a [`CampaignResult`]
     /// without running further batches. The outcomes are the exact prefix of
-    /// the full batch run over the same options.
+    /// the full run over the same options.
     pub fn into_result(self) -> CampaignResult {
         CampaignResult {
-            design: self.design,
+            design: self.ctx.routed.netlist().name().to_string(),
             fault_list_size: self.fault_list_size,
             simulated: self.simulated,
             outcomes: self.outcomes,
             stats: self.stats,
         }
-    }
-
-    /// The engine observability counters accumulated so far (all zero on the
-    /// interpreter backend).
-    pub fn sim_stats(&self) -> SimStats {
-        self.stats
     }
 
     /// Progress so far.
@@ -389,20 +324,10 @@ impl<'a> CampaignSession<'a> {
         }
     }
 
-    /// The current confidence-interval half-width of the wrong-answer rate
-    /// under the session's early-stop rule (or a default 95 % rule when none
-    /// is installed).
+    /// The current 95 % confidence-interval half-width of the wrong-answer
+    /// rate.
     pub fn ci_half_width(&self) -> f64 {
-        let z = self
-            .early_stop
-            .map(|rule| rule.confidence_z())
-            .unwrap_or(1.96);
-        adjusted_half_width(z, self.outcomes.len(), self.wrong_answers)
-    }
-
-    /// `true` once the session will yield no further batches.
-    pub fn is_finished(&self) -> bool {
-        self.stopped_early || self.cursor >= self.sample.len()
+        adjusted_half_width(self.outcomes.len(), self.wrong_answers)
     }
 
     /// `true` if the early-stop rule ended the session before the sample was
@@ -410,43 +335,23 @@ impl<'a> CampaignSession<'a> {
     pub fn stopped_early(&self) -> bool {
         self.stopped_early
     }
-
-    /// Faults remaining in the sampled list.
-    pub fn remaining(&self) -> usize {
-        self.sample.len() - self.cursor
-    }
-}
-
-/// The shared simulation-backend state handed to every shard.
-#[derive(Clone, Copy)]
-struct BackendRefs<'a> {
-    backend: SimBackend,
-    compiled: Option<&'a CompiledNetlist>,
-    packed: Option<&'a PackedGolden>,
 }
 
 /// Injects `faults` (a contiguous slice of the sampled fault list) as
 /// `shards` contiguous chunks run through [`par_map`], and merges the
 /// outcomes in slice order.
 ///
-/// This is the sharding core shared by every execution mode and every fault
-/// model: chunk boundaries depend only on the slice length and shard count,
-/// and `par_map` returns the per-chunk outcome vectors in chunk order, which
-/// is slice order (= fault-list order), so the merged outcomes are
-/// independent of the thread schedule. Each shard additionally packs its
-/// faults into cone-grouped lane words on the compiled backend; word
-/// boundaries live entirely inside a shard, so they never affect the merged
-/// order either. The per-shard [`SimStats`] blocks merge commutatively, so
-/// the counters are shard-schedule-independent too.
-#[allow(clippy::too_many_arguments)]
+/// This is the sharding core shared by every fault model: chunk boundaries
+/// depend only on the slice length and shard count, and `par_map` returns
+/// the per-chunk outcome vectors in chunk order, which is slice order (=
+/// fault-list order), so the merged outcomes are independent of the thread
+/// schedule. Every shard reads the same immutable [`ShardContext`]. Each
+/// shard additionally packs its faults into cone-grouped lane words on the
+/// compiled backend; word boundaries live entirely inside a shard, so they
+/// never affect the merged order either. The per-shard [`SimStats`] blocks
+/// merge commutatively, so the counters are shard-schedule-independent too.
 fn run_faults(
-    device: &Device,
-    routed: &RoutedDesign,
-    simulator: Option<&Simulator<'_>>,
-    golden: &GoldenRun,
-    backends: BackendRefs<'_>,
-    simulate_only: Option<&[usize]>,
-    maskable: Option<&[(usize, Domain)]>,
+    ctx: &ShardContext<'_>,
     shards: usize,
     faults: &[Vec<usize>],
 ) -> (Vec<FaultOutcome>, usize, SimStats) {
@@ -459,18 +364,7 @@ fn run_faults(
         |(index, part)| {
             let _task = tmr_trace::enabled()
                 .then(|| tmr_trace::task(format!("shard-{index:02}"), trace_parent));
-            let ctx = ShardContext {
-                device,
-                routed,
-                simulator: simulator.cloned(),
-                golden,
-                simulate_only,
-                maskable,
-                backend: backends.backend,
-                compiled: backends.compiled,
-                packed: backends.packed,
-            };
-            traced_shard(index, &ctx, part)
+            traced_shard(index, ctx, part)
         },
     );
     let mut merged = Vec::with_capacity(faults.len());
@@ -530,9 +424,10 @@ fn attach_merged_stats(simulated: usize, stats: &SimStats) {
 mod tests {
     use super::*;
     use crate::CampaignBuilder;
+    use tmr_arch::Device;
     use tmr_core::{apply_tmr, TmrConfig};
     use tmr_designs::counter;
-    use tmr_pnr::place_and_route;
+    use tmr_pnr::{place_and_route, RoutedDesign};
     use tmr_synth::{lower, optimize, techmap};
 
     fn routed_counter(protect: bool) -> (Device, RoutedDesign) {
@@ -548,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn batches_accumulate_to_the_batch_engine_result() {
+    fn batches_accumulate_to_the_single_batch_result() {
         let (device, routed) = routed_counter(false);
         let campaign = CampaignBuilder::new().faults(120).cycles(8);
         let reference = campaign.clone().sequential().run(&device, &routed).unwrap();
@@ -560,9 +455,12 @@ mod tests {
             batches += 1;
         }
         assert!(batches >= 7, "120 faults / 17 per batch needs 8 batches");
-        assert!(session.is_finished());
+        assert!(
+            session.next_batch().is_none(),
+            "a finished session stays finished"
+        );
         assert!(!session.stopped_early());
-        assert_eq!(session.remaining(), 0);
+        assert_eq!(session.progress().injected, session.progress().planned);
         assert_eq!(session.into_result(), reference);
     }
 
@@ -607,13 +505,10 @@ mod tests {
         // The adjusted interval never reports zero width.
         assert!(tight.interval_half_width(1_000_000, 0) > 0.0);
         assert_eq!(tight.interval_half_width(0, 0), f64::INFINITY);
-        // Confidence and minimum are configurable.
-        let custom = EarlyStop::at_half_width(0.01)
-            .with_confidence_z(2.58)
-            .with_min_injected(10);
-        assert_eq!(custom.confidence_z(), 2.58);
+        // The minimum is configurable.
+        let custom = EarlyStop::at_half_width(0.5).with_min_injected(10);
         assert_eq!(custom.min_injected(), 10);
-        assert!(custom.interval_half_width(500, 5) > rule.interval_half_width(500, 5) * 1.2);
+        assert!(custom.satisfied(10, 0));
     }
 
     #[test]
@@ -648,14 +543,13 @@ mod tests {
         let mut first = campaign.clone().session(&device, &routed).unwrap();
         first.next_batch().unwrap();
         first.next_batch().unwrap();
-        let stats = first.sim_stats();
         let partial = first.into_result();
         assert_eq!(partial.injected(), 40);
 
         let resumed = campaign
             .session(&device, &routed)
             .unwrap()
-            .with_prefix(partial.outcomes, partial.simulated, stats)
+            .with_prefix(partial.outcomes, partial.simulated, partial.stats)
             .run();
         assert_eq!(resumed, reference);
         assert_eq!(resumed.stats, reference.stats, "counters resume too");
@@ -667,11 +561,10 @@ mod tests {
         let campaign = CampaignBuilder::new().faults(50).cycles(6);
         let full = campaign.clone().session(&device, &routed).unwrap().run();
         let mut session = campaign
+            .batch_size(10)
             .session(&device, &routed)
             .unwrap()
-            .with_prefix(full.outcomes.clone(), full.simulated, full.stats)
-            .with_batch_size(10);
-        assert!(session.is_finished());
+            .with_prefix(full.outcomes.clone(), full.simulated, full.stats);
         assert!(session.next_batch().is_none());
         assert_eq!(session.into_result(), full);
     }
@@ -691,7 +584,7 @@ mod tests {
         session.next_batch().unwrap();
         let progress = session.progress();
         assert_eq!(progress.injected, 25);
-        assert_eq!(progress.planned, 60.min(session.remaining() + 25));
+        assert_eq!(progress.planned, 60);
         assert!(progress.wrong_answer_rate >= 0.0);
         assert!(session.ci_half_width() < 0.5);
     }

@@ -12,7 +12,7 @@ use tmr_core::json::Json;
 use tmr_core::TmrConfig;
 use tmr_fpga::arch::{Device, MbuPattern};
 use tmr_fpga::faultsim::{CampaignBuilder, EarlyStop, FaultModel};
-use tmr_fpga::synth::Design;
+use tmr_fpga::synth::{Design, MAX_WIDTH};
 
 /// A job specification: which design variant to implement and what campaign
 /// to bombard it with. All fields beyond `design` have service defaults, so
@@ -132,15 +132,15 @@ impl JobSpec {
             spec.ci = Some(value.as_f64().ok_or("spec.ci: expected number")?);
         }
         if let Some(value) = json.get("device") {
-            let cols = value
-                .get("cols")
-                .and_then(Json::as_u64)
-                .ok_or("spec.device.cols: expected integer")?;
-            let rows = value
-                .get("rows")
-                .and_then(Json::as_u64)
-                .ok_or("spec.device.rows: expected integer")?;
-            spec.device = Some((cols as u16, rows as u16));
+            let side = |name: &str| {
+                let side = value
+                    .get(name)
+                    .and_then(Json::as_u64)
+                    .ok_or(format!("spec.device.{name}: expected integer"))?;
+                u16::try_from(side)
+                    .map_err(|_| format!("spec.device.{name}: must be at most 65535"))
+            };
+            spec.device = Some((side("cols")?, side("rows")?));
         }
         spec.validate()?;
         Ok(spec)
@@ -201,16 +201,30 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message listing the known designs on an unknown name.
+    /// Returns a message listing the known designs on an unknown name, and
+    /// one naming the parameter when a width is outside `1..=32` or a
+    /// moving sum has fewer than 2 taps (the design constructors would
+    /// panic on either).
     pub fn design_instance(&self) -> Result<Design, String> {
         let (head, args) = match self.design.split_once(':') {
             Some((head, args)) => (head, Some(args)),
             None => (self.design.as_str(), None),
         };
+        let in_range = |what: &str, width: u8| {
+            if (1..=MAX_WIDTH).contains(&width) {
+                Ok(width)
+            } else {
+                Err(format!(
+                    "spec.design: {head} {what} {width} is outside 1..={MAX_WIDTH}"
+                ))
+            }
+        };
         let width = |args: Option<&str>| -> Result<u8, String> {
-            args.ok_or_else(|| format!("spec.design: {head} needs a width, e.g. {head}:4"))?
+            let width = args
+                .ok_or_else(|| format!("spec.design: {head} needs a width, e.g. {head}:4"))?
                 .parse::<u8>()
-                .map_err(|_| format!("spec.design: bad {head} width"))
+                .map_err(|_| format!("spec.design: bad {head} width"))?;
+            in_range("width", width)
         };
         match head {
             "fir" => match args {
@@ -229,13 +243,20 @@ impl JobSpec {
                 let taps = taps
                     .parse::<usize>()
                     .map_err(|_| "spec.design: bad moving_sum taps")?;
+                if taps < 2 {
+                    return Err("spec.design: moving_sum needs at least 2 taps".to_string());
+                }
                 let input = input
                     .parse::<u8>()
                     .map_err(|_| "spec.design: bad moving_sum input width")?;
                 let sum = sum
                     .parse::<u8>()
                     .map_err(|_| "spec.design: bad moving_sum sum width")?;
-                Ok(tmr_fpga::designs::moving_sum(taps, input, sum))
+                Ok(tmr_fpga::designs::moving_sum(
+                    taps,
+                    in_range("input width", input)?,
+                    in_range("sum width", sum)?,
+                ))
             }
             other => Err(format!(
                 "spec.design: unknown design {other:?} (known: fir, fir:paper, counter:<w>, \
@@ -891,6 +912,30 @@ mod tests {
         assert!(parse(r#"{"design":"counter:4","faults":0}"#)
             .unwrap_err()
             .contains("faults"));
+        // Parameters the design constructors would panic on.
+        for design in [
+            "counter:0",
+            "counter:33",
+            "accumulator:0",
+            "accumulator:33",
+            "moving_sum:1,4,6",
+            "moving_sum:3,0,6",
+            "moving_sum:3,4,33",
+        ] {
+            let line = format!(r#"{{"design":"{design}"}}"#);
+            assert!(
+                parse(&line).unwrap_err().contains("spec.design"),
+                "{design}"
+            );
+        }
+        for (side, device) in [
+            ("cols", r#"{"cols":65537,"rows":8}"#),
+            ("rows", r#"{"cols":8,"rows":65536}"#),
+        ] {
+            let line = format!(r#"{{"design":"counter:4","device":{device}}}"#);
+            let error = parse(&line).unwrap_err();
+            assert!(error.contains(&format!("spec.device.{side}")), "{error}");
+        }
         assert!(Request::parse("not json").is_err());
         assert!(Request::parse(r#"{"cmd":"warp"}"#).is_err());
     }

@@ -41,7 +41,7 @@
 //! it over every short-affected reader), with the same per-instruction
 //! divergence skipping carrying the event-driven savings, so results stay
 //! bit-identical there too. The interpreter remains available as a
-//! differential oracle (`TMR_SIM=interp` in the campaign layer).
+//! differential oracle (`SimBackend::Interpreter` in the campaign layer).
 
 use crate::compare::majority;
 use crate::packed::{majority_word, LaneMask, TritVec, TritWord};

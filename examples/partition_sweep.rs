@@ -48,9 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Perf smoke: inject the same fault list into every variant of the small
-    // filter on the compiled backend (the default — set TMR_SIM=interp to
-    // A/B the interpreter) and report the
-    // end-to-end campaign rate plus the engine's observability counters.
+    // filter on the compiled backend (the default; `CampaignBuilder::backend`
+    // selects the interpreter for an A/B) and report the end-to-end campaign
+    // rate plus the engine's observability counters.
     let small = FirFilter::small_filter().to_design();
     // 24x24 = 1152 LUT sites: tmr_p1, the largest variant, needs 957.
     let device = Device::small(24, 24);

@@ -3,7 +3,6 @@
 use super::stages::{stage_compiled, stage_protected, stage_synthesized};
 use super::{Analyzed, Compiled, Placed, Routed, Synthesized};
 use crate::Error;
-use std::path::PathBuf;
 use std::sync::Arc;
 use tmr_analyze::StaticAnalysis;
 use tmr_arch::Device;
@@ -40,7 +39,6 @@ pub struct FlowBuilder {
     shards: Option<usize>,
     cache: Option<Arc<ArtifactCache>>,
     store: Option<Arc<Store>>,
-    cache_dir: Option<PathBuf>,
 }
 
 impl FlowBuilder {
@@ -54,7 +52,6 @@ impl FlowBuilder {
             shards: None,
             cache: None,
             store: None,
-            cache_dir: None,
         }
     }
 
@@ -88,60 +85,22 @@ impl FlowBuilder {
         self
     }
 
-    /// Backs the flow's cache with a disk [`Store`] rooted at `dir`, so
-    /// stage artifacts survive the process and warm-start later runs. The
-    /// directory is created on [`build`](Self::build); if it cannot be
-    /// opened the flow falls back to memory-only caching (with a warning on
-    /// stderr). An explicit [`store`](Self::store) takes precedence.
-    #[must_use]
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Shares an already-open disk [`Store`] with other flows (takes
-    /// precedence over [`cache_dir`](Self::cache_dir) and the
-    /// `TMR_CACHE_DIR` environment variable). A sweep passes one store to
-    /// all of its flows so the disk counters aggregate.
+    /// Backs the flow's cache with an open disk [`Store`], so stage
+    /// artifacts survive the process and warm-start later runs (default:
+    /// the store named by the `TMR_CACHE_DIR` environment variable, if
+    /// any). A sweep passes one store to all of its flows so the disk
+    /// counters aggregate.
     #[must_use]
     pub fn store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
         self
     }
 
-    /// Installs `config` as the process-global trace configuration (the
-    /// tracer is a process singleton — see [`crate::trace::configure`] — so
-    /// this affects every instrumented layer, not just this flow). Stage
-    /// artifacts and campaign results are bit-identical with tracing on,
-    /// off, or at any sink.
-    #[must_use]
-    pub fn trace(self, config: tmr_trace::TraceConfig) -> Self {
-        tmr_trace::configure(config);
-        self
-    }
-
     /// Finishes the builder.
-    ///
-    /// Disk-store resolution, in decreasing precedence: an explicit
-    /// [`store`](Self::store), a [`cache_dir`](Self::cache_dir), the
-    /// `TMR_CACHE_DIR` environment variable, none (memory-only).
     pub fn build(self) -> Flow {
         let identity = fingerprint(&[&self.design, &self.tmr]);
         let device_fp = fingerprint(&[self.device.params()]);
-        let disk = match (self.store, self.cache_dir) {
-            (Some(store), _) => Some(store),
-            (None, Some(dir)) => match Store::open(&dir) {
-                Ok(store) => Some(Arc::new(store)),
-                Err(err) => {
-                    eprintln!(
-                        "tmr-fpga: cannot open cache dir {}: {err}; continuing without disk cache",
-                        dir.display()
-                    );
-                    None
-                }
-            },
-            (None, None) => Store::from_env(),
-        };
+        let disk = self.store.or_else(Store::from_env);
         Flow {
             device: Arc::new(self.device),
             design: self.design,
@@ -198,14 +157,8 @@ impl Flow {
         self.cache.mem()
     }
 
-    /// The two-level (memory over optional disk) cache backing this flow.
-    pub fn persistent_cache(&self) -> &PersistentCache {
-        &self.cache
-    }
-
     /// The disk store behind the cache, when one is attached (via
-    /// [`FlowBuilder::cache_dir`], [`FlowBuilder::store`] or
-    /// `TMR_CACHE_DIR`).
+    /// [`FlowBuilder::store`] or `TMR_CACHE_DIR`).
     pub fn store(&self) -> Option<&Arc<Store>> {
         self.cache.disk()
     }
@@ -386,9 +339,9 @@ impl Flow {
     }
 
     /// Runs (or returns the cached result of) a fault-injection campaign
-    /// over the routed design. The golden trace and the compiled simulator
-    /// come from the shared cache; the flow's shard override applies; the
-    /// result is memoized under the campaign configuration.
+    /// over the routed design: a drain of
+    /// [`campaign_session`](Self::campaign_session), memoized under the
+    /// campaign configuration.
     ///
     /// # Errors
     ///
@@ -398,21 +351,7 @@ impl Flow {
         self.cache
             .get_or_try_insert_self(CacheKey::new("campaign", fp), || {
                 let routed = self.routed()?;
-                let golden = self.golden(
-                    campaign.options().cycles(),
-                    campaign.options().stimulus_seed(),
-                )?;
-                let compiled = self.compiled_for(campaign)?;
-                let mut configured = campaign.clone().golden(golden);
-                if let Some(compiled) = &compiled {
-                    configured = configured.compiled(compiled.netlist().clone());
-                }
-                if let Some(shards) = self.shards {
-                    configured = configured.shards(shards);
-                }
-                let result = configured
-                    .run(&self.device, routed.design())
-                    .map_err(Error::from)?;
+                let result = self.campaign_session(&routed, campaign)?.run();
                 if tmr_trace::enabled() {
                     tmr_trace::attr_current("injected", result.injected());
                     tmr_trace::attr_current("wrong_answers", result.wrong_answers());
@@ -448,8 +387,9 @@ impl Flow {
 
     /// Builds a streaming [`CampaignSession`] over the routed design for
     /// incremental outcome batches, progress reporting and early stop. The
-    /// caller keeps the [`Routed`] artifact alive for the session's
-    /// lifetime:
+    /// golden run and, on the compiled backend, the compiled simulator come
+    /// from the shared cache; the flow's shard override applies. The caller
+    /// keeps the [`Routed`] artifact alive for the session's lifetime:
     ///
     /// ```no_run
     /// # use tmr_fpga::flow::FlowBuilder;
@@ -472,32 +412,18 @@ impl Flow {
         routed: &'f Routed,
         campaign: &CampaignBuilder,
     ) -> Result<CampaignSession<'f>, Error> {
-        let golden = self.golden(
-            campaign.options().cycles(),
-            campaign.options().stimulus_seed(),
-        )?;
-        let compiled = self.compiled_for(campaign)?;
+        let options = campaign.options();
+        let golden = self.golden(options.cycles(), options.stimulus_seed())?;
         let mut configured = campaign.clone().golden(golden);
-        if let Some(compiled) = &compiled {
-            configured = configured.compiled(compiled.netlist().clone());
+        // Interpreter runs must neither pay the compilation nor distort the
+        // `compiled` stage cache counters.
+        if campaign.sim_backend() == SimBackend::Compiled {
+            configured = configured.compiled(self.compiled()?.netlist().clone());
         }
         if let Some(shards) = self.shards {
             configured = configured.shards(shards);
         }
-        configured
-            .session(&self.device, routed.design())
-            .map_err(Error::from)
-    }
-
-    /// The cached [`Compiled`] stage when the campaign will run on the
-    /// compiled backend, `None` for interpreter-only runs (`TMR_SIM=interp`
-    /// or an explicit [`SimBackend::Interpreter`]) — those must neither pay
-    /// the compilation nor distort the `compiled` stage cache counters.
-    fn compiled_for(&self, campaign: &CampaignBuilder) -> Result<Option<Arc<Compiled>>, Error> {
-        match campaign.backend_hint().unwrap_or_else(SimBackend::from_env) {
-            SimBackend::Interpreter => Ok(None),
-            SimBackend::Compiled => Ok(Some(self.compiled()?)),
-        }
+        Ok(configured.session(&self.device, routed.design())?)
     }
 
     /// Fingerprint of the implemented design: identity × device × seed.

@@ -4,7 +4,6 @@ use super::builder::{Flow, FlowBuilder};
 use super::stages::{stage_protected, stage_synthesized};
 use super::{Analyzed, Routed};
 use crate::Error;
-use std::path::PathBuf;
 use std::sync::Arc;
 use tmr_arch::{Device, DeviceParams};
 use tmr_core::pipeline::{fingerprint, ArtifactCache, CacheStats};
@@ -128,12 +127,10 @@ pub struct Sweep {
     variants: Vec<(String, Option<TmrConfig>)>,
     device: SweepDevice,
     seed: u64,
-    shards: Option<usize>,
     campaign: Option<CampaignBuilder>,
     analyze: bool,
     cache: Arc<ArtifactCache>,
     store: Option<Arc<Store>>,
-    cache_dir: Option<PathBuf>,
 }
 
 impl Sweep {
@@ -150,12 +147,10 @@ impl Sweep {
                 max_utilisation: 0.50,
             },
             seed: 1,
-            shards: None,
             campaign: None,
             analyze: false,
             cache: ArtifactCache::shared(),
             store: None,
-            cache_dir: None,
         }
     }
 
@@ -203,13 +198,6 @@ impl Sweep {
         self
     }
 
-    /// Campaign worker-shard override shared by every variant.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
     /// Runs this fault-injection campaign on every variant.
     #[must_use]
     pub fn campaign(mut self, campaign: CampaignBuilder) -> Self {
@@ -238,43 +226,13 @@ impl Sweep {
         &self.cache
     }
 
-    /// Backs every flow of the sweep with a disk [`Store`] rooted at `dir`,
-    /// so artifacts survive the process; see [`FlowBuilder::cache_dir`]. An
-    /// explicit [`store`](Self::store) takes precedence.
-    #[must_use]
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
     /// Shares one already-open disk [`Store`] across every flow of the
-    /// sweep (and with other sweeps holding the same handle).
+    /// sweep (and with other sweeps holding the same handle); default: the
+    /// store named by `TMR_CACHE_DIR`, if any.
     #[must_use]
     pub fn store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
         self
-    }
-
-    /// Resolves the disk layer once per run, so all variants share one
-    /// store and its counters aggregate: explicit store → `cache_dir` →
-    /// `TMR_CACHE_DIR` → none.
-    fn resolve_store(&self) -> Option<Arc<Store>> {
-        if let Some(store) = &self.store {
-            return Some(store.clone());
-        }
-        if let Some(dir) = &self.cache_dir {
-            return match Store::open(dir) {
-                Ok(store) => Some(Arc::new(store)),
-                Err(err) => {
-                    eprintln!(
-                        "tmr-fpga: cannot open cache dir {}: {err}; continuing without disk cache",
-                        dir.display()
-                    );
-                    None
-                }
-            };
-        }
-        Store::from_env()
     }
 
     /// Synthesizes every variant (filling the cache), resolves the device,
@@ -286,8 +244,10 @@ impl Sweep {
     pub fn flows(&self) -> Result<(Device, Vec<(String, Flow)>), Error> {
         // Synthesis is device-independent: run it first for every variant so
         // auto-sizing can see the netlists. The per-variant flows below then
-        // hit the cache for their transformation and synthesis stages.
-        let disk = self.resolve_store();
+        // hit the cache for their transformation and synthesis stages. The
+        // store is resolved once, so every variant shares it and its
+        // counters aggregate.
+        let disk = self.store.clone().or_else(Store::from_env);
         let cache = PersistentCache::new(self.cache.clone(), disk.clone());
         let mut synthesized = Vec::new();
         for (name, config) in &self.variants {
@@ -319,9 +279,6 @@ impl Sweep {
                 let mut builder = FlowBuilder::new(&device, &self.base).seed(self.seed);
                 if let Some(config) = config {
                     builder = builder.tmr(config.clone());
-                }
-                if let Some(shards) = self.shards {
-                    builder = builder.shards(shards);
                 }
                 if let Some(store) = &disk {
                     builder = builder.store(store.clone());
@@ -456,8 +413,7 @@ pub struct SweepReport {
     /// compiled-simulator stage is visible in every run.
     pub stage_cache: Vec<(&'static str, CacheStats)>,
     /// Aggregate disk-store counters, when the sweep ran over a disk cache
-    /// (`TMR_CACHE_DIR`, [`Sweep::cache_dir`] or [`Sweep::store`]); `None`
-    /// for memory-only sweeps.
+    /// ([`Sweep::store`] or `TMR_CACHE_DIR`); `None` for memory-only sweeps.
     pub disk: Option<DiskStats>,
     /// Per-stage disk-store counters, sorted by stage name; empty for
     /// memory-only sweeps.

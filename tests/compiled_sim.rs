@@ -5,14 +5,15 @@
 //! words, cone-deduplicated fault batching, fan-out-cone incremental
 //! re-simulation, full multi-pass mode for bridging faults) produces
 //! **bit-for-bit identical** [`CampaignResult`]s to the interpreting
-//! simulator — the semantics oracle kept alive behind `TMR_SIM=interp` —
-//! for:
+//! simulator — the semantics oracle, selected with
+//! `CampaignBuilder::backend(SimBackend::Interpreter)` — for:
 //!
 //! * all five paper variants (`standard`, `tmr_p1`, `tmr_p2`, `tmr_p3`,
 //!   `tmr_p3_nv`),
 //! * all three fault models (single-bit, geometric MBU clusters,
 //!   accumulated upsets per scrub interval),
-//! * 1 / 2 / 8 worker shards, and
+//! * 1 / 2 / 8 worker shards,
+//! * batch runs, streaming sessions and the flow facade, and
 //! * arbitrary fault-sample sizes and orderings, including counts that
 //!   cross the 64- and 256-lane word boundaries and random sampling seeds
 //!   that reshuffle which faults share a cone-batched word (property
@@ -157,16 +158,11 @@ fn differential_coverage_includes_wrong_answers_and_masked_faults() {
     );
 }
 
-/// `TMR_SIM=interp`-style backend selection is exposed programmatically and
-/// resolves the documented default.
+/// The compiled engine is the documented default backend.
 #[test]
 fn backend_default_is_compiled() {
-    // The test environment does not set TMR_SIM, so the env resolution must
-    // pick the compiled engine.
-    if std::env::var("TMR_SIM").is_err() {
-        assert_eq!(SimBackend::from_env(), SimBackend::Compiled);
-    }
     assert_eq!(SimBackend::default(), SimBackend::Compiled);
+    assert_eq!(CampaignBuilder::new().sim_backend(), SimBackend::Compiled);
 }
 
 /// Streaming sessions and batch runs stay identical across backends: the
@@ -217,6 +213,32 @@ fn facade_campaigns_use_the_compiled_stage_and_stay_bit_identical() {
         .run(&device, routed.design())
         .unwrap();
     assert_eq!(*via_flow, oracle);
+}
+
+/// The facade's interpreter path: a flow campaign on the interpreter equals
+/// the compiled one and never builds the `compiled` stage. The two runs use
+/// two fresh flows, because the campaign key ignores the backend and a
+/// shared cache would answer the second request with the first result.
+#[test]
+fn facade_interpreter_campaigns_skip_the_compiled_stage_and_match() {
+    let device = Device::small(8, 8);
+    let flow = || {
+        FlowBuilder::new(&device, &counter(4))
+            .tmr(TmrConfig::paper_p2())
+            .seed(5)
+            .build()
+    };
+    let campaign = CampaignBuilder::new().faults(100).cycles(8);
+    let interpreter_flow = flow();
+    let interpreted = interpreter_flow
+        .campaign(&campaign.clone().backend(SimBackend::Interpreter))
+        .unwrap();
+    assert_eq!(*interpreted, *flow().campaign(&campaign).unwrap());
+    let stages = interpreter_flow.cache().stage_stats();
+    assert!(
+        stages.iter().all(|&(stage, _)| stage != "compiled"),
+        "an interpreter campaign must not compile the netlist: {stages:?}"
+    );
 }
 
 proptest! {

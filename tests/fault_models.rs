@@ -90,6 +90,13 @@ fn degenerate_models_reproduce_single_bit_results_exactly() {
     for outcome in &single.outcomes {
         assert_eq!(outcome.bits, vec![outcome.bit]);
     }
+    // Degenerate spellings canonicalize, so all three share one store key.
+    for degenerate in [
+        campaign.clone().mbu(MbuPattern::Single),
+        campaign.clone().accumulate(1),
+    ] {
+        assert_eq!(degenerate.options(), campaign.options());
+    }
 }
 
 #[test]

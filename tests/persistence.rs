@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use tmr_fpga::arch::Device;
-use tmr_fpga::faultsim::CampaignBuilder;
+use tmr_fpga::faultsim::{CampaignBuilder, EarlyStop};
 use tmr_fpga::flow::{FlowBuilder, Sweep};
 use tmr_fpga::tmr::TmrConfig;
 use tmr_fpga::Store;
@@ -28,14 +28,14 @@ fn warm_flow_skips_every_stage_and_matches() {
             .tmr(TmrConfig::paper_p2())
             .seed(1)
             .shards(1)
-            .cache_dir(&dir)
+            .store(Arc::new(Store::open(&dir).unwrap()))
             .build()
     };
 
     let cold = build();
     let cold_result = cold.campaign(&campaign).unwrap();
     let cold_routed = cold.routed().unwrap();
-    let store = cold.store().expect("cache_dir attaches a store");
+    let store = cold.store().expect("the flow has a store attached");
     assert!(store.stats().writes > 0, "cold run persists artifacts");
 
     // A fresh flow (fresh memory cache, fresh store handle over the same
@@ -61,6 +61,26 @@ fn warm_flow_skips_every_stage_and_matches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The campaign fingerprint is the store key of every persisted campaign
+/// result and resumable prefix: a refactor that changes it silently orphans
+/// them all, so the keys of two representative campaigns are pinned.
+#[test]
+fn campaign_fingerprints_are_pinned() {
+    let device = Device::small(8, 8);
+    let flow = FlowBuilder::new(&device, &tmr_fpga::designs::counter(4))
+        .tmr(TmrConfig::paper_p2())
+        .seed(1)
+        .build();
+    let plain = CampaignBuilder::new().faults(60).cycles(8);
+    assert_eq!(flow.campaign_fingerprint(&plain), 0x38f1_5635_f2fd_dbf2);
+    let streaming = CampaignBuilder::new()
+        .faults(200)
+        .cycles(8)
+        .batch_size(64)
+        .early_stop(EarlyStop::at_half_width(0.01));
+    assert_eq!(flow.campaign_fingerprint(&streaming), 0xc98a_4e34_8722_fea9);
+}
+
 #[test]
 fn warm_sweep_reports_disk_hits() {
     let dir = temp_dir("sweep");
@@ -71,8 +91,7 @@ fn warm_sweep_reports_disk_hits() {
             .variant("standard", None)
             .variant("tmr_p2", Some(TmrConfig::paper_p2()))
             .on_device(&Device::small(8, 8))
-            .shards(1)
-            .campaign(CampaignBuilder::new().faults(40).cycles(8))
+            .campaign(CampaignBuilder::new().faults(40).cycles(8).shards(1))
             .store(store.clone())
             .run()
             .unwrap()

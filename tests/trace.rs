@@ -63,9 +63,9 @@ fn a_traced_flow_records_the_full_stage_span_taxonomy() {
     let _guard = lock();
     let device = Device::small(16, 16);
     let design = tmr_fpga::designs::counter(6);
+    trace::configure(TraceConfig::memory());
     let flow = FlowBuilder::new(&device, &design)
         .tmr(TmrConfig::paper_p2())
-        .trace(TraceConfig::memory())
         .build();
     flow.analyzed().expect("analysis succeeds");
     let result = flow
