@@ -81,28 +81,17 @@ pub fn cache_json(report: &SweepReport) -> Json {
 }
 
 /// The `sim` half of the `perf` object: the compiled engine's observability
-/// counters (levels evaluated vs skipped, word widths, lane retirement and
+/// counters (instructions evaluated vs skipped, words, lane retirement and
 /// cone-dedup rates), so JSON consumers can verify the fast paths ran.
 pub fn sim_json(stats: &SimStats) -> Json {
     Json::object([
-        (
-            "levels_evaluated",
-            Json::from(stats.levels_evaluated as usize),
-        ),
-        ("levels_skipped", Json::from(stats.levels_skipped as usize)),
-        ("level_skip_rate", Json::from(stats.level_skip_rate())),
         ("ops_evaluated", Json::from(stats.ops_evaluated as usize)),
         ("ops_skipped", Json::from(stats.ops_skipped as usize)),
         ("op_skip_rate", Json::from(stats.op_skip_rate())),
-        ("words_narrow", Json::from(stats.words_narrow as usize)),
-        ("words_wide", Json::from(stats.words_wide as usize)),
+        ("words", Json::from(stats.words as usize)),
         (
             "words_full_eval",
             Json::from(stats.words_full_eval as usize),
-        ),
-        (
-            "max_lanes_per_word",
-            Json::from(stats.max_lanes_per_word as usize),
         ),
         (
             "lanes_simulated",

@@ -24,7 +24,7 @@
 //! `lut_mix`), register-dense state machines (`ff_density`), hub nets whose
 //! fan-out dwarfs anything in the FIR (`fanout_skew`), and registered
 //! feedback loops with reconvergent paths (`feedback`) — the topology class
-//! where bridging faults and event-driven settling are hardest.
+//! where bridging faults and incremental settling are hardest.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,7 +74,7 @@ pub struct GeneratorConfig {
     /// closes a feedback loop through later combinational logic (accumulator
     /// style), and that an operation draws both operands from the hub subset
     /// (reconvergent fan-in). Both create the cyclic, heavily shared cones
-    /// that stress bridged-fault settling and event-driven scheduling.
+    /// that stress bridged-fault settling and divergence skipping.
     pub feedback: f64,
 }
 

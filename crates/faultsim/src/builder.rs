@@ -28,8 +28,7 @@ use tmr_sim::{CompiledNetlist, GoldenRun, SimError, Simulator};
 /// and debugging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBackend {
-    /// The levelized, bit-parallel compiled engine with event-driven
-    /// dirty-level scheduling (the default).
+    /// The levelized, 64-lane bit-parallel compiled engine (the default).
     #[default]
     Compiled,
     /// The cell-by-cell interpreting simulator — the semantics oracle.

@@ -210,16 +210,6 @@ impl CampaignResult {
         counts
     }
 
-    /// Classification of every injected fault (whether or not it caused an
-    /// error).
-    pub fn injection_classification(&self) -> BTreeMap<FaultClass, usize> {
-        let mut counts = BTreeMap::new();
-        for outcome in &self.outcomes {
-            *counts.entry(outcome.class).or_insert(0) += 1;
-        }
-        counts
-    }
-
     /// Among the error-causing faults, the fraction that coupled two distinct
     /// TMR domains — the mechanism the paper identifies as the residual
     /// weakness of TMR on SRAM-based FPGAs.
@@ -341,7 +331,7 @@ impl ShardContext<'_> {
 /// `(fault bits, golden run)` pair the outcome is a pure function, which is what makes sharded and early-stopped
 /// campaigns bit-identical to sequential full-length ones on the faults they
 /// simulate. On the compiled backend the simulable faults are additionally
-/// batched into packed word batches of up to [`MAX_LANES`] lanes — bridging
+/// batched into packed words of up to [`MAX_LANES`] lanes — bridging
 /// faults separately from the rest, so only bridged words pay the
 /// multi-pass settling loop, and both streams grouped by their fan-out-cone
 /// fingerprint so lanes sharing a word share cones — and their per-lane

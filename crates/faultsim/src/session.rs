@@ -411,9 +411,8 @@ fn attach_merged_stats(simulated: usize, stats: &SimStats) {
         return;
     }
     tmr_trace::attr_current("simulated", simulated);
-    tmr_trace::attr_current("sim.levels_evaluated", stats.levels_evaluated);
-    tmr_trace::attr_current("sim.levels_skipped", stats.levels_skipped);
     tmr_trace::attr_current("sim.ops_evaluated", stats.ops_evaluated);
+    tmr_trace::attr_current("sim.ops_skipped", stats.ops_skipped);
     tmr_trace::attr_current("sim.lanes_simulated", stats.lanes_simulated);
     tmr_trace::attr_current("sim.lanes_retired_early", stats.lanes_retired_early);
     tmr_trace::attr_current("sim.cone_dedup_hits", stats.cone_dedup_hits);

@@ -16,7 +16,7 @@
 //! a single allocation-light breadth-first sweep, fast enough to run once per
 //! 64-experiment word of a fault-injection campaign.
 
-use crate::{CellId, NetDriver, NetId, NetSink, Netlist, PortId};
+use crate::{CellId, NetId, NetSink, Netlist, PortId};
 
 /// The transitive fan-out closure of a set of seed cells and nets.
 ///
@@ -126,13 +126,6 @@ impl FanoutIndex {
         &self.net_cells[start..end]
     }
 
-    /// The cell sinks of `net` (by raw net index), as raw cell indices —
-    /// the direct successor relation the compiled simulator derives its
-    /// per-instruction wake levels (and its cone fingerprints) from.
-    pub fn cell_sinks(&self, net: usize) -> &[u32] {
-        self.cells_of(net)
-    }
-
     /// The output-port sinks of `net`.
     fn ports_of(&self, net: usize) -> &[u32] {
         let start = self.net_ports_start[net] as usize;
@@ -213,14 +206,6 @@ impl Netlist {
     /// [`FanoutIndex::new`].
     pub fn fanout_index(&self) -> FanoutIndex {
         FanoutIndex::new(self)
-    }
-
-    /// Returns the driver cell of `net`, if it is driven by a cell.
-    pub fn net_driver_cell(&self, net: NetId) -> Option<CellId> {
-        match self.net(net).driver {
-            Some(NetDriver::Cell(cell)) => Some(cell),
-            _ => None,
-        }
     }
 }
 

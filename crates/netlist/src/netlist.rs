@@ -241,16 +241,6 @@ impl Netlist {
         Ok(())
     }
 
-    /// Sets the TMR domain of a cell.
-    pub fn set_cell_domain(&mut self, cell: CellId, domain: Domain) {
-        self.cells[cell.index()].domain = domain;
-    }
-
-    /// Sets the TMR domain of a net.
-    pub fn set_net_domain(&mut self, net: NetId, domain: Domain) {
-        self.nets[net.index()].domain = domain;
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -347,12 +337,6 @@ impl Netlist {
             .filter(|(_, c)| c.kind.is_sequential())
             .map(|(id, _)| id)
             .collect()
-    }
-
-    /// Returns a map from net id to the per-domain count of *sinks* reading
-    /// it, useful for cross-domain exposure analysis.
-    pub fn net_domains(&self) -> HashMap<NetId, Domain> {
-        self.nets().map(|(id, n)| (id, n.domain)).collect()
     }
 
     // ------------------------------------------------------------------

@@ -205,11 +205,6 @@ impl RouteTelemetry {
             .is_some_and(|last| last.overused_nodes == 0)
     }
 
-    /// Total nets ripped up across all iterations.
-    pub fn total_rip_ups(&self) -> usize {
-        self.iterations.iter().map(|it| it.ripped_up).sum()
-    }
-
     /// Total A* queue pops across all iterations.
     pub fn total_nodes_expanded(&self) -> u64 {
         self.iterations.iter().map(|it| it.nodes_expanded).sum()

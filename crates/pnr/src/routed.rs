@@ -94,13 +94,6 @@ impl RoutedDesign {
         self.node_net.get(&node).copied()
     }
 
-    /// Iterates over every routing node occupied by some net. Lets bulk
-    /// consumers (e.g. the fault-list builder) precompute a used-node mask
-    /// once instead of hashing per configuration bit.
-    pub fn used_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_net.keys().copied()
-    }
-
     /// The net whose tree enables a PIP, if any.
     pub fn net_of_pip(&self, pip: PipId) -> Option<NetId> {
         self.pip_net.get(&pip).copied()

@@ -14,6 +14,17 @@ use tmr_fpga::arch::{Device, MbuPattern};
 use tmr_fpga::faultsim::{CampaignBuilder, EarlyStop, FaultModel};
 use tmr_fpga::synth::{Design, MAX_WIDTH};
 
+/// Most stimulus cycles a job may run: far above every workload of the
+/// repository, far below what would exhaust memory in the stimulus and
+/// golden-trace buffers.
+pub const MAX_CYCLES: usize = 4096;
+
+/// Most taps a `moving_sum` design may have.
+pub const MAX_MOVING_SUM_TAPS: usize = 64;
+
+/// Most tiles (`cols × rows`) an explicit device may have: a 64 × 64 grid.
+pub const MAX_DEVICE_TILES: u32 = 64 * 64;
+
 /// A job specification: which design variant to implement and what campaign
 /// to bombard it with. All fields beyond `design` have service defaults, so
 /// `{"cmd":"submit","spec":{"design":"counter:4"}}` is a complete request.
@@ -179,20 +190,30 @@ impl JobSpec {
         Json::object(pairs)
     }
 
-    /// Checks that the design, variant and model fields resolve.
+    /// Checks that the design, variant and model fields resolve and that
+    /// the cycle count and device stay within [`MAX_CYCLES`] and
+    /// [`MAX_DEVICE_TILES`]. The size limits are checked before the design
+    /// is built, so an oversized spec is rejected without allocating it.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
+        if !(1..=MAX_CYCLES).contains(&self.cycles) {
+            return Err(format!("spec.cycles: must be in 1..={MAX_CYCLES}"));
+        }
+        if let Some((cols, rows)) = self.device {
+            if u32::from(cols) * u32::from(rows) > MAX_DEVICE_TILES {
+                return Err(format!(
+                    "spec.device: {cols}x{rows} exceeds {MAX_DEVICE_TILES} tiles"
+                ));
+            }
+        }
         self.design_instance()?;
         self.tmr_config()?;
         self.fault_model()?;
         if self.faults == 0 {
             return Err("spec.faults: must be at least 1".to_string());
-        }
-        if self.cycles == 0 {
-            return Err("spec.cycles: must be at least 1".to_string());
         }
         Ok(())
     }
@@ -204,7 +225,7 @@ impl JobSpec {
     /// Returns a message listing the known designs on an unknown name, and
     /// one naming the parameter when a width is outside `1..=32` or a
     /// moving sum has fewer than 2 taps (the design constructors would
-    /// panic on either).
+    /// panic on either) or more than [`MAX_MOVING_SUM_TAPS`].
     pub fn design_instance(&self) -> Result<Design, String> {
         let (head, args) = match self.design.split_once(':') {
             Some((head, args)) => (head, Some(args)),
@@ -243,8 +264,10 @@ impl JobSpec {
                 let taps = taps
                     .parse::<usize>()
                     .map_err(|_| "spec.design: bad moving_sum taps")?;
-                if taps < 2 {
-                    return Err("spec.design: moving_sum needs at least 2 taps".to_string());
+                if !(2..=MAX_MOVING_SUM_TAPS).contains(&taps) {
+                    return Err(format!(
+                        "spec.design: moving_sum taps must be in 2..={MAX_MOVING_SUM_TAPS}"
+                    ));
                 }
                 let input = input
                     .parse::<u8>()
@@ -921,6 +944,7 @@ mod tests {
             "moving_sum:1,4,6",
             "moving_sum:3,0,6",
             "moving_sum:3,4,33",
+            "moving_sum:1000000000,4,6",
         ] {
             let line = format!(r#"{{"design":"{design}"}}"#);
             assert!(
@@ -928,14 +952,23 @@ mod tests {
                 "{design}"
             );
         }
-        for (side, device) in [
-            ("cols", r#"{"cols":65537,"rows":8}"#),
-            ("rows", r#"{"cols":8,"rows":65536}"#),
+        for (field, device) in [
+            ("device.cols", r#"{"cols":65537,"rows":8}"#),
+            ("device.rows", r#"{"cols":8,"rows":65536}"#),
+            ("device:", r#"{"cols":65535,"rows":65535}"#),
         ] {
             let line = format!(r#"{{"design":"counter:4","device":{device}}}"#);
             let error = parse(&line).unwrap_err();
-            assert!(error.contains(&format!("spec.device.{side}")), "{error}");
+            assert!(error.contains(&format!("spec.{field}")), "{error}");
         }
+        // Sizes that would exhaust memory are refused before anything is
+        // built.
+        assert!(parse(r#"{"design":"counter:4","cycles":1000000000000}"#)
+            .unwrap_err()
+            .contains("spec.cycles"));
+        assert!(parse(r#"{"design":"counter:4","cycles":0}"#)
+            .unwrap_err()
+            .contains("spec.cycles"));
         assert!(Request::parse("not json").is_err());
         assert!(Request::parse(r#"{"cmd":"warp"}"#).is_err());
     }

@@ -1,4 +1,4 @@
-//! The compiled, levelized, bit-parallel, event-driven fault simulator.
+//! The compiled, levelized, bit-parallel fault simulator.
 //!
 //! The interpreting [`Simulator`](crate::Simulator) walks the netlist
 //! cell-by-cell through id-indirected lookups and allocates per-cell input
@@ -6,32 +6,27 @@
 //! inner loop of a fault-injection campaign. [`CompiledNetlist`] compiles a
 //! netlist **once** into a flat, cache-friendly instruction stream
 //! (topologically levelized combinational ops, flip-flop records, port
-//! tables, per-net successor-level wake lists) and then evaluates **up to
-//! 256 fault experiments at a time** over two-plane packed trits
-//! ([`TritVec`]): every gate becomes a handful of bitwise operations shared
-//! by all lanes, with the exact completion-enumeration `X` semantics of the
-//! interpreter preserved (`maj(X, v, v) = v`). The engine picks the word
-//! width per batch — wide `4×u64` vectors for full batches, scalar `1×u64`
-//! tails for the rest.
+//! tables) and then evaluates **up to 64 fault experiments at a time** over
+//! two-plane packed trits ([`TritWord`]): every gate becomes a handful of
+//! bitwise operations shared by all lanes, with the exact
+//! completion-enumeration `X` semantics of the interpreter preserved
+//! (`maj(X, v, v) = v`).
 //!
-//! Fault simulation is *incremental* and *event-driven* on top of that:
-//! each experiment word is seeded from the cached fault-free run
-//! ([`PackedGolden`]), only the static fan-out cone of the faulted
-//! cells/nets ([`tmr_netlist::FanoutIndex`]) is re-evaluated, and within the
-//! cone three exact skipping layers compose. A **dirty-level mask** —
-//! seeded from the word's injection points and re-armed by flip-flop state
-//! divergence — skips every level whose operand words are unchanged against
-//! the golden frame. A **per-instruction divergence check** then skips any
-//! visited instruction whose operand lanes are all golden-equal and which no
-//! overlay targets: its output is provably the golden value, and epoch
-//! stamps on the net scratch route downstream reads to the golden frame.
-//! Finally, evaluated instructions enumerate **only the diverged lanes**
-//! (the completion enumeration starts from the need mask, and the golden
-//! value is merged back into the clean lanes), so the bitwise work tracks
-//! the number of diverged lanes instead of the word width. A lane exits
-//! early the cycle its outcome is decided — either because its voted
-//! outputs diverged (first error cycle found) or because its state
-//! re-converged with golden (a pure state fault can never diverge again).
+//! Fault simulation is *incremental* on top of that: each experiment word is
+//! seeded from the cached fault-free run ([`PackedGolden`]), and two exact
+//! skipping layers compose. **Cone restriction** visits only the static
+//! fan-out cone of the faulted cells/nets ([`tmr_netlist::FanoutIndex`]).
+//! Within the cone, a **per-instruction divergence check** skips any
+//! instruction whose operand lanes are all golden-equal and which no overlay
+//! targets: its output is provably the golden value, and epoch stamps on the
+//! net scratch route downstream reads to the golden frame. Evaluated
+//! instructions enumerate **only the diverged lanes** (the completion
+//! enumeration starts from the need mask, and the golden value is merged
+//! back into the clean lanes), so the bitwise work tracks the number of
+//! diverged lanes. A lane **retires** the cycle its outcome is decided —
+//! either because its voted outputs diverged (first error cycle found) or
+//! because its state re-converged with golden (a pure state fault can never
+//! diverge again).
 //!
 //! Faults that bridge two nets (`shorted_nets`) couple values *backwards*
 //! against the topological order; words containing such lanes keep the
@@ -39,12 +34,12 @@
 //! bookkeeping and the oscillation poisoning after the fourth pass — but run
 //! it *inside the cone* (both bridge endpoints seed the cone, which closes
 //! it over every short-affected reader), with the same per-instruction
-//! divergence skipping carrying the event-driven savings, so results stay
-//! bit-identical there too. The interpreter remains available as a
-//! differential oracle (`SimBackend::Interpreter` in the campaign layer).
+//! divergence skipping, so results stay bit-identical there too. The
+//! interpreter remains available as a differential oracle
+//! (`SimBackend::Interpreter` in the campaign layer).
 
 use crate::compare::majority;
-use crate::packed::{majority_word, LaneMask, TritVec, TritWord};
+use crate::packed::{majority_word, LaneMask, TritWord};
 use crate::stats::SimStats;
 use crate::{FaultOverlay, GoldenRun, OutputGroups, SimError, SinkRef, Trit};
 use std::collections::HashMap;
@@ -54,8 +49,8 @@ use tmr_netlist::{CellKind, FanoutIndex, Netlist};
 const NONE: u32 = u32::MAX;
 
 /// Maximum number of experiment lanes one [`CompiledNetlist::run_lanes`]
-/// batch evaluates in a single stream pass (the wide `4×u64` word).
-pub const MAX_LANES: usize = 256;
+/// word evaluates in a single stream pass (one `u64` per plane).
+pub const MAX_LANES: usize = 64;
 
 /// One combinational instruction of the compiled stream.
 #[derive(Debug, Clone)]
@@ -85,7 +80,7 @@ struct CompiledFf {
     init: bool,
 }
 
-/// A netlist compiled for levelized, event-driven, bit-parallel evaluation.
+/// A netlist compiled for levelized, bit-parallel evaluation.
 ///
 /// Built once per netlist with [`CompiledNetlist::compile`]; immutable and
 /// self-contained afterwards (it borrows nothing from the netlist), so it
@@ -115,54 +110,12 @@ pub struct CompiledNetlist {
     groups: Vec<Vec<usize>>,
     /// The static fan-out cone index used for incremental re-simulation.
     index: FanoutIndex,
-    /// Logic level of every op (parallel to `ops`), from the levelization.
-    op_level: Vec<u32>,
-    /// Number of distinct combinational levels (`max(op_level) + 1`).
-    level_count: usize,
     /// Net index → the op driving it (or [`NONE`]). Bridged words pull the
     /// drivers of shorted nets into the evaluated cone so partner reads
     /// resolve against live values.
     driver_op_of_net: Vec<u32>,
     /// Net index → the flip-flop slot driving it (or [`NONE`]).
     driver_ff_of_net: Vec<u32>,
-    /// CSR offsets into `net_wake_levels`, one slot per net plus a tail
-    /// sentinel.
-    net_wake_start: Vec<u32>,
-    /// Distinct, sorted levels of the combinational instructions reading
-    /// each net — the successor-level wake sets of the event-driven
-    /// scheduler, derived from the [`FanoutIndex`] sink relation.
-    net_wake_levels: Vec<u32>,
-}
-
-/// A small fixed-capacity bitset over the compiled stream's logic levels:
-/// the per-word dirty-level mask of the event-driven scheduler.
-#[derive(Debug, Clone)]
-struct LevelSet {
-    bits: Vec<u64>,
-}
-
-impl LevelSet {
-    fn new(levels: usize) -> Self {
-        Self {
-            bits: vec![0; levels.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, level: u32) {
-        self.bits[(level / 64) as usize] |= 1u64 << (level % 64);
-    }
-
-    #[inline]
-    fn contains(&self, level: u32) -> bool {
-        (self.bits[(level / 64) as usize] >> (level % 64)) & 1 == 1
-    }
-
-    /// Resets this set to a copy of `other` (same capacity).
-    #[inline]
-    fn copy_from(&mut self, other: &LevelSet) {
-        self.bits.copy_from_slice(&other.bits);
-    }
 }
 
 /// The packed golden reference of a compiled campaign: the per-cycle settled
@@ -192,8 +145,7 @@ impl PackedGolden {
 
 impl CompiledNetlist {
     /// Compiles `netlist` into the flat instruction stream: one topological
-    /// levelization, one fan-out index, one successor-level wake table — no
-    /// further per-run graph work.
+    /// levelization and one fan-out index — no further per-run graph work.
     ///
     /// # Errors
     ///
@@ -208,7 +160,6 @@ impl CompiledNetlist {
             })?;
         let index = FanoutIndex::new(netlist);
         let mut ops = Vec::with_capacity(levelization.order.len());
-        let mut op_level = Vec::with_capacity(levelization.order.len());
         let mut operands = Vec::new();
         let mut op_of_cell = vec![NONE; netlist.cell_count()];
         for &cell_id in &levelization.order {
@@ -232,30 +183,6 @@ impl CompiledNetlist {
                 lut: cell.kind.is_lut(),
                 init,
             });
-            op_level.push(levelization.level[cell_id.index()] as u32);
-        }
-        let level_count = op_level.iter().max().map_or(0, |&max| max as usize + 1);
-
-        // The successor-level wake sets: for every net, the distinct levels
-        // of the combinational instructions that read it (flip-flop sinks
-        // are excluded — state capture always runs). When an evaluated
-        // instruction's output differs from the golden frame, these are the
-        // levels the event-driven scheduler must wake.
-        let mut net_wake_start = vec![0u32; netlist.net_count() + 1];
-        let mut net_wake_levels: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        for net in 0..netlist.net_count() {
-            scratch.clear();
-            scratch.extend(index.cell_sinks(net).iter().filter_map(|&cell| {
-                match op_of_cell[cell as usize] {
-                    NONE => None,
-                    op => Some(op_level[op as usize]),
-                }
-            }));
-            scratch.sort_unstable();
-            scratch.dedup();
-            net_wake_levels.extend_from_slice(&scratch);
-            net_wake_start[net + 1] = net_wake_levels.len() as u32;
         }
 
         let mut ffs = Vec::new();
@@ -300,7 +227,6 @@ impl CompiledNetlist {
 
         trace_span.attr("ops", ops.len());
         trace_span.attr("ffs", ffs.len());
-        trace_span.attr("levels", level_count);
         trace_span.attr("nets", netlist.net_count());
         Ok(Self {
             net_count: netlist.net_count(),
@@ -314,12 +240,8 @@ impl CompiledNetlist {
             output_of_port,
             groups,
             index,
-            op_level,
-            level_count,
             driver_op_of_net,
             driver_ff_of_net,
-            net_wake_start,
-            net_wake_levels,
         })
     }
 
@@ -338,23 +260,10 @@ impl CompiledNetlist {
         self.ffs.len()
     }
 
-    /// Number of distinct combinational levels of the stream.
-    pub fn level_count(&self) -> usize {
-        self.level_count
-    }
-
     /// The operand nets of `op`.
     fn op_inputs(&self, op: &Op) -> &[u32] {
         let start = op.operand_start as usize;
         &self.operands[start..start + op.k as usize]
-    }
-
-    /// The successor levels woken when `net` diverges from golden.
-    #[inline]
-    fn net_wake(&self, net: usize) -> &[u32] {
-        let start = self.net_wake_start[net] as usize;
-        let end = self.net_wake_start[net + 1] as usize;
-        &self.net_wake_levels[start..end]
     }
 
     /// A cheap fan-out-cone fingerprint of one overlay: an order-independent
@@ -501,45 +410,39 @@ impl CompiledNetlist {
         PackedGolden { frames, voted }
     }
 
-    /// Simulates up to 64 fault experiments in one packed word and returns,
-    /// per lane, the first cycle at which the pad-voted outputs diverged
-    /// from golden (`None` = the fault never produced a wrong answer).
-    ///
-    /// Equivalent to [`CompiledNetlist::run_lanes`] with event-driven
-    /// scheduling enabled and the statistics discarded — the compatibility
-    /// entry point for single-word callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `overlays` is empty or holds more than 64 lanes, or if
-    /// `golden` was packed for a different netlist.
-    pub fn run_word(
-        &self,
-        golden: &PackedGolden,
-        overlays: &[&FaultOverlay],
-    ) -> Vec<Option<usize>> {
-        assert!(
-            !overlays.is_empty() && overlays.len() <= 64,
-            "a packed word holds 1..=64 experiment lanes"
-        );
-        let mut stats = SimStats::default();
-        self.run_lanes(golden, overlays, &mut stats)
-    }
-
-    /// Simulates up to [`MAX_LANES`] fault experiments in one word batch and
+    /// Simulates up to [`MAX_LANES`] fault experiments in one packed word and
     /// returns, per lane, the first cycle at which the pad-voted outputs
     /// diverged from golden (`None` = the fault never produced a wrong
-    /// answer).
+    /// answer). `stats` accumulates the engine's observability counters.
     ///
     /// The result is bit-identical to running the interpreting simulator on
     /// each overlay individually and comparing with
-    /// [`OutputGroups::first_voted_mismatch`]. Batches of more than 64 lanes
-    /// evaluate on the wide `4×u64` word, the rest on the scalar `1×u64`
-    /// word. Every word runs cone-restricted with per-instruction per-lane
-    /// divergence skipping; words without `shorted_nets` add dirty-level
-    /// scheduling, and words with them keep the interpreter's multi-pass
-    /// settling loop, restricted to the cone. `stats` accumulates the
-    /// engine's observability counters.
+    /// [`OutputGroups::first_voted_mismatch`]. The engine evaluates only the
+    /// union fan-out cone of the word's fault sites (bridged nets seed the
+    /// cone too), and within it only the instructions whose operands
+    /// actually diverged — reading everything else from the golden frames.
+    /// Both skipping layers are exact rather than heuristic:
+    ///
+    /// 1. **Cone restriction** — instructions outside the union fan-out cone
+    ///    of the word's seeds can never differ from golden, so they are never
+    ///    visited. Bridges perturb *reads* of their two nets, so seeding both
+    ///    nets closes the cone over every short-affected reader.
+    /// 2. **Per-instruction divergence checks** — an instruction whose
+    ///    operand lanes are all golden-equal, whose stored output is
+    ///    golden-equal, and which no overlay targets must produce its golden
+    ///    output; it is skipped, and the epoch stamps (`net_cycle`) route
+    ///    downstream reads of its net to the golden frame. Evaluated
+    ///    instructions enumerate only the diverged lanes
+    ///    ([`TritWord::select_lanes`] merges the golden value back into the
+    ///    rest).
+    ///
+    /// Words with bridged lanes run the interpreter's multi-pass settling
+    /// loop *inside the cone*: values feed back through
+    /// [`TritWord::resolve_masked`] reads, passes repeat until no lane
+    /// changed, and oscillation through a short poisons the bridged nets on
+    /// the final pass — bit-identical to the full-netlist loop because every
+    /// instruction outside the perturbed region is at its golden fixed point
+    /// pass by pass.
     ///
     /// # Panics
     ///
@@ -553,7 +456,7 @@ impl CompiledNetlist {
     ) -> Vec<Option<usize>> {
         assert!(
             !overlays.is_empty() && overlays.len() <= MAX_LANES,
-            "a word batch holds 1..={MAX_LANES} experiment lanes"
+            "a packed word holds 1..={MAX_LANES} experiment lanes"
         );
         if let Some(frame) = golden.frames.first() {
             assert_eq!(
@@ -562,71 +465,13 @@ impl CompiledNetlist {
                 "golden frames netlist mismatch"
             );
         }
-        stats.lanes_simulated += overlays.len() as u64;
-        stats.max_lanes_per_word = stats.max_lanes_per_word.max(overlays.len() as u64);
-        if overlays.len() <= 64 {
-            stats.words_narrow += 1;
-            self.run_lanes_at_width::<1>(golden, overlays, stats)
-        } else {
-            stats.words_wide += 1;
-            self.run_lanes_at_width::<4>(golden, overlays, stats)
-        }
-    }
-
-    /// Width-resolved body of [`CompiledNetlist::run_lanes`].
-    fn run_lanes_at_width<const W: usize>(
-        &self,
-        golden: &PackedGolden,
-        overlays: &[&FaultOverlay],
-        stats: &mut SimStats,
-    ) -> Vec<Option<usize>> {
-        let word = WordOverlays::<W>::build(self, overlays);
+        let lanes = overlays.len();
+        let word = WordOverlays::build(self, overlays);
+        stats.words += 1;
+        stats.lanes_simulated += lanes as u64;
         if word.has_shorts {
             stats.words_full_eval += 1;
         }
-        self.run_word_inc(golden, &word, overlays.len(), stats)
-    }
-
-    /// The unified incremental engine: evaluate only the union fan-out cone
-    /// of the word's fault sites (bridged nets seed the cone too), and within
-    /// it only the instructions whose operands actually diverged — reading
-    /// everything else from the golden frames.
-    ///
-    /// Three skipping layers compose, each exact rather than heuristic:
-    ///
-    /// 1. **Cone restriction** — instructions outside the union fan-out cone
-    ///    of the word's seeds can never differ from golden, so they are never
-    ///    visited. Bridges perturb *reads* of their two nets, so seeding both
-    ///    nets closes the cone over every short-affected reader.
-    /// 2. **Dirty-level scheduling** (words without shorts) —
-    ///    a level is skipped when no always-dirty site sits on it, no
-    ///    diverged flip-flop woke it this cycle, and no earlier evaluated
-    ///    instruction published a golden-divergence wake to it: every operand
-    ///    of its instructions is then golden-equal by induction.
-    /// 3. **Per-instruction divergence checks** — within a
-    ///    dirty level, an instruction whose operand lanes are all
-    ///    golden-equal, whose stored output is golden-equal, and which no
-    ///    overlay targets must produce its golden output; it is skipped, and
-    ///    the epoch stamps (`net_cycle`) route downstream reads of its net to
-    ///    the golden frame. Evaluated instructions enumerate only the
-    ///    diverged lanes ([`TritVec::select_lanes`] merges the golden value
-    ///    back into the rest).
-    ///
-    /// Words with bridged lanes run the interpreter's multi-pass settling
-    /// loop *inside the cone*: values feed back through
-    /// [`TritVec::resolve_masked`] reads, passes repeat until no lane
-    /// changed, and oscillation through a short poisons the bridged nets on
-    /// the final pass — bit-identical to the full-netlist loop because every
-    /// instruction outside the perturbed region is at its golden fixed point
-    /// pass by pass.
-    fn run_word_inc<const W: usize>(
-        &self,
-        golden: &PackedGolden,
-        word: &WordOverlays<W>,
-        lanes: usize,
-        stats: &mut SimStats,
-    ) -> Vec<Option<usize>> {
-        let all = LaneMask::<W>::first(lanes);
         let cone = self.index.cone(
             word.seed_cells.iter().copied(),
             word.seed_nets.iter().copied(),
@@ -692,53 +537,22 @@ impl CompiledNetlist {
             .map(|(g, _)| g)
             .collect();
 
-        // Dirty-level scheduling only applies to words without bridges —
-        // multi-pass settling re-walks the stream anyway, and the
-        // per-instruction checks below carry the skipping there. The
-        // always-dirty seed: levels holding an instruction whose evaluation
-        // is itself perturbed — truth-table overrides, opened input pins, or
-        // reads of corrupted nets — must be visited every cycle.
-        let use_levels = !word.has_shorts;
-        let mut always_dirty = LevelSet::new(self.level_count);
-        if use_levels {
-            for &(op, _, _) in &word.lut {
-                always_dirty.insert(self.op_level[op as usize]);
-            }
-            for &(key, _) in &word.pin_opens {
-                always_dirty.insert(self.op_level[(key >> 3) as usize]);
-            }
-            for &net in &word.corrupt_nets {
-                for &level in self.net_wake(net as usize) {
-                    always_dirty.insert(level);
-                }
-            }
-        }
-        let mut dirty = always_dirty.clone();
-        // The distinct levels present in the cone, for the skip counters of
-        // level-scheduled words.
-        let mut cone_levels: Vec<u32> = Vec::new();
-        if !word.has_shorts {
-            cone_levels.extend(cone_ops.iter().map(|&op| self.op_level[op as usize]));
-            cone_levels.sort_unstable();
-            cone_levels.dedup();
-        }
-
         // Epoch stamps: `values[net]` (and its golden-divergence mask
         // `diffg[net]`) is only meaningful in the cycle it was written;
         // everything else reads the golden frame (sound, because a skipped
         // driver is golden-equal by construction).
         let mut net_cycle = vec![u32::MAX; self.net_count];
-        let mut values = vec![TritVec::<W>::X; self.net_count];
-        let mut diffg = vec![LaneMask::<W>::EMPTY; self.net_count];
-        let mut state: Vec<TritVec<W>> = cone_ffs
+        let mut values = vec![TritWord::X; self.net_count];
+        let mut diffg = vec![LaneMask::EMPTY; self.net_count];
+        let mut state: Vec<TritWord> = cone_ffs
             .iter()
             .map(|&ff| word.initial_state(self, ff))
             .collect();
         let mut found = vec![None; lanes];
-        let mut active = all;
-        let mut inputs = [TritVec::<W>::ZERO; 6];
-        let mut pin_poison = [LaneMask::<W>::EMPTY; 6];
-        let mut member_buf: Vec<TritVec<W>> = Vec::new();
+        let mut active = LaneMask::first(lanes);
+        let mut inputs = [TritWord::ZERO; 6];
+        let mut pin_poison = [LaneMask::EMPTY; 6];
+        let mut member_buf: Vec<TritWord> = Vec::new();
         let max_passes = if word.has_shorts { 4 } else { 1 };
         let last_cycle = golden.cycles().saturating_sub(1);
 
@@ -748,10 +562,10 @@ impl CompiledNetlist {
             // Pure state faults whose flip-flop state re-converged with
             // golden can never diverge again: retire those lanes now.
             if (word.state_only & active).any() {
-                let mut state_diff = LaneMask::<W>::EMPTY;
+                let mut state_diff = LaneMask::EMPTY;
                 for (st, &ff) in state.iter().zip(cone_ffs.iter()) {
                     let q = self.ffs[ff as usize].q_net as usize;
-                    state_diff |= st.diff(TritVec::broadcast(frame[q]));
+                    state_diff |= st.diff(TritWord::broadcast(frame[q]));
                 }
                 let retired = word.state_only & !state_diff & active;
                 if retired.any() {
@@ -762,28 +576,19 @@ impl CompiledNetlist {
                     }
                 }
             }
-            dirty.copy_from(&always_dirty);
             for (st, &ff) in state.iter().zip(cone_ffs.iter()) {
                 let record = &self.ffs[ff as usize];
                 let q = record.q_net as usize;
                 values[q] = *st;
                 net_cycle[q] = stamp;
-                let dg = st.diff(TritVec::broadcast(frame[q]));
-                diffg[q] = dg;
-                // A flip-flop whose state diverged from golden wakes the
-                // levels reading its Q net.
-                if use_levels && dg.any() {
-                    for &level in self.net_wake(q) {
-                        dirty.insert(level);
-                    }
-                }
+                diffg[q] = st.diff(TritWord::broadcast(frame[q]));
             }
             // Bridged primary inputs carry this cycle's stimulus for raw
             // partner reads (the full-netlist loop writes input nets at
             // every cycle start).
             for &net in &bridge_input_nets {
                 let net = net as usize;
-                values[net] = TritVec::broadcast(frame[net]);
+                values[net] = TritWord::broadcast(frame[net]);
                 net_cycle[net] = stamp;
                 diffg[net] = LaneMask::EMPTY;
             }
@@ -797,21 +602,18 @@ impl CompiledNetlist {
             // next pass provably reproduces them. Passes after the first
             // restrict all work to that window, and an empty window ends
             // the settling loop without a confirmation walk.
-            let mut settle_window = LaneMask::<W>::FULL;
+            let mut settle_window = LaneMask::FULL;
             for pass in 0..max_passes {
                 let window = if pass > 0 {
                     settle_window
                 } else {
                     LaneMask::FULL
                 };
-                let mut pass_change = LaneMask::<W>::EMPTY;
-                let mut short_delta = LaneMask::<W>::EMPTY;
+                let mut pass_change = LaneMask::EMPTY;
+                let mut short_delta = LaneMask::EMPTY;
                 let mut lut_cursor = 0;
                 let mut open_cursor = 0;
                 for &op_idx in &cone_ops {
-                    if use_levels && !dirty.contains(self.op_level[op_idx as usize]) {
-                        continue;
-                    }
                     let op = &self.ops[op_idx as usize];
                     let out_net = op.out as usize;
                     let lut_entry = word.lut_entry(op_idx, &mut lut_cursor);
@@ -819,7 +621,7 @@ impl CompiledNetlist {
                     // instruction's own stored output — diverges from the
                     // golden frame, or an overlay perturbs the evaluation.
                     // Every other lane provably reproduces its golden output.
-                    let mut need = LaneMask::<W>::EMPTY;
+                    let mut need = LaneMask::EMPTY;
                     for (pin, &net) in self.op_inputs(op).iter().enumerate() {
                         let net = net as usize;
                         if net_cycle[net] == stamp {
@@ -861,7 +663,7 @@ impl CompiledNetlist {
                             // first pass stamped every cone output, and an
                             // empty need means the stored window lanes are
                             // already golden.
-                            let golden_out = TritVec::broadcast(frame[out_net]);
+                            let golden_out = TritWord::broadcast(frame[out_net]);
                             let d = golden_out.diff(values[out_net]);
                             pass_change |= d;
                             short_delta |= d & word.short_mask[out_net];
@@ -877,7 +679,7 @@ impl CompiledNetlist {
                         let mut w = if net_cycle[net] == stamp {
                             values[net]
                         } else {
-                            TritVec::broadcast(frame[net])
+                            TritWord::broadcast(frame[net])
                         };
                         w = w.poison(pin_poison[pin]);
                         if word.has_shorts {
@@ -885,41 +687,17 @@ impl CompiledNetlist {
                         }
                         inputs[pin] = w;
                     }
-                    let golden_out = TritVec::broadcast(frame[out_net]);
+                    let golden_out = TritWord::broadcast(frame[out_net]);
                     let masks = lut_entry.map(|(_, masks)| masks);
-                    // Sub-word narrowing: when every diverged lane of a wide
-                    // word sits in one 64-lane sub-word (common after the
-                    // locality-ordered cone batching), run the truth-table
-                    // enumeration at 1×u64 and splice the result into the
-                    // golden broadcast — lane-exact, since eval lanes are
-                    // independent and all other sub-words are golden.
-                    let narrow_sub = if W > 1 && masks.is_none() {
-                        need.only_subword()
-                    } else {
-                        None
-                    };
-                    let fresh = if let Some(sub) = narrow_sub {
-                        let mut narrow_inputs = [TritVec::<1>::ZERO; 6];
-                        for (pin, input) in inputs.iter().enumerate() {
-                            narrow_inputs[pin] = input.subword(sub);
-                        }
-                        let narrow_need = need.subword(sub);
-                        let narrow = eval_op(op, &narrow_inputs, None, narrow_need)
-                            .select_lanes(golden_out.subword(sub), narrow_need);
-                        let mut fresh = golden_out;
-                        fresh.set_subword(sub, narrow);
-                        fresh
-                    } else {
-                        eval_op(op, &inputs, masks, need).select_lanes(golden_out, need)
-                    };
+                    let fresh = eval_op(op, &inputs, masks, need).select_lanes(golden_out, need);
                     // Outside the fixpoint window the fresh value is not
                     // provably golden — those lanes keep their settled
                     // stored value (a no-op on the wide-open first pass).
                     let out = fresh.select_lanes(values[out_net], window);
                     // Settling deltas compare against the raw stored value
                     // (previous pass or cycle), exactly like the
-                    // full-netlist loop; stale stores of level-scheduled
-                    // words read as golden instead.
+                    // full-netlist loop; stale stores of unbridged words
+                    // read as golden instead.
                     let prev = if word.has_shorts || net_cycle[out_net] == stamp {
                         values[out_net]
                     } else {
@@ -932,13 +710,7 @@ impl CompiledNetlist {
                     }
                     values[out_net] = out;
                     net_cycle[out_net] = stamp;
-                    let dg = out.diff(golden_out);
-                    diffg[out_net] = dg;
-                    if use_levels && dg.any() {
-                        for &level in self.net_wake(out_net) {
-                            dirty.insert(level);
-                        }
-                    }
+                    diffg[out_net] = out.diff(golden_out);
                 }
                 if pass_change.is_empty() {
                     break;
@@ -965,22 +737,13 @@ impl CompiledNetlist {
                                 let v = values[net].poison(poison);
                                 values[net] = v;
                                 net_cycle[net] = stamp;
-                                diffg[net] = v.diff(TritVec::broadcast(frame[net]));
+                                diffg[net] = v.diff(TritWord::broadcast(frame[net]));
                             }
                         }
                     }
                 }
             }
-            if !word.has_shorts {
-                for &level in &cone_levels {
-                    if dirty.contains(level) {
-                        stats.levels_evaluated += 1;
-                    } else {
-                        stats.levels_skipped += 1;
-                    }
-                }
-            }
-            let mut mismatch = LaneMask::<W>::EMPTY;
+            let mut mismatch = LaneMask::EMPTY;
             for &g in &affected_groups {
                 member_buf.clear();
                 for &m in &self.groups[g] {
@@ -988,7 +751,7 @@ impl CompiledNetlist {
                     let mut w = if net_cycle[net] == stamp {
                         values[net]
                     } else {
-                        TritVec::broadcast(frame[net])
+                        TritWord::broadcast(frame[net])
                     };
                     w = w.poison(word.corrupt[net]);
                     if word.has_shorts {
@@ -998,11 +761,11 @@ impl CompiledNetlist {
                     member_buf.push(w);
                 }
                 let dut = majority_word(&member_buf);
-                mismatch |= dut.diff(TritVec::broadcast(golden.voted[cycle][g]));
+                mismatch |= dut.diff(TritWord::broadcast(golden.voted[cycle][g]));
             }
             let hits = mismatch & active;
             if hits.any() {
-                record_hits(&mut found, hits, cycle);
+                hits.for_each(|lane| found[lane] = Some(cycle));
                 if cycle < last_cycle {
                     stats.lanes_retired_early += u64::from(hits.count());
                 }
@@ -1017,7 +780,7 @@ impl CompiledNetlist {
                 let mut w = if net_cycle[net] == stamp {
                     values[net]
                 } else {
-                    TritVec::broadcast(frame[net])
+                    TritWord::broadcast(frame[net])
                 };
                 w = w.poison(word.corrupt[net]);
                 if word.has_shorts {
@@ -1031,39 +794,34 @@ impl CompiledNetlist {
     }
 }
 
-/// Records `cycle` as the first error cycle of every lane in `hits`.
-fn record_hits<const W: usize>(found: &mut [Option<usize>], hits: LaneMask<W>, cycle: usize) {
-    hits.for_each(|lane| found[lane] = Some(cycle));
-}
-
 /// Evaluates one compiled op over packed inputs with exact `X` semantics,
 /// restricted to the lanes in `restrict` — the completion enumeration
 /// starts from `restrict` instead of all lanes, so the work is proportional
 /// to the diverged lanes and the other lanes come out as `X` (callers merge
-/// the golden value back in with [`TritVec::select_lanes`]).
+/// the golden value back in with [`TritWord::select_lanes`]).
 ///
 /// `masks`, when present, holds one lane mask per truth-table assignment
 /// (lanes whose — possibly overridden — truth table has that bit set);
 /// otherwise the op's shared `init` is used for every lane.
 #[inline]
-fn eval_op<const W: usize>(
+fn eval_op(
     op: &Op,
-    inputs: &[TritVec<W>; 6],
-    masks: Option<&[LaneMask<W>]>,
-    restrict: LaneMask<W>,
-) -> TritVec<W> {
+    inputs: &[TritWord; 6],
+    masks: Option<&[LaneMask]>,
+    restrict: LaneMask,
+) -> TritWord {
     if op.copy {
         return inputs[0];
     }
     let k = op.k as usize;
-    let mut ones = [LaneMask::<W>::EMPTY; 6];
-    let mut zeros = [LaneMask::<W>::EMPTY; 6];
+    let mut ones = [LaneMask::EMPTY; 6];
+    let mut zeros = [LaneMask::EMPTY; 6];
     for (i, input) in inputs.iter().enumerate().take(k) {
         ones[i] = input.can_be_one();
         zeros[i] = input.can_be_zero();
     }
-    let mut can_one = LaneMask::<W>::EMPTY;
-    let mut can_zero = LaneMask::<W>::EMPTY;
+    let mut can_one = LaneMask::EMPTY;
+    let mut can_zero = LaneMask::EMPTY;
     for assignment in 0..(1usize << k) {
         let mut matching = restrict;
         for i in 0..k {
@@ -1093,59 +851,55 @@ fn eval_op<const W: usize>(
             }
         }
     }
-    TritVec::from_possibilities(can_one, can_zero)
+    TritWord::from_possibilities(can_one, can_zero)
 }
 
-/// The per-word compilation of up to `64 * W` fault overlays into lane
-/// masks.
-struct WordOverlays<const W: usize> {
+/// The per-word compilation of up to [`MAX_LANES`] fault overlays into
+/// lane masks.
+struct WordOverlays {
     /// Truth-table overrides: `(op index, overridden-lane mask,
     /// per-assignment lane masks)`, sorted by op index (consumed with a
     /// cursor during the ascending op walk).
-    lut: Vec<(u32, LaneMask<W>, Vec<LaneMask<W>>)>,
+    lut: Vec<(u32, LaneMask, Vec<LaneMask>)>,
     /// Opened cell-input pins: `((op << 3) | pin, lane mask)`, sorted.
-    pin_opens: Vec<(u64, LaneMask<W>)>,
+    pin_opens: Vec<(u64, LaneMask)>,
     /// Opened flip-flop `D` pins, dense per flip-flop slot.
-    ff_open: Vec<LaneMask<W>>,
+    ff_open: Vec<LaneMask>,
     /// Opened output ports, dense per output position.
-    port_open: Vec<LaneMask<W>>,
+    port_open: Vec<LaneMask>,
     /// Corrupted (antenna) nets, dense per net.
-    corrupt: Vec<LaneMask<W>>,
-    /// The distinct corrupted nets (the sparse view of `corrupt`, for the
-    /// always-dirty level seed).
-    corrupt_nets: Vec<u32>,
+    corrupt: Vec<LaneMask>,
     /// Bridged partners per net.
-    shorts: HashMap<u32, Vec<(u32, LaneMask<W>)>>,
+    shorts: HashMap<u32, Vec<(u32, LaneMask)>>,
     /// Every bridged pair with its lane mask (for oscillation poisoning).
-    short_pairs: Vec<(u32, u32, LaneMask<W>)>,
+    short_pairs: Vec<(u32, u32, LaneMask)>,
     /// Lanes bridging each net, dense per net (forces evaluation of every
     /// instruction reading a bridged net in those lanes).
-    short_mask: Vec<LaneMask<W>>,
+    short_mask: Vec<LaneMask>,
     /// Any lane bridges nets (selects the multi-pass settling loop).
     has_shorts: bool,
     /// Flip-flop initialisation overrides, dense per flip-flop slot:
     /// lanes overridden, and their override value.
-    ff_init_set: Vec<LaneMask<W>>,
-    ff_init_val: Vec<LaneMask<W>>,
+    ff_init_set: Vec<LaneMask>,
+    ff_init_val: Vec<LaneMask>,
     /// Lanes whose overlay perturbs *only* flip-flop initial state.
-    state_only: LaneMask<W>,
+    state_only: LaneMask,
     /// Fan-out cone seeds of the word (union over lanes).
     seed_cells: Vec<tmr_netlist::CellId>,
     seed_nets: Vec<tmr_netlist::NetId>,
     seed_ports: Vec<u32>,
 }
 
-impl<const W: usize> WordOverlays<W> {
+impl WordOverlays {
     fn build(compiled: &CompiledNetlist, overlays: &[&FaultOverlay]) -> Self {
         let mut lut_raw: HashMap<u32, Vec<(usize, u64)>> = HashMap::new();
-        let mut pin_opens: HashMap<u64, LaneMask<W>> = HashMap::new();
+        let mut pin_opens: HashMap<u64, LaneMask> = HashMap::new();
         let mut word = Self {
             lut: Vec::new(),
             pin_opens: Vec::new(),
             ff_open: vec![LaneMask::EMPTY; compiled.ffs.len()],
             port_open: vec![LaneMask::EMPTY; compiled.outputs.len()],
             corrupt: vec![LaneMask::EMPTY; compiled.net_count],
-            corrupt_nets: Vec::new(),
             shorts: HashMap::new(),
             short_pairs: Vec::new(),
             short_mask: Vec::new(),
@@ -1158,7 +912,7 @@ impl<const W: usize> WordOverlays<W> {
             seed_ports: Vec::new(),
         };
         for (lane, overlay) in overlays.iter().enumerate() {
-            let bit = LaneMask::<W>::bit(lane);
+            let bit = LaneMask::bit(lane);
             let combinational = !overlay.lut_overrides.is_empty()
                 || !overlay.opened_sinks.is_empty()
                 || !overlay.shorted_nets.is_empty()
@@ -1211,9 +965,6 @@ impl<const W: usize> WordOverlays<W> {
                 }
             }
             for &net in &overlay.corrupted_nets {
-                if word.corrupt[net.index()].is_empty() {
-                    word.corrupt_nets.push(net.index() as u32);
-                }
                 word.corrupt[net.index()] |= bit;
                 word.seed_nets.push(net);
             }
@@ -1246,10 +997,10 @@ impl<const W: usize> WordOverlays<W> {
             .map(|(op, lanes)| {
                 let record = &compiled.ops[op as usize];
                 let assignments = 1usize << record.k;
-                let overridden = lanes.iter().fold(LaneMask::<W>::EMPTY, |mask, &(lane, _)| {
+                let overridden = lanes.iter().fold(LaneMask::EMPTY, |mask, &(lane, _)| {
                     mask | LaneMask::bit(lane)
                 });
-                let mut masks = vec![LaneMask::<W>::EMPTY; assignments];
+                let mut masks = vec![LaneMask::EMPTY; assignments];
                 for (assignment, mask) in masks.iter_mut().enumerate() {
                     if (record.init >> assignment) & 1 == 1 {
                         *mask = !overridden;
@@ -1270,9 +1021,9 @@ impl<const W: usize> WordOverlays<W> {
     }
 
     /// The initial packed state of flip-flop slot `ff`, overrides applied.
-    fn initial_state(&self, compiled: &CompiledNetlist, ff: u32) -> TritVec<W> {
+    fn initial_state(&self, compiled: &CompiledNetlist, ff: u32) -> TritWord {
         let record = &compiled.ffs[ff as usize];
-        let mut state = TritVec::broadcast(Trit::from_bool(record.init));
+        let mut state = TritWord::broadcast(Trit::from_bool(record.init));
         let set = self.ff_init_set[ff as usize];
         state.val = (state.val & !set) | (self.ff_init_val[ff as usize] & set);
         state
@@ -1285,12 +1036,7 @@ impl<const W: usize> WordOverlays<W> {
     /// every shorted net's driver into the evaluated cone and has skipped
     /// instructions of bridged words still store their golden output.
     #[inline]
-    fn resolve_shorts(
-        &self,
-        mut value: TritVec<W>,
-        net: usize,
-        values: &[TritVec<W>],
-    ) -> TritVec<W> {
+    fn resolve_shorts(&self, mut value: TritWord, net: usize, values: &[TritWord]) -> TritWord {
         // The dense mask answers "is this net bridged anywhere?" with one
         // array probe, keeping the hash lookup off the unbridged-net reads
         // that dominate a word's evaluations.
@@ -1309,7 +1055,7 @@ impl<const W: usize> WordOverlays<W> {
     /// overridden-lane mask and the per-assignment lane masks. `cursor` must
     /// advance monotonically with the ascending op walk.
     #[inline]
-    fn lut_entry(&self, op: u32, cursor: &mut usize) -> Option<(LaneMask<W>, &[LaneMask<W>])> {
+    fn lut_entry(&self, op: u32, cursor: &mut usize) -> Option<(LaneMask, &[LaneMask])> {
         while *cursor < self.lut.len() && self.lut[*cursor].0 < op {
             *cursor += 1;
         }
@@ -1371,7 +1117,7 @@ mod tests {
         let compiled = CompiledNetlist::compile(netlist).unwrap();
         let packed = compiled.pack_golden(&golden);
         let refs: Vec<&FaultOverlay> = overlays.iter().collect();
-        let got = compiled.run_word(&packed, &refs);
+        let got = compiled.run_lanes(&packed, &refs, &mut SimStats::default());
         for (lane, overlay) in overlays.iter().enumerate() {
             let expected = interpreter_outcome(netlist, &golden, overlay);
             assert_eq!(got[lane], expected, "lane {lane}: {overlay:?}");
@@ -1385,7 +1131,6 @@ mod tests {
         assert_eq!(compiled.op_count(), 2);
         assert_eq!(compiled.ff_count(), 1);
         assert_eq!(compiled.net_count(), nl.net_count());
-        assert!(compiled.level_count() >= 2, "two chained LUTs, two levels");
     }
 
     #[test]
@@ -1474,20 +1219,6 @@ mod tests {
     }
 
     #[test]
-    fn sixty_five_lane_words_are_rejected() {
-        let nl = sample();
-        let golden = GoldenRun::compute(&nl, 4, 1).unwrap();
-        let compiled = CompiledNetlist::compile(&nl).unwrap();
-        let packed = compiled.pack_golden(&golden);
-        let overlay = FaultOverlay::none();
-        let overlays: Vec<&FaultOverlay> = std::iter::repeat_n(&overlay, 65).collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compiled.run_word(&packed, &overlays)
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn oversized_lane_batches_are_rejected() {
         let nl = sample();
         let golden = GoldenRun::compute(&nl, 4, 1).unwrap();
@@ -1496,8 +1227,7 @@ mod tests {
         let overlay = FaultOverlay::none();
         let overlays: Vec<&FaultOverlay> = std::iter::repeat_n(&overlay, MAX_LANES + 1).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut stats = SimStats::default();
-            compiled.run_lanes(&packed, &overlays, &mut stats)
+            compiled.run_lanes(&packed, &overlays, &mut SimStats::default())
         }));
         assert!(result.is_err());
     }
@@ -1521,11 +1251,10 @@ mod tests {
         check_word(&nl, 8, 11, overlays);
     }
 
-    /// A wide (more than 64 lanes) batch evaluates on the `4×u64` word and
-    /// agrees with the per-overlay interpreter outcomes and the narrow
-    /// words' results.
+    /// A 200-lane batch dealt into four 64-lane words (64 + 64 + 64 + 8)
+    /// agrees with the per-overlay interpreter outcomes lane by lane.
     #[test]
-    fn wide_word_batches_match_interpreter_and_narrow_words() {
+    fn two_hundred_lanes_dealt_into_four_words_match_interpreter() {
         let nl = sample();
         let and_cell = nl.find_cell("u_and").unwrap().0;
         let ff_cell = nl.find_cell("u_ff").unwrap().0;
@@ -1547,28 +1276,25 @@ mod tests {
         let packed = compiled.pack_golden(&golden);
         let refs: Vec<&FaultOverlay> = overlays.iter().collect();
         let mut stats = SimStats::default();
-        let wide = compiled.run_lanes(&packed, &refs, &mut stats);
-        assert_eq!(stats.words_wide, 1);
-        assert_eq!(stats.words_narrow, 0);
-        assert_eq!(stats.max_lanes_per_word, 200);
-        assert_eq!(stats.lanes_simulated, 200);
-        let narrow: Vec<Option<usize>> = refs
-            .chunks(64)
-            .flat_map(|chunk| compiled.run_word(&packed, chunk))
+        let got: Vec<Option<usize>> = refs
+            .chunks(MAX_LANES)
+            .flat_map(|word| compiled.run_lanes(&packed, word, &mut stats))
             .collect();
-        assert_eq!(wide, narrow, "wide and narrow words must agree");
+        assert_eq!(stats.words, 4);
+        assert_eq!(stats.lanes_simulated, 200);
         for (lane, overlay) in overlays.iter().enumerate() {
             let expected = interpreter_outcome(&nl, &golden, overlay);
-            assert_eq!(wide[lane], expected, "lane {lane}");
+            assert_eq!(got[lane], expected, "lane {lane}");
         }
     }
 
-    /// The event-driven scheduler actually skips clean levels (the counters
-    /// prove it) while staying bit-identical to the interpreter.
+    /// The per-instruction divergence check skips golden-equal instructions
+    /// (the counters prove it) while staying bit-identical to the
+    /// interpreter.
     #[test]
-    fn event_driven_scheduling_skips_clean_levels() {
-        // A 4-deep buffer chain after the faulted LUT gives the scheduler
-        // levels to skip once a masked fault's effect dies out.
+    fn divergence_check_skips_golden_equal_instructions() {
+        // A 4-deep buffer chain after the faulted LUT gives the check
+        // instructions to skip once a masked fault's effect dies out.
         let mut nl = Netlist::new("deep");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
@@ -1590,8 +1316,8 @@ mod tests {
 
         let and_cell = nl.find_cell("u_and").unwrap().0;
         // A masked fault: the override reproduces the original truth table,
-        // so the faulted level re-evaluates every cycle but never diverges —
-        // the four buffer levels downstream stay clean and skippable.
+        // so the faulted LUT re-evaluates every cycle but never diverges —
+        // the four buffers downstream see golden operands and are skipped.
         let overlays = [FaultOverlay {
             lut_overrides: vec![(and_cell, 0b1000)],
             ..FaultOverlay::none()
@@ -1606,8 +1332,8 @@ mod tests {
             assert_eq!(got[lane], interpreter_outcome(&nl, &golden, overlay));
         }
         assert!(
-            stats.levels_skipped > 0,
-            "a masked fault must leave clean levels to skip: {stats}"
+            stats.ops_skipped > 0,
+            "a masked fault must leave golden-equal instructions to skip: {stats}"
         );
     }
 

@@ -55,7 +55,7 @@ pub use compiled::{CompiledNetlist, PackedGolden, MAX_LANES};
 pub use fault::{FaultOverlay, SinkRef};
 pub use golden::GoldenRun;
 pub use netsim::{SimError, SimTrace, Simulator};
-pub use packed::{majority_word, LaneMask, TritVec, TritWord};
+pub use packed::{majority_word, LaneMask, TritWord};
 pub use stats::SimStats;
 pub use stimulus::{random_vectors, word_vectors, Stimulus};
 pub use value::Trit;

@@ -109,14 +109,6 @@ impl<'a> Simulator<'a> {
         &self.output_ports
     }
 
-    /// Names of the input ports, in stimulus order.
-    pub fn input_port_names(&self) -> Vec<String> {
-        self.input_ports
-            .iter()
-            .map(|&(id, _)| self.netlist.port(id).name.clone())
-            .collect()
-    }
-
     /// Runs the simulation replaying a prepared [`crate::Stimulus`] under
     /// `overlay`.
     pub fn run_stimulus(&self, stimulus: &crate::Stimulus, overlay: &FaultOverlay) -> SimTrace {

@@ -1,8 +1,7 @@
 //! Two-plane packed three-valued words: 64 fault experiments per machine
-//! word, 256 per wide vector.
+//! word.
 //!
-//! A [`TritVec`] carries one [`Trit`] per *lane* in two bit planes of `W`
-//! machine words each:
+//! A [`TritWord`] carries one [`Trit`] per *lane* in two `u64` bit planes:
 //!
 //! | plane | lane bit | meaning |
 //! |-------|----------|---------|
@@ -11,193 +10,134 @@
 //!
 //! The representation is kept **canonical**: a lane whose `unk` bit is set
 //! always has its `val` bit cleared. Canonical words compare per-lane trit
-//! equality with two XORs ([`TritVec::diff`]), and the derived masks
+//! equality with two XORs ([`TritWord::diff`]), and the derived masks
 //! `can_be_one = val | unk` and `can_be_zero = !val` make the exact
 //! completion-enumeration semantics of the scalar simulator (`maj(X,v,v) =
 //! v`, an AND with a 0 input is 0 regardless of `X`) a handful of bitwise
-//! operations per lane word.
-//!
-//! The width is a const generic: [`TritWord`] (`W = 1`, 64 lanes) is the
-//! scalar-tail instantiation, `TritVec<4>` (256 lanes) the wide one the
-//! compiled engine deals full word batches into. Per-lane predicates
-//! ([`LaneMask`]) share the same width so every derived mask stays a few
-//! register-sized bitwise ops regardless of `W`.
+//! operations per lane word. Per-lane predicates are [`LaneMask`]s.
 
 use crate::Trit;
-use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, Not};
+use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXorAssign, Not};
 
-/// A per-lane boolean predicate over `64 * W` lanes: the mask type every
-/// [`TritVec`] plane and derived mask (`diff`, `can_be_one`, …) is made of.
+/// A per-lane boolean predicate over 64 lanes: the mask type every
+/// [`TritWord`] plane and derived mask (`diff`, `can_be_one`, …) is made of.
 ///
-/// Lane `i` lives in bit `i % 64` of word `i / 64`. The bitwise operators
-/// (`& | !`) apply lane-wise, so engine code reads identically at any width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneMask<const W: usize>(pub [u64; W]);
+/// Lane `i` lives in bit `i`. The bitwise operators (`& | ! ^=`) apply
+/// lane-wise.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneMask(pub u64);
 
-impl<const W: usize> LaneMask<W> {
+impl LaneMask {
     /// No lane set.
-    pub const EMPTY: Self = Self([0; W]);
+    pub const EMPTY: Self = Self(0);
     /// Every lane set.
-    pub const FULL: Self = Self([!0; W]);
+    pub const FULL: Self = Self(!0);
 
     /// The mask with exactly `lane` set.
     pub fn bit(lane: usize) -> Self {
-        debug_assert!(lane < 64 * W);
-        let mut mask = Self::EMPTY;
-        mask.0[lane / 64] = 1u64 << (lane % 64);
-        mask
+        debug_assert!(lane < 64);
+        Self(1u64 << lane)
     }
 
-    /// The mask covering the first `lanes` lanes (`0 < lanes <= 64 * W`).
+    /// The mask covering the first `lanes` lanes (`lanes <= 64`).
     pub fn first(lanes: usize) -> Self {
-        debug_assert!(lanes <= 64 * W);
-        let mut mask = Self::EMPTY;
-        for (i, word) in mask.0.iter_mut().enumerate() {
-            let low = i * 64;
-            if lanes >= low + 64 {
-                *word = !0;
-            } else if lanes > low {
-                *word = (1u64 << (lanes - low)) - 1;
-            }
-        }
-        mask
+        debug_assert!(lanes <= 64);
+        Self(if lanes == 64 { !0 } else { (1u64 << lanes) - 1 })
     }
 
     /// `true` if any lane is set.
     #[inline]
     pub fn any(self) -> bool {
-        self.0.iter().any(|&w| w != 0)
+        self.0 != 0
     }
 
     /// `true` if no lane is set.
     #[inline]
     pub fn is_empty(self) -> bool {
-        !self.any()
+        self.0 == 0
     }
 
     /// Whether `lane` is set.
     #[inline]
     pub fn get(self, lane: usize) -> bool {
-        debug_assert!(lane < 64 * W);
-        (self.0[lane / 64] >> (lane % 64)) & 1 == 1
+        debug_assert!(lane < 64);
+        (self.0 >> lane) & 1 == 1
     }
 
     /// Number of set lanes.
     pub fn count(self) -> u32 {
-        self.0.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// The index of the single 64-lane sub-word holding set bits, if exactly
-    /// one does. Lets wide evaluators narrow an operation whose diverged
-    /// lanes are confined to one sub-word down to 1×u64 mask arithmetic.
-    #[inline]
-    pub fn only_subword(self) -> Option<usize> {
-        let mut found = None;
-        for (i, &word) in self.0.iter().enumerate() {
-            if word != 0 {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(i);
-            }
-        }
-        found
-    }
-
-    /// The 64-lane sub-word `sub` as a narrow mask.
-    #[inline]
-    pub fn subword(self, sub: usize) -> LaneMask<1> {
-        LaneMask([self.0[sub]])
+        self.0.count_ones()
     }
 
     /// Calls `f` with the index of every set lane, in ascending order.
     #[inline]
     pub fn for_each(self, mut f: impl FnMut(usize)) {
-        for (i, &word) in self.0.iter().enumerate() {
-            let mut remaining = word;
-            while remaining != 0 {
-                f(i * 64 + remaining.trailing_zeros() as usize);
-                remaining &= remaining - 1;
-            }
+        let mut remaining = self.0;
+        while remaining != 0 {
+            f(remaining.trailing_zeros() as usize);
+            remaining &= remaining - 1;
         }
     }
 }
 
-impl<const W: usize> Default for LaneMask<W> {
-    fn default() -> Self {
-        Self::EMPTY
-    }
-}
-
-impl<const W: usize> BitAnd for LaneMask<W> {
+impl BitAnd for LaneMask {
     type Output = Self;
     #[inline]
-    fn bitand(mut self, rhs: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(rhs.0) {
-            *a &= b;
-        }
-        self
+    fn bitand(self, rhs: Self) -> Self {
+        Self(self.0 & rhs.0)
     }
 }
 
-impl<const W: usize> BitOr for LaneMask<W> {
+impl BitOr for LaneMask {
     type Output = Self;
     #[inline]
-    fn bitor(mut self, rhs: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(rhs.0) {
-            *a |= b;
-        }
-        self
+    fn bitor(self, rhs: Self) -> Self {
+        Self(self.0 | rhs.0)
     }
 }
 
-impl<const W: usize> Not for LaneMask<W> {
+impl Not for LaneMask {
     type Output = Self;
     #[inline]
-    fn not(mut self) -> Self {
-        for a in self.0.iter_mut() {
-            *a = !*a;
-        }
-        self
+    fn not(self) -> Self {
+        Self(!self.0)
     }
 }
 
-impl<const W: usize> BitAndAssign for LaneMask<W> {
+impl BitAndAssign for LaneMask {
     #[inline]
     fn bitand_assign(&mut self, rhs: Self) {
-        *self = *self & rhs;
+        self.0 &= rhs.0;
     }
 }
 
-impl<const W: usize> BitOrAssign for LaneMask<W> {
+impl BitOrAssign for LaneMask {
     #[inline]
     fn bitor_assign(&mut self, rhs: Self) {
-        *self = *self | rhs;
+        self.0 |= rhs.0;
     }
 }
 
-/// `64 * W` three-valued lanes packed into two [`LaneMask`] bit planes.
+impl BitXorAssign for LaneMask {
+    #[inline]
+    fn bitxor_assign(&mut self, rhs: Self) {
+        self.0 ^= rhs.0;
+    }
+}
+
+/// 64 three-valued lanes packed into two [`LaneMask`] bit planes.
 ///
 /// See the module documentation for the encoding and the canonical-form
 /// invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TritVec<const W: usize> {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TritWord {
     /// Known-value plane (bit set = logic 1); always 0 where `unk` is set.
-    pub val: LaneMask<W>,
+    pub val: LaneMask,
     /// Unknown plane (bit set = `X`).
-    pub unk: LaneMask<W>,
+    pub unk: LaneMask,
 }
 
-/// The 64-lane scalar-tail instantiation of [`TritVec`].
-pub type TritWord = TritVec<1>;
-
-impl<const W: usize> Default for TritVec<W> {
-    fn default() -> Self {
-        Self::ZERO
-    }
-}
-
-impl<const W: usize> TritVec<W> {
+impl TritWord {
     /// All lanes at logic 0.
     pub const ZERO: Self = Self {
         val: LaneMask::EMPTY,
@@ -224,7 +164,7 @@ impl<const W: usize> TritVec<W> {
         }
     }
 
-    /// The trit in `lane` (0..64 * W).
+    /// The trit in `lane` (0..64).
     pub fn lane(self, lane: usize) -> Trit {
         if self.unk.get(lane) {
             Trit::X
@@ -235,7 +175,7 @@ impl<const W: usize> TritVec<W> {
         }
     }
 
-    /// Replaces the trit in `lane` (0..64 * W).
+    /// Replaces the trit in `lane` (0..64).
     pub fn set_lane(&mut self, lane: usize, value: Trit) {
         let bit = LaneMask::bit(lane);
         self.val &= !bit;
@@ -247,36 +187,16 @@ impl<const W: usize> TritVec<W> {
         }
     }
 
-    /// The 64-lane sub-word `sub` as a narrow word.
-    #[inline]
-    pub fn subword(self, sub: usize) -> TritVec<1> {
-        TritVec {
-            val: self.val.subword(sub),
-            unk: self.unk.subword(sub),
-        }
-    }
-
-    /// Replaces the 64-lane sub-word `sub` with a narrow word.
-    #[inline]
-    pub fn set_subword(&mut self, sub: usize, narrow: TritVec<1>) {
-        self.val.0[sub] = narrow.val.0[0];
-        self.unk.0[sub] = narrow.unk.0[0];
-    }
-
     /// Lane mask of the positions where the two words carry *different*
     /// trits (`X` equals `X`). Requires both words to be canonical.
     #[inline]
-    pub fn diff(self, other: Self) -> LaneMask<W> {
-        let mut mask = LaneMask::EMPTY;
-        for i in 0..W {
-            mask.0[i] = (self.val.0[i] ^ other.val.0[i]) | (self.unk.0[i] ^ other.unk.0[i]);
-        }
-        mask
+    pub fn diff(self, other: Self) -> LaneMask {
+        LaneMask((self.val.0 ^ other.val.0) | (self.unk.0 ^ other.unk.0))
     }
 
     /// Forces the lanes in `mask` to `X`, leaving the others untouched.
     #[inline]
-    pub fn poison(self, mask: LaneMask<W>) -> Self {
+    pub fn poison(self, mask: LaneMask) -> Self {
         Self {
             val: self.val & !mask,
             unk: self.unk | mask,
@@ -286,7 +206,7 @@ impl<const W: usize> TritVec<W> {
     /// Lane mask of the positions that *could* be 1 under some completion of
     /// the unknowns (`1` or `X`).
     #[inline]
-    pub fn can_be_one(self) -> LaneMask<W> {
+    pub fn can_be_one(self) -> LaneMask {
         self.val | self.unk
     }
 
@@ -294,20 +214,20 @@ impl<const W: usize> TritVec<W> {
     /// the unknowns (`0` or `X`). Relies on the canonical form (`val` clear
     /// where `unk` is set).
     #[inline]
-    pub fn can_be_zero(self) -> LaneMask<W> {
+    pub fn can_be_zero(self) -> LaneMask {
         !self.val
     }
 
     /// Lane mask of the positions known to be 0.
     #[inline]
-    pub fn known_zero(self) -> LaneMask<W> {
+    pub fn known_zero(self) -> LaneMask {
         !self.val & !self.unk
     }
 
     /// Reconstructs a canonical word from "can be 1" / "can be 0" masks
     /// (each lane must satisfy at least one of the two).
     #[inline]
-    pub fn from_possibilities(can_one: LaneMask<W>, can_zero: LaneMask<W>) -> Self {
+    pub fn from_possibilities(can_one: LaneMask, can_zero: LaneMask) -> Self {
         Self {
             val: can_one & !can_zero,
             unk: can_one & can_zero,
@@ -319,7 +239,7 @@ impl<const W: usize> TritVec<W> {
     /// lanes whose operands diverged are enumerated and every other lane
     /// keeps its golden value.
     #[inline]
-    pub fn select_lanes(self, fallback: Self, mask: LaneMask<W>) -> Self {
+    pub fn select_lanes(self, fallback: Self, mask: LaneMask) -> Self {
         Self {
             val: (self.val & mask) | (fallback.val & !mask),
             unk: (self.unk & mask) | (fallback.unk & !mask),
@@ -331,24 +251,23 @@ impl<const W: usize> TritVec<W> {
     /// they differ (or either is `X`) become `X` — the packed form of
     /// [`Trit::resolve`] used for bridged nets.
     #[inline]
-    pub fn resolve_masked(self, other: Self, mask: LaneMask<W>) -> Self {
+    pub fn resolve_masked(self, other: Self, mask: LaneMask) -> Self {
         let conflict = self.diff(other) | self.unk | other.unk;
         self.poison(conflict & mask)
     }
 }
 
 /// The packed majority vote of `values` across every lane — the bit-parallel
-/// form of [`crate::majority`] at any lane width: a value wins a lane when
-/// strictly more than half of the members carry it there; a single member
-/// passes through.
-pub fn majority_word<const W: usize>(values: &[TritVec<W>]) -> TritVec<W> {
+/// form of [`crate::majority`]: a value wins a lane when strictly more than
+/// half of the members carry it there; a single member passes through.
+pub fn majority_word(values: &[TritWord]) -> TritWord {
     match values {
-        [] => TritVec::X,
+        [] => TritWord::X,
         [single] => *single,
         [a, b] => {
             let one = a.val & b.val;
             let zero = a.known_zero() & b.known_zero();
-            TritVec {
+            TritWord {
                 val: one,
                 unk: !(one | zero),
             }
@@ -357,7 +276,7 @@ pub fn majority_word<const W: usize>(values: &[TritVec<W>]) -> TritVec<W> {
             let one = (a.val & b.val) | (a.val & c.val) | (b.val & c.val);
             let (za, zb, zc) = (a.known_zero(), b.known_zero(), c.known_zero());
             let zero = (za & zb) | (za & zc) | (zb & zc);
-            TritVec {
+            TritWord {
                 val: one,
                 unk: !(one | zero),
             }
@@ -366,7 +285,7 @@ pub fn majority_word<const W: usize>(values: &[TritVec<W>]) -> TritVec<W> {
             let n = many.len();
             let ones = count_exceeds_half(many.iter().map(|w| w.val), n);
             let zeros = count_exceeds_half(many.iter().map(|w| w.known_zero()), n);
-            TritVec {
+            TritWord {
                 val: ones,
                 unk: !(ones | zeros),
             }
@@ -376,13 +295,10 @@ pub fn majority_word<const W: usize>(values: &[TritVec<W>]) -> TritVec<W> {
 
 /// Lane mask where the population count of the indicator masks is strictly
 /// greater than `n / 2` (the majority threshold for `n` members).
-fn count_exceeds_half<const W: usize>(
-    indicators: impl Iterator<Item = LaneMask<W>>,
-    n: usize,
-) -> LaneMask<W> {
+fn count_exceeds_half(indicators: impl Iterator<Item = LaneMask>, n: usize) -> LaneMask {
     // Bit-serial carry-save accumulation: `planes[k]` holds bit `k` of the
     // per-lane count.
-    let mut planes: Vec<LaneMask<W>> = Vec::new();
+    let mut planes: Vec<LaneMask> = Vec::new();
     for word in indicators {
         let mut carry = word;
         for plane in planes.iter_mut() {
@@ -413,15 +329,6 @@ fn count_exceeds_half<const W: usize>(
     greater
 }
 
-impl<const W: usize> std::ops::BitXorAssign for LaneMask<W> {
-    #[inline]
-    fn bitxor_assign(&mut self, rhs: Self) {
-        for (a, b) in self.0.iter_mut().zip(rhs.0) {
-            *a ^= b;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,8 +341,10 @@ mod tests {
         let mut word = TritWord::broadcast(Trit::Zero);
         word.set_lane(3, Trit::One);
         word.set_lane(7, Trit::X);
+        word.set_lane(63, Trit::X);
         assert_eq!(word.lane(3), Trit::One);
         assert_eq!(word.lane(7), Trit::X);
+        assert_eq!(word.lane(63), Trit::X);
         assert_eq!(word.lane(0), Trit::Zero);
         assert_eq!(TritWord::broadcast(Trit::X).lane(63), Trit::X);
         assert_eq!(TritWord::broadcast(Trit::One).lane(63), Trit::One);
@@ -446,34 +355,21 @@ mod tests {
     }
 
     #[test]
-    fn wide_lane_round_trip_crosses_word_boundaries() {
-        let mut wide = TritVec::<4>::broadcast(Trit::Zero);
-        for lane in [0usize, 63, 64, 127, 128, 255] {
-            wide.set_lane(lane, Trit::One);
-            assert_eq!(wide.lane(lane), Trit::One, "lane {lane}");
-            wide.set_lane(lane, Trit::X);
-            assert_eq!(wide.lane(lane), Trit::X, "lane {lane}");
-        }
-        assert_eq!(wide.lane(200), Trit::Zero);
-        assert_eq!(TritVec::<4>::broadcast(Trit::X).lane(255), Trit::X);
-    }
-
-    #[test]
     fn lane_mask_first_and_bit_ops() {
-        let first = LaneMask::<4>::first(130);
-        assert_eq!(first.count(), 130);
-        assert!(first.get(129) && !first.get(130));
-        assert_eq!(LaneMask::<4>::first(256), LaneMask::FULL);
-        assert_eq!(LaneMask::<1>::first(64), LaneMask::FULL);
-        assert_eq!(LaneMask::<1>::first(3).0[0], 0b111);
-        let bit = LaneMask::<4>::bit(70);
-        assert!(bit.get(70));
+        assert_eq!(LaneMask::first(0), LaneMask::EMPTY);
+        assert_eq!(LaneMask::first(3).0, 0b111);
+        assert_eq!(LaneMask::first(64), LaneMask::FULL);
+        let first = LaneMask::first(40);
+        assert_eq!(first.count(), 40);
+        assert!(first.get(39) && !first.get(40));
+        let bit = LaneMask::bit(63);
+        assert!(bit.get(63));
         assert_eq!(bit.count(), 1);
         assert!((bit & !bit).is_empty());
         assert!((bit | LaneMask::bit(3)).get(3));
         let mut seen = Vec::new();
         (bit | LaneMask::bit(3)).for_each(|lane| seen.push(lane));
-        assert_eq!(seen, [3, 70]);
+        assert_eq!(seen, [3, 63]);
     }
 
     #[test]
@@ -508,8 +404,7 @@ mod tests {
     }
 
     /// Exhaustive check of the packed majority against the scalar one for
-    /// every member-count up to 4 and every trit combination, at both
-    /// instantiated widths.
+    /// every member-count up to 4 and every trit combination.
     #[test]
     fn majority_word_matches_scalar_majority() {
         for n in 1..=4usize {
@@ -519,9 +414,6 @@ mod tests {
                 let words: Vec<TritWord> = trits.iter().map(|&t| TritWord::broadcast(t)).collect();
                 let packed = majority_word(&words);
                 assert_eq!(packed.lane(17), majority(&trits), "{trits:?}");
-                let wide: Vec<TritVec<4>> = trits.iter().map(|&t| TritVec::broadcast(t)).collect();
-                let packed_wide = majority_word(&wide);
-                assert_eq!(packed_wide.lane(201), majority(&trits), "wide {trits:?}");
                 // Advance the odometer.
                 let mut done = true;
                 for digit in combo.iter_mut() {
@@ -541,21 +433,21 @@ mod tests {
 
     #[test]
     fn majority_votes_lanes_independently() {
-        let mut a = TritVec::<4>::broadcast(Trit::One);
-        let mut b = TritVec::<4>::broadcast(Trit::One);
-        let c = TritVec::<4>::broadcast(Trit::Zero);
-        a.set_lane(69, Trit::Zero);
-        b.set_lane(69, Trit::X);
+        let mut a = TritWord::broadcast(Trit::One);
+        let mut b = TritWord::broadcast(Trit::One);
+        let c = TritWord::broadcast(Trit::Zero);
+        a.set_lane(61, Trit::Zero);
+        b.set_lane(61, Trit::X);
         let voted = majority_word(&[a, b, c]);
         assert_eq!(voted.lane(0), Trit::One, "2-of-3 ones");
-        assert_eq!(voted.lane(69), Trit::Zero, "0, X, 0 votes zero");
+        assert_eq!(voted.lane(61), Trit::Zero, "0, X, 0 votes zero");
     }
 
     #[test]
     fn count_exceeds_half_thresholds() {
         // 5 members, threshold > 2: exactly 3 set indicators fire.
-        let full = LaneMask::<1>::FULL;
-        let empty = LaneMask::<1>::EMPTY;
+        let full = LaneMask::FULL;
+        let empty = LaneMask::EMPTY;
         let set = [full, full, full, empty, empty];
         assert_eq!(count_exceeds_half(set.iter().copied(), 5), full);
         let two = [full, full, empty, empty, empty];

@@ -463,14 +463,10 @@ impl Persist for GoldenRun {
 impl Persist for SimStats {
     fn encode(&self, w: &mut ByteWriter) {
         for value in [
-            self.levels_evaluated,
-            self.levels_skipped,
             self.ops_evaluated,
             self.ops_skipped,
-            self.words_narrow,
-            self.words_wide,
+            self.words,
             self.words_full_eval,
-            self.max_lanes_per_word,
             self.lanes_simulated,
             self.lanes_retired_early,
             self.cone_dedup_hits,
@@ -481,14 +477,10 @@ impl Persist for SimStats {
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(SimStats {
-            levels_evaluated: r.u64()?,
-            levels_skipped: r.u64()?,
             ops_evaluated: r.u64()?,
             ops_skipped: r.u64()?,
-            words_narrow: r.u64()?,
-            words_wide: r.u64()?,
+            words: r.u64()?,
             words_full_eval: r.u64()?,
-            max_lanes_per_word: r.u64()?,
             lanes_simulated: r.u64()?,
             lanes_retired_early: r.u64()?,
             cone_dedup_hits: r.u64()?,
@@ -687,13 +679,18 @@ mod tests {
             ],
             stats: SimStats {
                 ops_evaluated: 7,
+                ops_skipped: 11,
+                words: 1,
+                words_full_eval: 1,
                 lanes_simulated: 2,
-                ..SimStats::default()
+                lanes_retired_early: 3,
+                cone_dedup_hits: 4,
+                cone_grouped: 5,
             },
         };
         round_trip(&result);
-        // Stats round-trip too, even though CampaignResult equality skips
-        // them.
+        // Stats round-trip too, every counter with a distinct value, even
+        // though CampaignResult equality skips them.
         let decoded = CampaignResult::from_bytes(&result.to_bytes()).unwrap();
         assert_eq!(decoded.stats, result.stats);
     }

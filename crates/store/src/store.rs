@@ -39,7 +39,7 @@ use tmr_core::pipeline::CacheKey;
 pub const MAGIC: [u8; 4] = *b"TMRS";
 
 /// On-disk format version; bump on any codec or header change.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Environment variable naming the store root for [`Store::from_env`].
 pub const CACHE_DIR_ENV: &str = "TMR_CACHE_DIR";
@@ -431,7 +431,8 @@ mod tests {
         store.save(key, b"payload");
         let path = root.join("unit").join(format!("{:016x}.bin", 3u64));
         let mut bytes = fs::read(&path).unwrap();
-        bytes[4] = 0xee; // version low byte
+        // An entry written by the previous format reads as a miss.
+        bytes[4..6].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         assert_eq!(store.load(key), None);
         let _ = fs::remove_dir_all(&root);

@@ -113,17 +113,6 @@ impl WordOp {
         !matches!(self, WordOp::Output { .. })
     }
 
-    /// Returns `true` for combinational arithmetic/logic operators (the
-    /// "combinational logic components" of the paper: adders, multipliers,
-    /// voters), i.e. everything except inputs, outputs, constants and
-    /// registers.
-    pub fn is_combinational_component(&self) -> bool {
-        matches!(
-            self,
-            WordOp::Add | WordOp::Sub | WordOp::MulConst { .. } | WordOp::Voter
-        )
-    }
-
     /// Short mnemonic for reports.
     pub fn mnemonic(&self) -> &'static str {
         match self {

@@ -208,17 +208,6 @@ pub fn counter_add(name: &str, delta: u64) {
     *counters.entry(name.to_string()).or_insert(0) += delta;
 }
 
-/// A snapshot of the metrics registry, sorted by counter name.
-pub fn metrics_snapshot() -> Vec<(String, u64)> {
-    globals()
-        .counters
-        .lock()
-        .expect("trace counters poisoned")
-        .iter()
-        .map(|(name, &value)| (name.clone(), value))
-        .collect()
-}
-
 /// Takes every published record (after publishing the calling thread's
 /// buffer) plus the counter registry, leaving both empty. Records come back
 /// sorted by `(task, seq)` — the deterministic merge order.

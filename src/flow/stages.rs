@@ -219,7 +219,6 @@ pub(crate) fn stage_compiled(
         let compiled = CompiledNetlist::compile(netlist)?;
         if tmr_trace::enabled() {
             tmr_trace::attr_current("ops", compiled.op_count());
-            tmr_trace::attr_current("levels", compiled.level_count());
         }
         Ok::<_, Error>(Compiled {
             compiled: Arc::new(compiled),

@@ -1,9 +1,9 @@
 //! Differential harness for the compiled bit-parallel fault simulator.
 //!
 //! The contract under test: the compiled engine (levelized instruction
-//! stream, event-driven dirty-level scheduling, 64- and 256-lane packed
-//! words, cone-deduplicated fault batching, fan-out-cone incremental
-//! re-simulation, full multi-pass mode for bridging faults) produces
+//! stream, 64-lane packed words, cone-deduplicated fault batching,
+//! fan-out-cone incremental re-simulation with per-instruction divergence
+//! skipping, multi-pass mode for bridging faults) produces
 //! **bit-for-bit identical** [`CampaignResult`]s to the interpreting
 //! simulator — the semantics oracle, selected with
 //! `CampaignBuilder::backend(SimBackend::Interpreter)` — for:
@@ -14,10 +14,10 @@
 //!   accumulated upsets per scrub interval),
 //! * 1 / 2 / 8 worker shards,
 //! * batch runs, streaming sessions and the flow facade, and
-//! * arbitrary fault-sample sizes and orderings, including counts that
-//!   cross the 64- and 256-lane word boundaries and random sampling seeds
-//!   that reshuffle which faults share a cone-batched word (property
-//!   tests).
+//! * fixed fault counts on both sides of the one- and two-word
+//!   boundaries, and arbitrary fault-sample sizes and random sampling
+//!   seeds that reshuffle which faults share a cone-batched word
+//!   (property tests).
 //!
 //! Everything here compares whole `CampaignResult` values, so any
 //! divergence in outcome, first-error cycle, classification or simulated
@@ -241,13 +241,28 @@ fn facade_interpreter_campaigns_skip_the_compiled_stage_and_match() {
     );
 }
 
+/// Fixed fault counts on both sides of the one- and two-word boundaries
+/// match the sequential interpreter on every fault model family.
+#[test]
+fn word_boundary_fault_counts_match_the_sequential_interpreter() {
+    let (device, variants) = routed_variants();
+    let (_, routed) = &variants[2]; // tmr_p2
+    for faults in [63usize, 64, 65, 128, 129] {
+        for model in models() {
+            let oracle = run(device, routed, model, faults, 1, SimBackend::Interpreter);
+            let compiled = run(device, routed, model, faults, 1, SimBackend::Compiled);
+            assert_eq!(compiled, oracle, "{faults} faults, {model}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random fault-sample sizes — spanning sub-word counts, counts that
-    /// leave the last packed word partially filled, and counts that cross
-    /// both the 64-lane and the 256-lane word boundaries — match the
-    /// sequential interpreter on every fault model family.
+    /// leave the last packed word partially filled, and counts that span
+    /// up to five 64-lane words — match the sequential interpreter on every
+    /// fault model family.
     #[test]
     fn random_lane_counts_match_the_sequential_interpreter(
         faults in 1usize..=300,
