@@ -6,6 +6,7 @@
 //! model: every programmable resource of a [`crate::Device`] owns exactly one
 //! configuration bit, addressed both linearly and as (frame, offset).
 
+use crate::rows::Rows;
 use crate::{BitGeometry, DeviceParams, Pip, PipId, Site, SiteId, SiteKind};
 use std::collections::BTreeMap;
 
@@ -84,28 +85,34 @@ impl ConfigLayout {
     /// `frame_bits`.
     pub(crate) fn build(params: &DeviceParams, sites: &[Site], pips: &[Pip]) -> Self {
         const UNASSIGNED: u32 = u32::MAX;
-        let mut resources = Vec::new();
-        let mut categories = Vec::new();
+        let site_bits = |site: &Site| match site.kind {
+            SiteKind::Lut => LUT_BITS,
+            SiteKind::Ff => 1,
+            SiteKind::Iob => 0,
+        };
+        let bit_count = pips.len() + sites.iter().map(site_bits).sum::<usize>();
+        let mut resources = Vec::with_capacity(bit_count);
+        let mut categories = Vec::with_capacity(bit_count);
         let mut pip_bit = vec![UNASSIGNED; pips.len()];
         let mut lut_bit_base = vec![UNASSIGNED; sites.len()];
         let mut ff_bit = vec![UNASSIGNED; sites.len()];
 
         // Group resources by tile so the frame address space has the same
         // geographic locality as a real bitstream.
-        let tile_key =
-            |x: u16, y: u16| (usize::from(y) * usize::from(params.cols)) + usize::from(x);
         let tile_count = usize::from(params.cols) * usize::from(params.rows);
-        let mut pips_by_tile: Vec<Vec<usize>> = vec![Vec::new(); tile_count];
-        for (i, pip) in pips.iter().enumerate() {
-            pips_by_tile[tile_key(pip.tile.x, pip.tile.y)].push(i);
-        }
-        let mut sites_by_tile: Vec<Vec<usize>> = vec![Vec::new(); tile_count];
-        for (i, site) in sites.iter().enumerate() {
-            sites_by_tile[tile_key(site.tile.x, site.tile.y)].push(i);
-        }
+        let pips_by_tile = Rows::group(
+            tile_count,
+            pips.iter().map(|pip| params.tile_index(pip.tile)),
+            |i| i as u32,
+        );
+        let sites_by_tile = Rows::group(
+            tile_count,
+            sites.iter().map(|site| params.tile_index(site.tile)),
+            |i| i,
+        );
 
         for tile in 0..tile_count {
-            for &pip_index in &pips_by_tile[tile] {
+            for pip_index in pips_by_tile.row(tile).iter().map(|&i| i as usize) {
                 pip_bit[pip_index] = resources.len() as u32;
                 resources.push(ConfigResource::Pip(PipId::from_index(pip_index)));
                 categories.push(if pips[pip_index].category.is_general_routing() {
@@ -114,7 +121,7 @@ impl ConfigLayout {
                     BitCategory::ClbCustomization
                 });
             }
-            for &site_index in &sites_by_tile[tile] {
+            for &site_index in sites_by_tile.row(tile) {
                 let site_id = SiteId::from_index(site_index);
                 match sites[site_index].kind {
                     SiteKind::Lut => {

@@ -1,8 +1,9 @@
 //! The device model: tile grid, sites, routing graph and presets.
 
 use crate::config::ConfigLayout;
+use crate::rows::Rows;
 use crate::{NodeId, Pip, PipCategory, PipId, RouteNode, Site, SiteId, SiteKind, TileCoord};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Architectural parameters of a device family.
 ///
@@ -84,6 +85,11 @@ impl DeviceParams {
     pub fn ffs_per_tile(&self) -> usize {
         self.slices_per_tile as usize * 2
     }
+
+    /// Raster index of a tile: rows of `cols` tiles, south to north.
+    pub(crate) fn tile_index(&self, tile: TileCoord) -> usize {
+        usize::from(tile.y) * usize::from(self.cols) + usize::from(tile.x)
+    }
 }
 
 /// An island-style SRAM FPGA device: sites, routing graph and configuration
@@ -93,17 +99,30 @@ impl DeviceParams {
 /// builds the adjacency lists used by the router, plus the
 /// [`ConfigLayout`] that assigns one configuration bit to every programmable
 /// resource.
+///
+/// The built graph is immutable and lives behind a reference count, so a
+/// `Device` is a handle: a clone shares the graph rather than copying it (a
+/// paper-sized device holds several hundred MiB). Flows, sweeps and the
+/// campaign service keep and pass clones instead of rebuilding or copying.
 #[derive(Debug, Clone)]
 pub struct Device {
+    graph: Arc<Graph>,
+}
+
+/// The immutable data behind a [`Device`] handle.
+#[derive(Debug)]
+struct Graph {
     params: DeviceParams,
     sites: Vec<Site>,
     nodes: Vec<RouteNode>,
     pips: Vec<Pip>,
-    node_index: HashMap<RouteNode, NodeId>,
-    pips_from: Vec<Vec<PipId>>,
-    pips_to: Vec<Vec<PipId>>,
+    /// Id of each tile's first node, its track-0 wire, in raster order: a
+    /// tile's wires are consecutive nodes.
+    tile_first_node: Vec<u32>,
+    pips_from: Rows<PipId>,
+    pips_to: Rows<PipId>,
     out_pin_of_site: Vec<NodeId>,
-    in_pins_of_site: Vec<Vec<NodeId>>,
+    in_pins_of_site: Rows<NodeId>,
     lut_sites: Vec<SiteId>,
     ff_sites: Vec<SiteId>,
     iob_sites: Vec<SiteId>,
@@ -113,7 +132,9 @@ pub struct Device {
 impl Device {
     /// Builds a device from explicit parameters.
     pub fn new(params: DeviceParams) -> Self {
-        DeviceBuilder::new(params).build()
+        Self {
+            graph: Arc::new(DeviceBuilder::new(params).build()),
+        }
     }
 
     /// Builds the XC2S200E-like device used for the paper's tables.
@@ -128,29 +149,30 @@ impl Device {
 
     /// The parameters this device was built from.
     pub fn params(&self) -> &DeviceParams {
-        &self.params
+        &self.graph.params
     }
 
     /// Number of tile columns.
     pub fn cols(&self) -> u16 {
-        self.params.cols
+        self.graph.params.cols
     }
 
     /// Number of tile rows.
     pub fn rows(&self) -> u16 {
-        self.params.rows
+        self.graph.params.rows
     }
 
     /// Iterates over every tile coordinate of the grid.
     pub fn tiles(&self) -> impl Iterator<Item = TileCoord> + '_ {
-        let cols = self.params.cols;
-        let rows = self.params.rows;
+        let cols = self.cols();
+        let rows = self.rows();
         (0..rows).flat_map(move |y| (0..cols).map(move |x| TileCoord::new(x, y)))
     }
 
     /// All sites of the device.
     pub fn sites(&self) -> impl Iterator<Item = (SiteId, &Site)> {
-        self.sites
+        self.graph
+            .sites
             .iter()
             .enumerate()
             .map(|(i, s)| (SiteId::from_index(i), s))
@@ -162,46 +184,46 @@ impl Device {
     ///
     /// Panics if the id is out of range.
     pub fn site(&self, id: SiteId) -> &Site {
-        &self.sites[id.index()]
+        &self.graph.sites[id.index()]
     }
 
     /// All LUT sites.
     pub fn lut_sites(&self) -> &[SiteId] {
-        &self.lut_sites
+        &self.graph.lut_sites
     }
 
     /// All flip-flop sites.
     pub fn ff_sites(&self) -> &[SiteId] {
-        &self.ff_sites
+        &self.graph.ff_sites
     }
 
     /// All I/O block sites (on the perimeter).
     pub fn iob_sites(&self) -> &[SiteId] {
-        &self.iob_sites
+        &self.graph.iob_sites
     }
 
     /// Sites of a given kind.
     pub fn sites_of_kind(&self, kind: SiteKind) -> &[SiteId] {
         match kind {
-            SiteKind::Lut => &self.lut_sites,
-            SiteKind::Ff => &self.ff_sites,
-            SiteKind::Iob => &self.iob_sites,
+            SiteKind::Lut => self.lut_sites(),
+            SiteKind::Ff => self.ff_sites(),
+            SiteKind::Iob => self.iob_sites(),
         }
     }
 
     /// Number of sites.
     pub fn site_count(&self) -> usize {
-        self.sites.len()
+        self.graph.sites.len()
     }
 
     /// Number of routing-graph nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.graph.nodes.len()
     }
 
     /// Number of PIPs.
     pub fn pip_count(&self) -> usize {
-        self.pips.len()
+        self.graph.pips.len()
     }
 
     /// The routing node with the given id.
@@ -210,12 +232,26 @@ impl Device {
     ///
     /// Panics if the id is out of range.
     pub fn node(&self, id: NodeId) -> RouteNode {
-        self.nodes[id.index()]
+        self.graph.nodes[id.index()]
     }
 
-    /// Looks up the id of a routing node.
+    /// Looks up the id of a routing node; `None` when the device has no such
+    /// node.
     pub fn node_id(&self, node: RouteNode) -> Option<NodeId> {
-        self.node_index.get(&node).copied()
+        let graph = &*self.graph;
+        match node {
+            RouteNode::Wire { tile, track } => {
+                let p = &graph.params;
+                (tile.x < p.cols && tile.y < p.rows && track < p.tracks).then(|| {
+                    let first = graph.tile_first_node[p.tile_index(tile)] as usize;
+                    NodeId::from_index(first + usize::from(track))
+                })
+            }
+            RouteNode::OutPin { site } => graph.out_pin_of_site.get(site.index()).copied(),
+            RouteNode::InPin { site, pin } => (site.index() < self.site_count())
+                .then(|| self.in_pins(site).get(usize::from(pin)).copied())
+                .flatten(),
+        }
     }
 
     /// The PIP with the given id.
@@ -224,27 +260,27 @@ impl Device {
     ///
     /// Panics if the id is out of range.
     pub fn pip(&self, id: PipId) -> Pip {
-        self.pips[id.index()]
+        self.graph.pips[id.index()]
     }
 
-    /// All PIPs leaving `node`.
+    /// All PIPs leaving `node`, in increasing id order.
     pub fn pips_from(&self, node: NodeId) -> &[PipId] {
-        &self.pips_from[node.index()]
+        self.graph.pips_from.row(node.index())
     }
 
-    /// All PIPs arriving at `node`.
+    /// All PIPs arriving at `node`, in increasing id order.
     pub fn pips_to(&self, node: NodeId) -> &[PipId] {
-        &self.pips_to[node.index()]
+        self.graph.pips_to.row(node.index())
     }
 
     /// The output-pin node of a site.
     pub fn out_pin(&self, site: SiteId) -> NodeId {
-        self.out_pin_of_site[site.index()]
+        self.graph.out_pin_of_site[site.index()]
     }
 
     /// The input-pin nodes of a site, indexed by pin.
     pub fn in_pins(&self, site: SiteId) -> &[NodeId] {
-        &self.in_pins_of_site[site.index()]
+        self.graph.in_pins_of_site.row(site.index())
     }
 
     /// The tile a routing node geometrically belongs to (used by the router's
@@ -258,18 +294,24 @@ impl Device {
 
     /// The configuration-memory layout of this device.
     pub fn config_layout(&self) -> &ConfigLayout {
-        &self.layout
+        &self.graph.layout
     }
 }
 
+/// Builds a [`Graph`]. Nodes are created tile by tile and never looked up
+/// by value: a tile's wires follow its first node, and a site's input pins
+/// follow its output pin, so every endpoint id is computed.
 struct DeviceBuilder {
     params: DeviceParams,
     sites: Vec<Site>,
     nodes: Vec<RouteNode>,
     pips: Vec<Pip>,
-    node_index: HashMap<RouteNode, NodeId>,
+    tile_first_node: Vec<u32>,
+    /// Id of each tile's first site, plus the site count: tile `t` owns
+    /// sites `tile_first_site[t]..tile_first_site[t + 1]`.
+    tile_first_site: Vec<u32>,
     out_pin_of_site: Vec<NodeId>,
-    in_pins_of_site: Vec<Vec<NodeId>>,
+    in_pins_of_site: Rows<NodeId>,
     lut_sites: Vec<SiteId>,
     ff_sites: Vec<SiteId>,
     iob_sites: Vec<SiteId>,
@@ -282,49 +324,39 @@ impl DeviceBuilder {
             sites: Vec::new(),
             nodes: Vec::new(),
             pips: Vec::new(),
-            node_index: HashMap::new(),
+            tile_first_node: Vec::new(),
+            tile_first_site: Vec::new(),
             out_pin_of_site: Vec::new(),
-            in_pins_of_site: Vec::new(),
+            in_pins_of_site: Rows::new(),
             lut_sites: Vec::new(),
             ff_sites: Vec::new(),
             iob_sites: Vec::new(),
         }
     }
 
-    fn intern_node(&mut self, node: RouteNode) -> NodeId {
-        if let Some(&id) = self.node_index.get(&node) {
-            return id;
-        }
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(node);
-        self.node_index.insert(node, id);
-        id
-    }
-
-    fn add_site(&mut self, kind: SiteKind, tile: TileCoord, index_in_tile: u8) -> SiteId {
+    fn add_site(&mut self, kind: SiteKind, tile: TileCoord, index_in_tile: u8) {
         let id = SiteId::from_index(self.sites.len());
         self.sites.push(Site {
             kind,
             tile,
             index_in_tile,
         });
-        let out = self.intern_node(RouteNode::OutPin { site: id });
-        self.out_pin_of_site.push(out);
-        let pins = (0..kind.input_pins())
-            .map(|p| {
-                self.intern_node(RouteNode::InPin {
-                    site: id,
-                    pin: p as u8,
-                })
-            })
-            .collect();
-        self.in_pins_of_site.push(pins);
+        self.out_pin_of_site
+            .push(NodeId::from_index(self.nodes.len()));
+        self.nodes.push(RouteNode::OutPin { site: id });
+        let first_pin = self.nodes.len();
+        self.nodes
+            .extend((0..kind.input_pins()).map(|pin| RouteNode::InPin {
+                site: id,
+                pin: pin as u8,
+            }));
+        self.in_pins_of_site
+            .push_row((first_pin..self.nodes.len()).map(NodeId::from_index));
         match kind {
             SiteKind::Lut => self.lut_sites.push(id),
             SiteKind::Ff => self.ff_sites.push(id),
             SiteKind::Iob => self.iob_sites.push(id),
         }
-        id
     }
 
     fn add_pip(&mut self, src: NodeId, dst: NodeId, category: PipCategory, tile: TileCoord) {
@@ -336,20 +368,22 @@ impl DeviceBuilder {
         });
     }
 
-    fn wire(&mut self, tile: TileCoord, track: u16) -> NodeId {
-        self.intern_node(RouteNode::Wire { tile, track })
+    fn wire(&self, tile: TileCoord, track: u16) -> NodeId {
+        let first = self.tile_first_node[self.params.tile_index(tile)] as usize;
+        NodeId::from_index(first + usize::from(track))
     }
 
-    fn build(mut self) -> Device {
+    fn build(mut self) -> Graph {
         let p = self.params;
 
         // 1. Sites and wires, tile by tile.
         for y in 0..p.rows {
             for x in 0..p.cols {
                 let tile = TileCoord::new(x, y);
-                for track in 0..p.tracks {
-                    self.wire(tile, track);
-                }
+                self.tile_first_node.push(self.nodes.len() as u32);
+                self.tile_first_site.push(self.sites.len() as u32);
+                self.nodes
+                    .extend((0..p.tracks).map(|track| RouteNode::Wire { tile, track }));
                 for slice in 0..p.slices_per_tile {
                     for i in 0..2u8 {
                         self.add_site(SiteKind::Lut, tile, slice * 2 + i);
@@ -365,6 +399,7 @@ impl DeviceBuilder {
                 }
             }
         }
+        self.tile_first_site.push(self.sites.len() as u32);
 
         // 2. PIPs. Iterate sites and tiles deterministically so PIP ids (and
         //    therefore configuration-bit addresses) are stable.
@@ -372,6 +407,7 @@ impl DeviceBuilder {
         for site_index in 0..site_count {
             let site = self.sites[site_index];
             let tile = site.tile;
+            let neighbors = tile.neighbors(p.cols, p.rows);
             let tracks = p.tracks as usize;
 
             // Output PIPs: output pin -> a spread of tracks in the same tile.
@@ -386,7 +422,7 @@ impl DeviceBuilder {
 
             // Input-mux PIPs: a small set of tracks -> each input pin.
             for pin in 0..site.kind.input_pins() {
-                let pin_node = self.in_pins_of_site[site_index][pin];
+                let pin_node = self.in_pins_of_site.row(site_index)[pin];
                 let pin_base =
                     (site_index * 5 + pin * 11 + usize::from(tile.x) * 2 + usize::from(tile.y))
                         % tracks;
@@ -399,7 +435,7 @@ impl DeviceBuilder {
                 // One additional candidate from each neighbouring tile (wire
                 // segments spanning into the CLB) — part of the general
                 // routing, and essential for routability.
-                for (n, neighbor) in tile.neighbors(p.cols, p.rows).into_iter().enumerate() {
+                for (n, &neighbor) in neighbors.iter().enumerate() {
                     let track = ((pin_base + n * 7 + 2) % tracks) as u16;
                     let wire = self.wire(neighbor, track);
                     self.add_pip(wire, pin_node, PipCategory::LongInput, tile);
@@ -409,26 +445,24 @@ impl DeviceBuilder {
 
         // Dedicated LUT -> FF connections inside a slice (the "FF mux" of the
         // CLB): LUT `i` of a tile can drive FF `i` of the same tile directly.
-        for y in 0..p.rows {
-            for x in 0..p.cols {
-                let tile = TileCoord::new(x, y);
-                let luts: Vec<SiteId> = self
-                    .lut_sites
-                    .iter()
-                    .copied()
-                    .filter(|s| self.sites[s.index()].tile == tile)
-                    .collect();
-                let ffs: Vec<SiteId> = self
-                    .ff_sites
-                    .iter()
-                    .copied()
-                    .filter(|s| self.sites[s.index()].tile == tile)
-                    .collect();
-                for (lut, ff) in luts.iter().zip(ffs.iter()) {
-                    let src = self.out_pin_of_site[lut.index()];
-                    let dst = self.in_pins_of_site[ff.index()][0];
-                    self.add_pip(src, dst, PipCategory::InputMux, tile);
+        let (mut luts, mut ffs) = (Vec::new(), Vec::new());
+        for (t, tile) in (0..p.rows)
+            .flat_map(|y| (0..p.cols).map(move |x| TileCoord::new(x, y)))
+            .enumerate()
+        {
+            luts.clear();
+            ffs.clear();
+            for s in self.tile_first_site[t] as usize..self.tile_first_site[t + 1] as usize {
+                match self.sites[s].kind {
+                    SiteKind::Lut => luts.push(s),
+                    SiteKind::Ff => ffs.push(s),
+                    SiteKind::Iob => {}
                 }
+            }
+            for (&lut, &ff) in luts.iter().zip(&ffs) {
+                let src = self.out_pin_of_site[lut];
+                let dst = self.in_pins_of_site.row(ff)[0];
+                self.add_pip(src, dst, PipCategory::InputMux, tile);
             }
         }
 
@@ -438,6 +472,7 @@ impl DeviceBuilder {
         for y in 0..p.rows {
             for x in 0..p.cols {
                 let tile = TileCoord::new(x, y);
+                let neighbors = tile.neighbors(p.cols, p.rows);
                 let tracks = p.tracks as usize;
                 for track in 0..p.tracks {
                     let src = self.wire(tile, track);
@@ -448,7 +483,7 @@ impl DeviceBuilder {
                             self.add_pip(src, dst, PipCategory::Switchbox, tile);
                         }
                     }
-                    for neighbor in tile.neighbors(p.cols, p.rows) {
+                    for &neighbor in &neighbors {
                         for &off in neigh_offsets.iter().take(p.sb_neighbor as usize) {
                             let dst_track = ((track as usize + off) % tracks) as u16;
                             let dst = self.wire(neighbor, dst_track);
@@ -460,23 +495,24 @@ impl DeviceBuilder {
         }
 
         // 4. Adjacency lists.
-        let mut pips_from = vec![Vec::new(); self.nodes.len()];
-        let mut pips_to = vec![Vec::new(); self.nodes.len()];
-        for (i, pip) in self.pips.iter().enumerate() {
-            let id = PipId::from_index(i);
-            pips_from[pip.src.index()].push(id);
-            pips_to[pip.dst.index()].push(id);
-        }
+        let node_count = self.nodes.len();
+        let pips = self.pips.iter();
+        let pips_from = Rows::group(
+            node_count,
+            pips.clone().map(|p| p.src.index()),
+            PipId::from_index,
+        );
+        let pips_to = Rows::group(node_count, pips.map(|p| p.dst.index()), PipId::from_index);
 
         // 5. Configuration layout.
         let layout = ConfigLayout::build(&self.params, &self.sites, &self.pips);
 
-        Device {
+        Graph {
             params: self.params,
             sites: self.sites,
             nodes: self.nodes,
             pips: self.pips,
-            node_index: self.node_index,
+            tile_first_node: self.tile_first_node,
             pips_from,
             pips_to,
             out_pin_of_site: self.out_pin_of_site,
@@ -492,7 +528,7 @@ impl DeviceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitCategory;
+    use crate::{BitCategory, ConfigResource};
     use std::collections::HashSet;
 
     #[test]
@@ -601,20 +637,162 @@ mod tests {
         assert_eq!(d.node_tile(d.in_pins(site)[2]), tile);
     }
 
+    /// FNV-1a over explicit little-endian fields, so the digest depends on
+    /// the graph alone (not on `Debug` output or the std hasher).
+    struct Digest(u64);
+
+    impl Digest {
+        fn new() -> Self {
+            Self(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn u32(&mut self, value: u32) {
+            for byte in value.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn tile(&mut self, tile: TileCoord) {
+            self.u32(u32::from(tile.x) << 16 | u32::from(tile.y));
+        }
+    }
+
+    /// Digests of the routing graph (nodes, PIPs, per-node PIP order, site
+    /// pins) and of the configuration layout (resource and category of every
+    /// bit). Equal digests mean equal node ids, PIP ids and bit addresses,
+    /// hence byte-identical bitstreams.
+    fn graph_digests(d: &Device) -> [u64; 5] {
+        let mut nodes = Digest::new();
+        for n in 0..d.node_count() {
+            match d.node(NodeId::from_index(n)) {
+                RouteNode::OutPin { site } => {
+                    nodes.u32(0);
+                    nodes.u32(site.index() as u32);
+                }
+                RouteNode::InPin { site, pin } => {
+                    nodes.u32(1);
+                    nodes.u32(site.index() as u32);
+                    nodes.u32(u32::from(pin));
+                }
+                RouteNode::Wire { tile, track } => {
+                    nodes.u32(2);
+                    nodes.tile(tile);
+                    nodes.u32(u32::from(track));
+                }
+            }
+        }
+        let mut pips = Digest::new();
+        for p in 0..d.pip_count() {
+            let pip = d.pip(PipId::from_index(p));
+            pips.u32(pip.src.index() as u32);
+            pips.u32(pip.dst.index() as u32);
+            pips.u32(pip.category as u32);
+            pips.tile(pip.tile);
+        }
+        let mut adjacency = Digest::new();
+        for n in 0..d.node_count() {
+            let node = NodeId::from_index(n);
+            for list in [d.pips_from(node), d.pips_to(node)] {
+                adjacency.u32(list.len() as u32);
+                for pip in list {
+                    adjacency.u32(pip.index() as u32);
+                }
+            }
+        }
+        let mut pins = Digest::new();
+        for (id, site) in d.sites() {
+            pins.u32(site.kind as u32);
+            pins.tile(site.tile);
+            pins.u32(u32::from(site.index_in_tile));
+            pins.u32(d.out_pin(id).index() as u32);
+            for pin in d.in_pins(id) {
+                pins.u32(pin.index() as u32);
+            }
+        }
+        let mut layout = Digest::new();
+        let config = d.config_layout();
+        for bit in 0..config.bit_count() {
+            match config.resource_at(bit).expect("bit in range") {
+                ConfigResource::LutBit { site, bit } => {
+                    layout.u32(0);
+                    layout.u32(site.index() as u32);
+                    layout.u32(u32::from(bit));
+                }
+                ConfigResource::FfInit { site } => {
+                    layout.u32(1);
+                    layout.u32(site.index() as u32);
+                }
+                ConfigResource::Pip(pip) => {
+                    layout.u32(2);
+                    layout.u32(pip.index() as u32);
+                }
+            }
+            layout.u32(config.category_at(bit) as u32);
+        }
+        [nodes.0, pips.0, adjacency.0, pins.0, layout.0]
+    }
+
+    /// Any change to node ids, PIP ids, per-node PIP order or bit addresses
+    /// breaks these digests, and would change every bitstream.
+    #[test]
+    fn device_graphs_are_pinned() {
+        assert_eq!(
+            graph_digests(&Device::small(24, 24)),
+            [
+                0x1896_a390_8e79_e219,
+                0x0462_ebe2_2efe_a3f8,
+                0x7af7_bbe2_88c5_b921,
+                0x6d28_85ca_37f4_49a1,
+                0x32eb_6d6e_78b1_dcbd,
+            ]
+        );
+        assert_eq!(
+            graph_digests(&Device::xc2s200e_like()),
+            [
+                0xcc68_a330_8d01_0b55,
+                0x12a1_8442_9496_4cde,
+                0x92bc_df50_8e78_bec1,
+                0xee85_a4ce_462b_0ae5,
+                0x5313_9347_1dc6_2489,
+            ]
+        );
+    }
+
     #[test]
     fn node_lookup_round_trips() {
         let d = Device::small(3, 3);
-        let node = RouteNode::Wire {
-            tile: TileCoord::new(1, 1),
-            track: 3,
-        };
-        let id = d.node_id(node).expect("wire exists");
-        assert_eq!(d.node(id), node);
-        assert!(d
-            .node_id(RouteNode::Wire {
+        for n in 0..d.node_count() {
+            let id = NodeId::from_index(n);
+            assert_eq!(d.node_id(d.node(id)), Some(id));
+        }
+        let tracks = d.params().tracks;
+        for node in [
+            RouteNode::Wire {
                 tile: TileCoord::new(1, 1),
-                track: 999
-            })
-            .is_none());
+                track: tracks,
+            },
+            RouteNode::Wire {
+                tile: TileCoord::new(3, 0),
+                track: 0,
+            },
+            RouteNode::OutPin {
+                site: SiteId::from_index(d.site_count()),
+            },
+            RouteNode::InPin {
+                site: d.ff_sites()[0],
+                pin: 1,
+            },
+        ] {
+            assert_eq!(d.node_id(node), None, "{node:?}");
+        }
+    }
+
+    #[test]
+    fn clones_share_the_graph() {
+        let d = Device::small(3, 3);
+        let clone = d.clone();
+        let node = d.out_pin(d.lut_sites()[0]);
+        assert!(std::ptr::eq(d.pips_from(node), clone.pips_from(node)));
+        assert!(std::ptr::eq(d.config_layout(), clone.config_layout()));
     }
 }

@@ -45,6 +45,7 @@ mod device;
 mod geom;
 mod mbu;
 mod node;
+mod rows;
 mod site;
 
 pub use bitstream::Bitstream;

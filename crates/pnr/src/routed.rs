@@ -124,15 +124,12 @@ impl RoutedDesign {
     /// touching a node used by the design, the truth-table bits of every used
     /// LUT and the configuration bit of every used flip-flop. These are the
     /// bits the paper's Fault List Manager extracts from its bitstream
-    /// database, and the columns of Table 2.
+    /// database, and the columns of Table 2. Counts over the cached
+    /// [`RoutedDesign::design_related_bits`].
     pub fn bit_report(&self, device: &Device) -> BitReport {
         let mut report = BitReport::default();
         let layout = device.config_layout();
-        for bit in 0..layout.bit_count() {
-            let resource = layout.resource_at(bit).expect("bit in range");
-            if !self.resource_is_design_related(device, &resource) {
-                continue;
-            }
+        for &bit in self.design_related_bits(device) {
             match layout.category_at(bit) {
                 BitCategory::GeneralRouting => report.routing_bits += 1,
                 BitCategory::ClbCustomization => report.clb_mux_bits += 1,
@@ -428,6 +425,29 @@ mod tests {
             report.routing_fraction()
         );
         assert_eq!(report.lut_bits % 16, 0, "16 bits per used LUT");
+    }
+
+    #[test]
+    fn bit_report_matches_a_per_bit_count() {
+        let device = Device::small(6, 6);
+        let netlist = mapped(&moving_sum(3, 4, 6));
+        let routed = place_and_route(&device, &netlist, 3).unwrap();
+        let layout = device.config_layout();
+        let mut expected = BitReport::default();
+        for bit in 0..layout.bit_count() {
+            let resource = layout.resource_at(bit).unwrap();
+            if routed.resource_is_design_related(&device, &resource) {
+                *match layout.category_at(bit) {
+                    BitCategory::GeneralRouting => &mut expected.routing_bits,
+                    BitCategory::ClbCustomization => &mut expected.clb_mux_bits,
+                    BitCategory::LutContents => &mut expected.lut_bits,
+                    BitCategory::FlipFlop => &mut expected.ff_bits,
+                } += 1;
+            }
+        }
+        assert!(expected.routing_bits > 0 && expected.clb_mux_bits > 0);
+        assert!(expected.lut_bits > 0 && expected.ff_bits > 0);
+        assert_eq!(routed.bit_report(&device), expected);
     }
 
     #[test]

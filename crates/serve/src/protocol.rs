@@ -9,8 +9,9 @@
 //! what `tmr-submit --validate` checks received lines with.
 
 use tmr_core::json::Json;
+use tmr_core::pipeline::ArtifactCache;
 use tmr_core::TmrConfig;
-use tmr_fpga::arch::{Device, MbuPattern};
+use tmr_fpga::arch::{Device, DeviceParams, MbuPattern};
 use tmr_fpga::faultsim::{CampaignBuilder, EarlyStop, FaultModel};
 use tmr_fpga::synth::{Design, MAX_WIDTH};
 
@@ -190,10 +191,11 @@ impl JobSpec {
         Json::object(pairs)
     }
 
-    /// Checks that the design, variant and model fields resolve and that
-    /// the cycle count and device stay within [`MAX_CYCLES`] and
-    /// [`MAX_DEVICE_TILES`]. The size limits are checked before the design
-    /// is built, so an oversized spec is rejected without allocating it.
+    /// Checks that the design, variant and model fields resolve, that the
+    /// cycle count and device stay within [`MAX_CYCLES`] and
+    /// [`MAX_DEVICE_TILES`], and that a pinned device has at least one
+    /// column and one row. The size limits are checked before the design is
+    /// built, so an oversized spec is rejected without allocating it.
     ///
     /// # Errors
     ///
@@ -203,6 +205,9 @@ impl JobSpec {
             return Err(format!("spec.cycles: must be in 1..={MAX_CYCLES}"));
         }
         if let Some((cols, rows)) = self.device {
+            if cols == 0 || rows == 0 {
+                return Err(format!("spec.device: {cols}x{rows} has no tiles"));
+            }
             if u32::from(cols) * u32::from(rows) > MAX_DEVICE_TILES {
                 return Err(format!(
                     "spec.device: {cols}x{rows} exceeds {MAX_DEVICE_TILES} tiles"
@@ -342,9 +347,19 @@ impl JobSpec {
         }
     }
 
-    /// The explicit device, when the spec pins one.
+    /// The parameters of the explicit device, when the spec pins one: the
+    /// [`DeviceParams::small`] architecture at the pinned grid size.
+    pub fn device_params(&self) -> Option<DeviceParams> {
+        self.device
+            .map(|(cols, rows)| DeviceParams::small(cols, rows))
+    }
+
+    /// The explicit device, when the spec pins one, freshly built. A
+    /// [`CampaignService`](crate::CampaignService) instead takes its devices
+    /// from the `device` stage of its shared cache.
     pub fn device_instance(&self) -> Option<Device> {
-        self.device.map(|(cols, rows)| Device::small(cols, rows))
+        self.device_params()
+            .map(|params| crate::service::device(&ArtifactCache::new(), params))
     }
 
     /// Builds the campaign configuration of this spec (batch size included,
@@ -956,6 +971,9 @@ mod tests {
             ("device.cols", r#"{"cols":65537,"rows":8}"#),
             ("device.rows", r#"{"cols":8,"rows":65536}"#),
             ("device:", r#"{"cols":65535,"rows":65535}"#),
+            ("device:", r#"{"cols":0,"rows":8}"#),
+            ("device:", r#"{"cols":8,"rows":0}"#),
+            ("device:", r#"{"cols":0,"rows":0}"#),
         ] {
             let line = format!(r#"{{"design":"counter:4","device":{device}}}"#);
             let error = parse(&line).unwrap_err();

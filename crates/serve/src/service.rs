@@ -15,25 +15,28 @@
 //! A turn rebuilds the job's
 //! [`CampaignSession`](tmr_fpga::faultsim::CampaignSession) from its flow
 //! artifacts (all memoized, so only the first turn pays) and seeds it with
-//! the persisted prefix via `with_prefix`. Because session outcomes are
-//! bit-identical to the matching prefix of an uninterrupted run (the
-//! exact-prefix guarantee), a job interrupted by a crash or shutdown and
-//! resumed in a fresh process produces a **byte-identical**
-//! [`CampaignResult`]. Prefixes live in the store under stage
-//! `campaign.partial`, keyed by the same campaign fingerprint as the final
-//! result; completed results are stored under stage `campaign`, so a
+//! the persisted prefix via `with_prefix`. Devices are artifacts too: the
+//! `device` stage of the service's cache builds each distinct
+//! [`DeviceParams`] once and hands every later turn a shared handle.
+//! Because session outcomes are bit-identical to the matching prefix of an
+//! uninterrupted run (the exact-prefix guarantee), a job interrupted by a
+//! crash or shutdown and resumed in a fresh process produces a
+//! **byte-identical** [`CampaignResult`]. Prefixes live in the store under
+//! stage `campaign.partial`, keyed by the same campaign fingerprint as the
+//! final result; completed results are stored under stage `campaign`, so a
 //! re-submitted job — or a [`Flow::campaign`](tmr_fpga::flow::Flow) call
 //! over the same configuration — is served without a single simulation.
 
 use crate::protocol::{Event, JobSpec, JobStatus, ResultSource};
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use tmr_core::pipeline::{ArtifactCache, CacheKey};
+use tmr_core::pipeline::{fingerprint, ArtifactCache, CacheKey};
 use tmr_fpga::arch::{Device, DeviceParams};
 use tmr_fpga::faultsim::CampaignResult;
-use tmr_fpga::flow::{device_for, Flow, FlowBuilder};
+use tmr_fpga::flow::{device_params_for, Flow, FlowBuilder};
 use tmr_fpga::store::CampaignPrefix;
 use tmr_fpga::Store;
 
@@ -208,10 +211,12 @@ impl CampaignService {
             started_emitted: false,
         });
         let index = state.jobs.len() - 1;
+        // Emitted before the job is queued, so no worker can emit its
+        // `started` or `result` first.
+        self.inner.emit(Event::Accepted { id: id.clone() });
         state.queue.push_back(index);
         drop(state);
         self.inner.wake.notify_one();
-        self.inner.emit(Event::Accepted { id: id.clone() });
         Ok(JobId(id))
     }
 
@@ -404,7 +409,7 @@ fn run_turn(inner: &Inner, index: usize) -> Result<Turn, String> {
     tmr_trace::attr_current("id", id.as_str());
     tmr_trace::attr_current("turn", batches);
 
-    let flow = build_flow(inner, &spec).map_err(|err| err.to_string())?;
+    let flow = build_flow(inner, &spec).map_err(|err| describe(&err))?;
     let campaign = spec.campaign()?;
     let fingerprint = flow.campaign_fingerprint(&campaign);
     let result_key = CacheKey::new("campaign", fingerprint);
@@ -448,10 +453,10 @@ fn run_turn(inner: &Inner, index: usize) -> Result<Turn, String> {
     let resumed = prefix.as_ref().map_or(0, |p| p.outcomes.len());
     emit_started(inner, index, &id, fingerprint, spec.faults, resumed);
 
-    let routed = flow.routed().map_err(|err| err.to_string())?;
+    let routed = flow.routed().map_err(|err| describe(&err))?;
     let mut session = flow
         .campaign_session(&routed, &campaign)
-        .map_err(|err| err.to_string())?;
+        .map_err(|err| describe(&err))?;
     if let Some(prefix) = prefix {
         session = session.with_prefix(prefix.outcomes, prefix.simulated, prefix.stats);
     }
@@ -581,6 +586,33 @@ fn finish(
     });
 }
 
+/// An error's message followed by its `source()` chain, e.g.
+/// `place-and-route failed: design needs 40 LUT sites but the device
+/// provides only 2`.
+fn describe(error: &dyn std::error::Error) -> String {
+    let mut message = error.to_string();
+    let mut source = error.source();
+    while let Some(cause) = source {
+        message.push_str(": ");
+        message.push_str(&cause.to_string());
+        source = cause.source();
+    }
+    message
+}
+
+/// The `device` stage: the device built from `params`, memoized in `cache`
+/// under the parameters' fingerprint. Every device a service turn needs —
+/// a pinned grid, the auto-sizer's probe and the auto-sized device — comes
+/// from here, so each is built once per service; a clone is a handle on the
+/// same graph.
+pub(crate) fn device(cache: &ArtifactCache, params: DeviceParams) -> Device {
+    let key = CacheKey::new("device", fingerprint(&[&params]));
+    match cache.get_or_try_insert(key, || Ok::<_, Infallible>(Device::new(params))) {
+        Ok(device) => Device::clone(&device),
+        Err(never) => match never {},
+    }
+}
+
 /// Builds the job's flow: shared memory cache, shared store, single-shard
 /// batches (fairness comes from turn scheduling, not intra-batch threads).
 /// Auto-sizes the device from the synthesized netlist when the spec pins
@@ -591,21 +623,22 @@ fn build_flow(inner: &Inner, spec: &JobSpec) -> Result<Flow, tmr_fpga::Error> {
         .design_instance()
         .expect("spec validated at submission");
     let tmr = spec.tmr_config().expect("spec validated at submission");
-    let device = match spec.device_instance() {
-        Some(device) => device,
+    let params = match spec.device_params() {
+        Some(params) => params,
         None => {
-            let params = DeviceParams::xc2s200e_like();
+            let base = DeviceParams::xc2s200e_like();
             let probe = configure(
-                FlowBuilder::new(&Device::new(params), &design),
+                FlowBuilder::new(&device(&inner.mem, base), &design),
                 inner,
                 spec,
                 tmr.clone(),
             )
             .build();
             let synthesized = probe.synthesized()?;
-            device_for(params, &[synthesized.netlist()], 0.50)
+            device_params_for(base, &[synthesized.netlist()], 0.50)
         }
     };
+    let device = device(&inner.mem, params);
     Ok(configure(FlowBuilder::new(&device, &design), inner, spec, tmr).build())
 }
 
@@ -623,4 +656,105 @@ fn configure(
         builder = builder.store(store.clone());
     }
     builder
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn counter_job(variant: &str, faults: usize, device: Option<(u16, u16)>) -> JobSpec {
+        let mut spec = JobSpec::new("counter:4");
+        spec.variant = variant.to_string();
+        spec.faults = faults;
+        spec.batch = 32;
+        spec.device = device;
+        spec
+    }
+
+    /// Every turn takes its device from the `device` stage: each distinct
+    /// parameter set misses once, every other lookup hits.
+    #[test]
+    fn each_device_is_built_once_per_service() {
+        let (service, events) = CampaignService::new(ServiceConfig {
+            workers: 1,
+            store: None,
+        });
+        let pinned = [
+            service.submit(None, counter_job("p2", 96, Some((8, 8)))),
+            service.submit(None, counter_job("p3", 96, Some((8, 8)))),
+        ];
+        let auto = service.submit(None, counter_job("standard", 64, None));
+        service.wait_idle();
+        let results = events
+            .try_iter()
+            .filter(|event| matches!(event, Event::Result { .. }))
+            .count();
+        assert_eq!(results, 3, "every job finishes");
+
+        let turns = |id: &Result<JobId, String>| {
+            let id = &id.as_ref().unwrap().0;
+            let status = service.status().into_iter().find(|job| &job.id == id);
+            status.unwrap().batches as u64
+        };
+        assert!(pinned.iter().all(|id| turns(id) == 3), "multi-turn jobs");
+        // A pinned turn looks one device up; an auto-sized turn two: the
+        // probe, then the sized device.
+        let lookups = pinned.iter().map(turns).sum::<u64>() + 2 * turns(&auto);
+        let stats = service.inner.mem.stage_stats();
+        let (_, device) = stats.iter().find(|(stage, _)| *stage == "device").unwrap();
+        assert!(device.entries >= 2, "the 8x8 grid and the probe");
+        assert_eq!(device.misses, device.entries as u64);
+        assert_eq!(device.hits + device.misses, lookups);
+        service.shutdown();
+    }
+
+    /// A job's `accepted` event precedes everything a worker emits for it,
+    /// even when an idle worker answers the job from memory at once.
+    #[test]
+    fn accepted_is_each_jobs_first_event() {
+        let (service, events) = CampaignService::new(ServiceConfig {
+            workers: 2,
+            store: None,
+        });
+        for _ in 0..32 {
+            service
+                .submit(None, counter_job("p2", 32, Some((8, 8))))
+                .unwrap();
+            service.wait_idle();
+        }
+        let mut seen = std::collections::HashSet::new();
+        for event in events.try_iter() {
+            let id = event.job_id().unwrap().to_string();
+            if seen.insert(id) {
+                assert!(matches!(event, Event::Accepted { .. }), "{event:?}");
+            }
+        }
+        assert_eq!(seen.len(), 32);
+        service.shutdown();
+    }
+
+    #[test]
+    fn job_errors_name_their_cause() {
+        let (service, events) = CampaignService::new(ServiceConfig {
+            workers: 1,
+            store: None,
+        });
+        service
+            .submit(None, counter_job("p2", 32, Some((1, 1))))
+            .unwrap();
+        service.wait_idle();
+        let message = events
+            .try_iter()
+            .find_map(|event| match event {
+                Event::Error { message, .. } => Some(message),
+                _ => None,
+            })
+            .expect("the job fails");
+        assert!(
+            message.starts_with("place-and-route failed: design needs ")
+                && message.contains(" sites but the device provides only "),
+            "{message}"
+        );
+        service.shutdown();
+    }
 }

@@ -42,7 +42,9 @@ pub struct FlowBuilder {
 }
 
 impl FlowBuilder {
-    /// Starts a flow of `design` onto `device` (both captured by clone).
+    /// Starts a flow of `design` onto `device`. The design is cloned; the
+    /// device clone is a handle sharing the same immutable graph, so no
+    /// device data is copied.
     pub fn new(device: &Device, design: &Design) -> Self {
         Self {
             device: device.clone(),
@@ -102,7 +104,7 @@ impl FlowBuilder {
         let device_fp = fingerprint(&[self.device.params()]);
         let disk = self.store.or_else(Store::from_env);
         Flow {
-            device: Arc::new(self.device),
+            device: self.device,
             design: self.design,
             tmr: self.tmr,
             seed: self.seed,
@@ -123,7 +125,7 @@ impl FlowBuilder {
 /// with identical inputs — return the same `Arc` without recomputing.
 #[derive(Debug, Clone)]
 pub struct Flow {
-    device: Arc<Device>,
+    device: Device,
     design: Design,
     tmr: Option<TmrConfig>,
     seed: u64,

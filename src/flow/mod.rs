@@ -39,4 +39,4 @@ mod sweep;
 
 pub use builder::{Flow, FlowBuilder};
 pub use stages::{Analyzed, Compiled, Placed, Routed, Synthesized};
-pub use sweep::{device_for, RouteStats, Sweep, SweepReport, VariantReport};
+pub use sweep::{device_for, device_params_for, RouteStats, Sweep, SweepReport, VariantReport};

@@ -14,11 +14,18 @@ use tmr_pnr::BitReport;
 use tmr_store::{DiskStats, PersistentCache, Store};
 use tmr_synth::Design;
 
-/// Chooses an evaluation device for a set of netlists: the given
-/// architecture parameters if every netlist fits below `max_utilisation`
-/// LUT/FF utilisation (and has enough IOBs), otherwise the same architecture
-/// scaled up, four columns and rows at a time, to the smallest grid that
-/// does.
+/// Chooses an evaluation device for a set of netlists and builds it: the
+/// device of [`device_params_for`].
+pub fn device_for(params: DeviceParams, netlists: &[&Netlist], max_utilisation: f64) -> Device {
+    Device::new(device_params_for(params, netlists, max_utilisation))
+}
+
+/// Sizes an evaluation device for a set of netlists without building it:
+/// the given architecture parameters if every netlist fits below
+/// `max_utilisation` LUT/FF utilisation (and has enough IOBs), otherwise the
+/// same architecture scaled up, four columns and rows at a time, to the
+/// smallest grid that does. Callers that keep built devices by their
+/// parameters look the device up under the result before building it.
 ///
 /// Grid *capacity* alone does not make a device usable: the channel width,
 /// pin candidates and switch-box connectivity of the preset must also cover
@@ -29,7 +36,11 @@ use tmr_synth::Design;
 /// utilised tile, the widest net fanout — and raises any preset value below
 /// its floor. Presets already above the floors (all named `DeviceParams`
 /// constructors) are returned bit-identical.
-pub fn device_for(mut params: DeviceParams, netlists: &[&Netlist], max_utilisation: f64) -> Device {
+pub fn device_params_for(
+    mut params: DeviceParams,
+    netlists: &[&Netlist],
+    max_utilisation: f64,
+) -> DeviceParams {
     let max_luts = netlists
         .iter()
         .map(|n| {
@@ -86,14 +97,14 @@ pub fn device_for(mut params: DeviceParams, netlists: &[&Netlist], max_utilisati
         params.cols += 4;
         params.rows += 4;
     }
-    Device::new(params)
+    params
 }
 
 /// The device-selection policy of a [`Sweep`].
 #[derive(Debug, Clone)]
 enum SweepDevice {
     /// Implement every variant on this device.
-    Fixed(Box<Device>),
+    Fixed(Device),
     /// Scale this architecture up until every variant fits below the given
     /// utilisation (see [`device_for`]).
     Auto {
@@ -175,7 +186,7 @@ impl Sweep {
     /// Implements every variant on this fixed device instead of auto-sizing.
     #[must_use]
     pub fn on_device(mut self, device: &Device) -> Self {
-        self.device = SweepDevice::Fixed(Box::new(device.clone()));
+        self.device = SweepDevice::Fixed(device.clone());
         self
     }
 
@@ -261,7 +272,7 @@ impl Sweep {
         }
 
         let device = match &self.device {
-            SweepDevice::Fixed(device) => (**device).clone(),
+            SweepDevice::Fixed(device) => device.clone(),
             SweepDevice::Auto {
                 params,
                 max_utilisation,

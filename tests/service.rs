@@ -1,14 +1,16 @@
 //! Campaign service integration: jobs run to completion and match the
-//! library flow, interrupted jobs resume **byte-identically** under every
-//! fault model, identical re-submissions are served from the store with
-//! zero simulations, and two jobs interleave over the worker pool.
+//! library flow (on a pinned or an auto-sized device), interrupted jobs
+//! resume **byte-identically** under every fault model, identical
+//! re-submissions are served from the store with zero simulations, and two
+//! jobs interleave over one worker.
 
 use std::path::PathBuf;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tmr_fpga::arch::{Device, DeviceParams};
 use tmr_fpga::faultsim::CampaignResult;
-use tmr_fpga::flow::FlowBuilder;
+use tmr_fpga::flow::{device_for, FlowBuilder};
 use tmr_fpga::store::Persist;
 use tmr_fpga::tmr::pipeline::CacheKey;
 use tmr_fpga::Store;
@@ -248,47 +250,106 @@ fn identical_resubmission_is_served_without_simulation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Two concurrent jobs over two workers make interleaved progress: each
-/// reports at least one batch before the other finishes.
-#[test]
-fn concurrent_jobs_interleave_their_progress() {
+/// Two concurrent jobs over `workers` workers: the progress events in
+/// arrival order, and which jobs finished.
+fn run_two_jobs(workers: usize) -> (Vec<String>, Vec<String>) {
     let mut left = spec("single");
     left.variant = "p2".to_string();
     let mut right = spec("single");
     right.variant = "p3".to_string();
 
     let (service, events) = CampaignService::new(ServiceConfig {
-        workers: 2,
+        workers,
         store: None,
     });
     service.submit(Some("left".to_string()), left).unwrap();
     service.submit(Some("right".to_string()), right).unwrap();
 
     let mut order = Vec::new();
-    let mut results = 0;
-    while results < 2 {
+    let mut finished = Vec::new();
+    while finished.len() < 2 {
         match recv(&events) {
             Event::Progress { id, .. } => order.push(id),
-            Event::Result { .. } => results += 1,
+            Event::Result { id, .. } => finished.push(id),
             Event::Error { message, .. } => panic!("job failed: {message}"),
             _ => {}
         }
     }
-    let first_left = order.iter().position(|id| id == "left");
-    let first_right = order.iter().position(|id| id == "right");
-    let last_left = order.iter().rposition(|id| id == "left");
-    let last_right = order.iter().rposition(|id| id == "right");
-    let (first_left, first_right, last_left, last_right) = (
-        first_left.expect("left reports progress"),
-        first_right.expect("right reports progress"),
-        last_left.unwrap(),
-        last_right.unwrap(),
-    );
-    assert!(
-        first_left < last_right && first_right < last_left,
-        "progress interleaves: {order:?}"
-    );
     service.shutdown();
+    finished.sort();
+    (order, finished)
+}
+
+/// On one worker the FIFO run queue alternates the turns of two concurrent
+/// jobs, so each reports a batch before the other finishes. On two workers
+/// the order is the scheduler's to pick (one job may run all its turns
+/// first); both still report every batch and finish.
+#[test]
+fn concurrent_jobs_interleave_their_progress() {
+    let batches = spec("single").faults / spec("single").batch;
+    for workers in [1, 2] {
+        let (order, finished) = run_two_jobs(workers);
+        assert_eq!(finished, ["left", "right"], "{workers} workers");
+        for id in ["left", "right"] {
+            // The last batch finishes the job instead of reporting progress.
+            let reported = order.iter().filter(|event| *event == id).count();
+            assert_eq!(
+                reported,
+                batches - 1,
+                "{id} on {workers} workers: {order:?}"
+            );
+        }
+        if workers == 1 {
+            let first = |id| order.iter().position(|event| event == id).unwrap();
+            let last = |id| order.iter().rposition(|event| event == id).unwrap();
+            assert!(
+                first("left") < last("right") && first("right") < last("left"),
+                "progress interleaves: {order:?}"
+            );
+        }
+    }
+}
+
+/// A job without a pinned device runs on the device the library's
+/// auto-sizer picks: `device_for` over the XC2S200E-like preset at 50 %
+/// utilisation, sized from the job's synthesized netlist.
+#[test]
+fn auto_sized_jobs_match_the_library_flow() {
+    let dir = temp_dir("auto");
+    let mut spec = spec("single");
+    spec.device = None;
+    spec.faults = 64;
+    let store = Arc::new(Store::open(&dir).unwrap());
+    let (service, events) = CampaignService::new(ServiceConfig {
+        workers: 1,
+        store: Some(store.clone()),
+    });
+    service
+        .submit(Some("auto".to_string()), spec.clone())
+        .unwrap();
+    let (fingerprint, _, _) = drain_job(&events, "auto");
+    service.shutdown();
+    let served: CampaignResult = store
+        .load_as(CacheKey::new("campaign", fingerprint))
+        .expect("the finished campaign is stored");
+
+    let design = spec.design_instance().unwrap();
+    let tmr = spec.tmr_config().unwrap().unwrap();
+    let flow_on = |device: &Device| {
+        FlowBuilder::new(device, &design)
+            .seed(spec.seed)
+            .shards(1)
+            .tmr(tmr.clone())
+            .build()
+    };
+    let base = DeviceParams::xc2s200e_like();
+    let synthesized = flow_on(&Device::new(base)).synthesized().unwrap();
+    let device = device_for(base, &[synthesized.netlist()], 0.50);
+    let expected = flow_on(&device)
+        .campaign(&spec.campaign().unwrap())
+        .unwrap();
+    assert_eq!(served.to_bytes(), expected.to_bytes());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 mod interruption_points {
