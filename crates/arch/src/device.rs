@@ -2,7 +2,9 @@
 
 use crate::config::ConfigLayout;
 use crate::rows::Rows;
-use crate::{NodeId, Pip, PipCategory, PipId, RouteNode, Site, SiteId, SiteKind, TileCoord};
+use crate::{
+    Fanout, NodeId, Pip, PipCategory, PipId, RouteNode, Site, SiteId, SiteKind, TileCoord,
+};
 use std::sync::Arc;
 
 /// Architectural parameters of a device family.
@@ -96,9 +98,9 @@ impl DeviceParams {
 /// layout.
 ///
 /// Construction enumerates every site, routing node and PIP of the device and
-/// builds the adjacency lists used by the router, plus the
-/// [`ConfigLayout`] that assigns one configuration bit to every programmable
-/// resource.
+/// builds the forward adjacency ([`fanout`](Self::fanout)) the router walks,
+/// plus the [`ConfigLayout`] that assigns one configuration bit to every
+/// programmable resource.
 ///
 /// The built graph is immutable and lives behind a reference count, so a
 /// `Device` is a handle: a clone shares the graph rather than copying it (a
@@ -119,8 +121,9 @@ struct Graph {
     /// Id of each tile's first node, its track-0 wire, in raster order: a
     /// tile's wires are consecutive nodes.
     tile_first_node: Vec<u32>,
-    pips_from: Rows<PipId>,
-    pips_to: Rows<PipId>,
+    /// Forward adjacency: each node's outgoing PIPs with the nodes they
+    /// drive, in increasing PIP id order.
+    fanout: Rows<Fanout>,
     out_pin_of_site: Vec<NodeId>,
     in_pins_of_site: Rows<NodeId>,
     lut_sites: Vec<SiteId>,
@@ -263,14 +266,11 @@ impl Device {
         self.graph.pips[id.index()]
     }
 
-    /// All PIPs leaving `node`, in increasing id order.
-    pub fn pips_from(&self, node: NodeId) -> &[PipId] {
-        self.graph.pips_from.row(node.index())
-    }
-
-    /// All PIPs arriving at `node`, in increasing id order.
-    pub fn pips_to(&self, node: NodeId) -> &[PipId] {
-        self.graph.pips_to.row(node.index())
+    /// The PIPs leaving `node`, each with the node it drives, in increasing
+    /// PIP id order: one contiguous row of the routing graph's forward
+    /// adjacency.
+    pub fn fanout(&self, node: NodeId) -> &[Fanout] {
+        self.graph.fanout.row(node.index())
     }
 
     /// The output-pin node of a site.
@@ -494,15 +494,14 @@ impl DeviceBuilder {
             }
         }
 
-        // 4. Adjacency lists.
-        let node_count = self.nodes.len();
-        let pips = self.pips.iter();
-        let pips_from = Rows::group(
-            node_count,
-            pips.clone().map(|p| p.src.index()),
-            PipId::from_index,
-        );
-        let pips_to = Rows::group(node_count, pips.map(|p| p.dst.index()), PipId::from_index);
+        // 4. Forward adjacency.
+        let pips = &self.pips;
+        let fanout = Rows::group(self.nodes.len(), pips.iter().map(|p| p.src.index()), |i| {
+            Fanout {
+                dst: pips[i].dst,
+                pip: PipId::from_index(i),
+            }
+        });
 
         // 5. Configuration layout.
         let layout = ConfigLayout::build(&self.params, &self.sites, &self.pips);
@@ -513,8 +512,7 @@ impl DeviceBuilder {
             nodes: self.nodes,
             pips: self.pips,
             tile_first_node: self.tile_first_node,
-            pips_from,
-            pips_to,
+            fanout,
             out_pin_of_site: self.out_pin_of_site,
             in_pins_of_site: self.in_pins_of_site,
             lut_sites: self.lut_sites,
@@ -555,37 +553,42 @@ mod tests {
 
     #[test]
     fn adjacency_lists_are_consistent() {
+        // Every entry of a node's row is a PIP leaving that node, rows are in
+        // increasing PIP id order, and the rows hold every PIP: so each PIP
+        // appears exactly once, in the row of its source.
         let d = Device::small(3, 3);
-        let mut from_count = 0;
-        let mut to_count = 0;
+        let mut count = 0;
         for n in 0..d.node_count() {
             let id = NodeId::from_index(n);
-            from_count += d.pips_from(id).len();
-            to_count += d.pips_to(id).len();
-            for &pip in d.pips_from(id) {
-                assert_eq!(d.pip(pip).src, id);
+            let row = d.fanout(id);
+            count += row.len();
+            for entry in row {
+                let pip = d.pip(entry.pip);
+                assert_eq!((pip.src, pip.dst), (id, entry.dst));
             }
-            for &pip in d.pips_to(id) {
-                assert_eq!(d.pip(pip).dst, id);
-            }
+            assert!(row.windows(2).all(|pair| pair[0].pip < pair[1].pip));
         }
-        assert_eq!(from_count, d.pip_count());
-        assert_eq!(to_count, d.pip_count());
+        assert_eq!(count, d.pip_count());
     }
 
     #[test]
     fn every_input_pin_is_reachable_from_some_wire() {
         let d = Device::small(3, 3);
+        let wire_driven: HashSet<NodeId> = (0..d.pip_count())
+            .map(|p| d.pip(PipId::from_index(p)))
+            .filter(|pip| d.node(pip.src).is_wire())
+            .map(|pip| pip.dst)
+            .collect();
         for (id, site) in d.sites() {
             for pin in 0..site.kind.input_pins() {
                 let node = d.in_pins(id)[pin];
                 assert!(
-                    !d.pips_to(node).is_empty(),
+                    wire_driven.contains(&node),
                     "input pin {pin} of site {site} has no input-mux PIPs"
                 );
             }
             assert!(
-                !d.pips_from(d.out_pin(id)).is_empty(),
+                !d.fanout(d.out_pin(id)).is_empty(),
                 "output pin of {site} drives no wires"
             );
         }
@@ -596,9 +599,9 @@ mod tests {
         let d = Device::small(3, 3);
         let site = d.lut_sites()[0];
         let tracks: HashSet<_> = d
-            .pips_from(d.out_pin(site))
+            .fanout(d.out_pin(site))
             .iter()
-            .map(|&p| d.pip(p).dst)
+            .map(|entry| entry.dst)
             .filter(|&n| d.node(n).is_wire())
             .collect();
         assert_eq!(tracks.len(), d.params().out_pin_candidates as usize);
@@ -689,14 +692,22 @@ mod tests {
             pips.u32(pip.category as u32);
             pips.tile(pip.tile);
         }
+        // Each node's outgoing then incoming PIP ids, both in increasing id
+        // order; the incoming lists are gathered from the PIPs in id order.
+        let mut incoming = vec![Vec::new(); d.node_count()];
+        for p in 0..d.pip_count() {
+            incoming[d.pip(PipId::from_index(p)).dst.index()].push(p as u32);
+        }
         let mut adjacency = Digest::new();
-        for n in 0..d.node_count() {
-            let node = NodeId::from_index(n);
-            for list in [d.pips_from(node), d.pips_to(node)] {
-                adjacency.u32(list.len() as u32);
-                for pip in list {
-                    adjacency.u32(pip.index() as u32);
-                }
+        for (n, incoming) in incoming.iter().enumerate() {
+            let outgoing = d.fanout(NodeId::from_index(n));
+            adjacency.u32(outgoing.len() as u32);
+            for entry in outgoing {
+                adjacency.u32(entry.pip.index() as u32);
+            }
+            adjacency.u32(incoming.len() as u32);
+            for &pip in incoming {
+                adjacency.u32(pip);
             }
         }
         let mut pins = Digest::new();
@@ -792,7 +803,7 @@ mod tests {
         let d = Device::small(3, 3);
         let clone = d.clone();
         let node = d.out_pin(d.lut_sites()[0]);
-        assert!(std::ptr::eq(d.pips_from(node), clone.pips_from(node)));
+        assert!(std::ptr::eq(d.fanout(node), clone.fanout(node)));
         assert!(std::ptr::eq(d.config_layout(), clone.config_layout()));
     }
 }

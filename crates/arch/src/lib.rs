@@ -53,5 +53,5 @@ pub use config::{BitAddr, BitCategory, ConfigLayout, ConfigResource};
 pub use device::{Device, DeviceParams};
 pub use geom::TileCoord;
 pub use mbu::{BitGeometry, MbuPattern};
-pub use node::{NodeId, Pip, PipCategory, PipId, RouteNode};
+pub use node::{Fanout, NodeId, Pip, PipCategory, PipId, RouteNode};
 pub use site::{Site, SiteId, SiteKind, LUT_INPUTS};

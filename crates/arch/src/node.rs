@@ -143,6 +143,18 @@ pub struct Pip {
     pub tile: TileCoord,
 }
 
+/// One entry of a node's forward adjacency ([`Device::fanout`]): a PIP
+/// leaving the node and the node it drives.
+///
+/// [`Device::fanout`]: crate::Device::fanout
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fanout {
+    /// Driven node (the PIP's `dst`).
+    pub dst: NodeId,
+    /// The PIP.
+    pub pip: PipId,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

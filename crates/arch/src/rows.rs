@@ -1,7 +1,7 @@
 //! Variable-length rows in one flat array.
 
 /// Variable-length rows stored in one flat array: row `i` is
-/// `items[start[i]..start[i + 1]]`. The device keeps its per-node PIP lists
+/// `items[start[i]..start[i + 1]]`. The device keeps its per-node fanout
 /// and per-site pin lists this way: one allocation each, not one per row.
 #[derive(Debug)]
 pub(crate) struct Rows<T> {
@@ -20,7 +20,7 @@ impl<T: Copy> Rows<T> {
 
     /// Groups the indices of `keys` into `row_count` rows by key (a counting
     /// sort): row `r` holds `item(i)` for every `i` with `keys[i] == r`, in
-    /// increasing `i`.
+    /// increasing `i`. `item` is called only with indices of `keys`.
     pub(crate) fn group<K>(row_count: usize, keys: K, item: impl Fn(usize) -> T) -> Self
     where
         K: Iterator<Item = usize> + Clone,
@@ -33,7 +33,10 @@ impl<T: Copy> Rows<T> {
             start[row + 1] += start[row];
         }
         let mut next = start[..row_count].to_vec();
-        let mut items = vec![item(0); start[row_count] as usize];
+        let mut items = match start[row_count] {
+            0 => Vec::new(),
+            len => vec![item(0); len as usize],
+        };
         for (i, key) in keys.enumerate() {
             items[next[key] as usize] = item(i);
             next[key] += 1;
@@ -67,5 +70,8 @@ mod tests {
         assert_eq!(rows.row(0), [10, 40]);
         assert_eq!(rows.row(1), [] as [usize; 0]);
         assert_eq!(rows.row(2), [0, 20, 30]);
+        // No keys: `item` is never called.
+        let empty = Rows::group(2, std::iter::empty(), |i| [7][i]);
+        assert_eq!(empty.row(1), [] as [i32; 0]);
     }
 }

@@ -56,6 +56,7 @@
 mod error;
 mod lookahead;
 mod place;
+mod queue;
 mod route;
 mod routed;
 

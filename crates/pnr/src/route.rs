@@ -7,8 +7,11 @@
 //!   [`Lookahead`](crate::Lookahead) table and confined to the net's
 //!   bounding box (plus [`RouterOptions::bbox_margin`] tiles of slack); a
 //!   sink that cannot be reached inside the box deterministically retries
-//!   unconfined. All search state lives in generation-stamped scratch
-//!   arrays indexed by node id, so routing a net allocates nothing.
+//!   unconfined. Expansions walk the device's own fanout rows
+//!   ([`Device::fanout`]); the open list is a 4-ary heap over packed keys
+//!   that the partial tree seeds with one heapify. All search state lives
+//!   in generation-stamped scratch arrays indexed by node id, so routing a
+//!   net allocates nothing.
 //! * **Net-by-net negotiation.** Each PathFinder iteration walks the nets
 //!   in order. A net whose tree is missing or touches an overused node is
 //!   ripped up, rerouted against the live occupancy and committed by the
@@ -19,10 +22,10 @@
 //!   plus an accumulated history cost on every overused node.
 
 use crate::lookahead::Lookahead;
+use crate::queue::OpenList;
 use crate::routed::RouteTree;
 use crate::{Placement, PnrError};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 use tmr_arch::{Device, NodeId, PipId, RouteNode};
 use tmr_netlist::{NetDriver, NetId, NetSink, Netlist};
@@ -65,34 +68,6 @@ impl Default for RouterOptions {
             astar_weight: 2.25,
             bbox_margin: 3,
         }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct QueueEntry {
-    estimate: f32,
-    cost: f32,
-    node: NodeId,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.estimate == other.estimate
-    }
-}
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we need the smallest estimate.
-        other
-            .estimate
-            .total_cmp(&self.estimate)
-            .then_with(|| other.node.index().cmp(&self.node.index()))
     }
 }
 
@@ -252,22 +227,9 @@ struct RouteContext<'a> {
     device: &'a Device,
     netlist: &'a Netlist,
     lookahead: &'a Lookahead,
-    /// CSR-flattened routing graph: node `i`'s outgoing PIPs live at
-    /// `adj_start[i]..adj_start[i + 1]` in `edges`. One contiguous scan per
-    /// expansion instead of two indirect struct loads per neighbour.
-    adj_start: Vec<u32>,
-    edges: Vec<Edge>,
     cols: u16,
     rows: u16,
     bbox_margin: u16,
-}
-
-/// One CSR adjacency entry: destination node and the PIP that reaches it,
-/// interleaved so a neighbour scan touches one cache line stream.
-#[derive(Debug, Clone, Copy)]
-struct Edge {
-    dst: u32,
-    pip: u32,
 }
 
 /// Everything the expansion loop needs to price and locate one node, packed
@@ -303,7 +265,7 @@ struct RouterScratch {
     /// Tree-membership stamps: `in_tree[i] == tree_generation` iff node `i`
     /// is part of the net currently being routed.
     in_tree: Vec<u32>,
-    queue: BinaryHeap<QueueEntry>,
+    queue: OpenList,
     current_generation: u32,
     tree_generation: u32,
     nodes_expanded: u64,
@@ -321,7 +283,7 @@ impl RouterScratch {
                 node_count
             ],
             in_tree: vec![0; node_count],
-            queue: BinaryHeap::new(),
+            queue: OpenList::default(),
             current_generation: 0,
             tree_generation: 0,
             nodes_expanded: 0,
@@ -340,8 +302,6 @@ fn route_inner(
     let lookahead = Lookahead::for_device(device);
     let mut base = vec![0f32; node_count];
     let mut states = Vec::with_capacity(node_count);
-    let mut adj_start = Vec::with_capacity(node_count + 1);
-    let mut edges = Vec::with_capacity(device.pip_count());
     for (index, base_slot) in base.iter_mut().enumerate() {
         let id = NodeId::from_index(index);
         let tile = device.node_tile(id);
@@ -354,21 +314,11 @@ fn route_inner(
             tile_x: tile.x,
             tile_y: tile.y,
         });
-        adj_start.push(edges.len() as u32);
-        for &pip_id in device.pips_from(id) {
-            edges.push(Edge {
-                dst: device.pip(pip_id).dst.index() as u32,
-                pip: pip_id.index() as u32,
-            });
-        }
     }
-    adj_start.push(edges.len() as u32);
     let ctx = RouteContext {
         device,
         netlist,
         lookahead: &lookahead,
-        adj_start,
-        edges,
         cols: device.cols(),
         rows: device.rows(),
         bbox_margin: options.bbox_margin,
@@ -391,6 +341,7 @@ fn route_inner(
     // boxes.
     let mut rip_counts: Vec<u16> = vec![0; nets.len()];
     let mut present_factor = options.present_factor;
+    let mut overused = 0;
 
     for iteration in 1..=options.max_iterations {
         let iter_start = Instant::now();
@@ -438,7 +389,7 @@ fn route_inner(
             pending = next.filter(|&index| needs_reroute(trees[index].as_ref(), &states));
         }
 
-        let overused: usize = states.iter().filter(|s| s.occupancy > 1).count();
+        overused = states.iter().filter(|s| s.occupancy > 1).count();
         let nodes_expanded = std::mem::take(&mut scratch.nodes_expanded);
         telemetry.iterations.push(RouteIteration {
             iteration,
@@ -471,10 +422,7 @@ fn route_inner(
                 .collect());
         }
         if iteration == options.max_iterations {
-            return Err(PnrError::Unroutable {
-                overused_nodes: overused,
-                iterations: iteration,
-            });
+            break;
         }
         for node in 0..node_count {
             let occ = states[node].occupancy;
@@ -486,7 +434,11 @@ fn route_inner(
         present_factor =
             (present_factor * options.present_factor_growth).min(options.present_factor_max);
     }
-    unreachable!("the loop either returns success or exhausts its iterations");
+    // The budget is spent (a zero budget routes nothing).
+    Err(PnrError::Unroutable {
+        overused_nodes: overused,
+        iterations: options.max_iterations,
+    })
 }
 
 /// Whether a net must be (re)routed: it has no tree yet, or its tree
@@ -732,8 +684,10 @@ fn route_net(
         let reached = loop {
             scratch.current_generation += 1;
             let generation_id = scratch.current_generation;
+            // Seed the search with every in-bounds tree node: distinct nodes,
+            // so distinct keys, and one heapify pops them in the same order
+            // as pushing them one by one.
             scratch.queue.clear();
-
             for &node in &tree.nodes {
                 let index = node.index();
                 let state = states[index];
@@ -747,12 +701,10 @@ fn route_net(
                 };
                 let distance = u32::from(state.tile_x.abs_diff(target_x))
                     + u32::from(state.tile_y.abs_diff(target_y));
-                scratch.queue.push(QueueEntry {
-                    estimate: ctx.lookahead.cost_floor(distance) * weight,
-                    cost: 0.0,
-                    node,
-                });
+                let estimate = ctx.lookahead.cost_floor(distance) * weight;
+                scratch.queue.push_unordered(estimate, 0.0, node);
             }
+            scratch.queue.heapify();
 
             let sink_index = sink_node.index();
             // Incumbent bound: once the sink has been relaxed to cost `b`,
@@ -762,21 +714,18 @@ fn route_net(
             // result-preserving — it only spares the heap traffic.
             let mut sink_bound = f32::INFINITY;
             let mut reached = false;
-            while let Some(entry) = scratch.queue.pop() {
+            while let Some((node, cost)) = scratch.queue.pop() {
                 scratch.nodes_expanded += 1;
-                let node = entry.node;
                 let rec = scratch.search[node.index()];
-                if rec.generation == generation_id && entry.cost > rec.best_cost + f32::EPSILON {
+                if rec.generation == generation_id && cost > rec.best_cost + f32::EPSILON {
                     continue;
                 }
                 if node == sink_node {
                     reached = true;
                     break;
                 }
-                let first = ctx.adj_start[node.index()] as usize;
-                let last = ctx.adj_start[node.index() + 1] as usize;
-                for edge in &ctx.edges[first..last] {
-                    let index = edge.dst as usize;
+                for edge in device.fanout(node) {
+                    let index = edge.dst.index();
                     let state = states[index];
                     // Never route through another cell's input pin; only the
                     // target sink pin is enterable.
@@ -788,7 +737,7 @@ fn route_net(
                     }
                     let step =
                         state.cost_static * (1.0 + present_factor * f32::from(state.occupancy));
-                    let next_cost = entry.cost + step;
+                    let next_cost = cost + step;
                     let rec = &mut scratch.search[index];
                     if rec.generation != generation_id || next_cost + f32::EPSILON < rec.best_cost {
                         let distance = u32::from(state.tile_x.abs_diff(target_x))
@@ -800,16 +749,12 @@ fn route_net(
                         *rec = SearchRec {
                             best_cost: next_cost,
                             generation: generation_id,
-                            prev_pip: edge.pip,
+                            prev_pip: edge.pip.index() as u32,
                         };
                         if index == sink_index {
                             sink_bound = next_cost;
                         }
-                        scratch.queue.push(QueueEntry {
-                            estimate,
-                            cost: next_cost,
-                            node: NodeId::from_index(index),
-                        });
+                        scratch.queue.push(estimate, next_cost, edge.dst);
                     }
                 }
             }
@@ -955,6 +900,28 @@ mod tests {
         // route() must agree with the telemetry variant it delegates to.
         let direct = route(&device, &netlist, &placement, &RouterOptions::default()).unwrap();
         assert_eq!(direct.len(), result.unwrap().len());
+    }
+
+    #[test]
+    fn zero_iteration_budget_is_unroutable() {
+        let device = Device::small(5, 5);
+        let netlist = techmap(&optimize(&lower(&counter(4)).unwrap())).unwrap();
+        let placement = place(&device, &netlist, &PlacerOptions::default()).unwrap();
+        let options = RouterOptions {
+            max_iterations: 0,
+            ..RouterOptions::default()
+        };
+        let unroutable = PnrError::Unroutable {
+            overused_nodes: 0,
+            iterations: 0,
+        };
+        let (result, telemetry) = route_with_telemetry(&device, &netlist, &placement, &options);
+        assert_eq!(result, Err(unroutable.clone()));
+        assert_eq!(telemetry.iteration_count(), 0);
+        assert_eq!(
+            route(&device, &netlist, &placement, &options),
+            Err(unroutable)
+        );
     }
 
     #[test]

@@ -1,45 +1,81 @@
 //! PathFinder negotiation-schedule regression (per-iteration router
-//! telemetry).
+//! telemetry and the routed trees themselves).
 //!
-//! The five small-FIR paper variants must route on the reference 24x24
-//! device at placement seed 1 with exactly the pinned number of negotiation
-//! iterations and A* node expansions. Both counters are machine-independent,
-//! so any change to the negotiation schedule (the order nets are rerouted
-//! in, the cost schedule, the search itself) shows up here as a pin
-//! mismatch long before it becomes a routing failure.
+//! The five paper variants must route at placement seed 1 with exactly the
+//! pinned number of negotiation iterations and A* node expansions, into
+//! exactly the pinned route trees. Two scales are pinned: the small FIR on
+//! the deliberately tight 24x24 device, where negotiation needs many
+//! iterations, and the paper's 11-tap FIR on the auto-sized 54x40 device,
+//! where each iteration is expensive. The counters and digests are
+//! machine-independent, so any change to the negotiation schedule (the order
+//! nets are rerouted in, the cost schedule, the search itself) shows up here
+//! as a pin mismatch long before it becomes a routing failure, and a change
+//! that keeps both counts but moves a route (and so the bitstream) still
+//! changes a digest.
 
+use std::collections::HashMap;
 use tmr_fpga::arch::Device;
 use tmr_fpga::designs::FirFilter;
 use tmr_fpga::flow::Sweep;
-use tmr_fpga::pnr::{route_with_telemetry, RouterOptions};
+use tmr_fpga::netlist::NetId;
+use tmr_fpga::pnr::{route_with_telemetry, RouteTree, RouterOptions};
+use tmr_fpga::tmr::par_map;
 
-/// `(variant, negotiation iterations, A* nodes expanded)`, measured with the
-/// A* lookahead router and its contention-adaptive heuristic weight.
-/// `tmr_p1` is the most congested variant on the deliberately tight 24x24
-/// device.
-const SCHEDULE: [(&str, usize, u64); 5] = [
-    ("standard", 9, 35_849),
-    ("tmr_p1", 114, 8_395_458),
-    ("tmr_p2", 22, 1_121_078),
-    ("tmr_p3", 28, 891_128),
-    ("tmr_p3_nv", 12, 534_405),
+/// `(variant, negotiation iterations, A* nodes expanded, route digest)` of
+/// the small FIR on the 24x24 device, measured with the A* lookahead router
+/// and its contention-adaptive heuristic weight. `tmr_p1` is the most
+/// congested variant on this deliberately tight device.
+const SCHEDULE: [(&str, usize, u64, u64); 5] = [
+    ("standard", 9, 35_849, 0x4dca_b0c6_efca_3e29),
+    ("tmr_p1", 114, 8_395_458, 0xc84e_0019_ddbc_2ce5),
+    ("tmr_p2", 22, 1_121_078, 0x9966_c1a0_3451_afb5),
+    ("tmr_p3", 28, 891_128, 0x065d_0e81_c805_b13d),
+    ("tmr_p3_nv", 12, 534_405, 0x7cd9_b63a_450f_24cf),
+];
+
+/// The same pins for the paper's 11-tap FIR on the auto-sized 54x40
+/// XC2S200E-like device.
+const PAPER_SCHEDULE: [(&str, usize, u64, u64); 5] = [
+    ("standard", 9, 343_999, 0x1ca5_1955_d6f0_d93b),
+    ("tmr_p1", 11, 3_505_685, 0xa510_4fac_0344_8407),
+    ("tmr_p2", 10, 2_474_062, 0x073d_9bae_969e_4779),
+    ("tmr_p3", 10, 2_005_061, 0xbe06_bbe5_cfba_3c17),
+    ("tmr_p3_nv", 9, 1_595_228, 0x4136_64de_0ccb_9f89),
 ];
 
 /// Headroom below the router's hard limit of 250 iterations, where `tmr_p1`
-/// would start failing.
+/// would start failing on the small device.
 const ITERATION_BUDGET: usize = 150;
 
-#[test]
-fn paper_variants_route_within_the_iteration_budget() {
-    let base = FirFilter::small_filter().to_design();
-    let device = Device::small(24, 24);
-    let (device, flows) = Sweep::paper(&base)
-        .on_device(&device)
-        .flows()
-        .expect("the paper variants implement on the 24x24 device");
+/// FNV-1a over the routed trees: nets in `NetId` order, and each tree's
+/// nodes and PIPs in tree order.
+fn route_digest(routes: &HashMap<NetId, RouteTree>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut word = |value: usize| {
+        for byte in (value as u32).to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut nets: Vec<_> = routes.iter().collect();
+    nets.sort_unstable_by_key(|(net, _)| **net);
+    for (net, tree) in nets {
+        word(net.index());
+        word(tree.nodes.len());
+        tree.nodes.iter().for_each(|node| word(node.index()));
+        word(tree.pips.len());
+        tree.pips.iter().for_each(|pip| word(pip.index()));
+    }
+    hash
+}
 
-    let mut measured = Vec::new();
-    for (name, flow) in flows {
+/// Routes every variant of `sweep` (variants in parallel, each route
+/// sequential and deterministic), checks its telemetry and returns the
+/// measured `(variant, iterations, nodes expanded, route digest)` rows.
+fn measure(sweep: Sweep) -> (Device, Vec<(String, usize, u64, u64)>) {
+    let (device, flows) = sweep
+        .flows()
+        .expect("the paper variants implement on the device");
+    let measured = par_map(flows, |(name, flow)| {
         let synthesized = flow.synthesized().expect("synthesis succeeds");
         let placed = flow.placed().expect("placement succeeds");
         let (routes, telemetry) = route_with_telemetry(
@@ -48,7 +84,8 @@ fn paper_variants_route_within_the_iteration_budget() {
             placed.placement(),
             &RouterOptions::default(),
         );
-        routes.unwrap_or_else(|error| panic!("variant {name} failed to route: {error}"));
+        let routes =
+            routes.unwrap_or_else(|error| panic!("variant {name} failed to route: {error}"));
 
         assert!(
             telemetry.converged(),
@@ -76,18 +113,39 @@ fn paper_variants_route_within_the_iteration_budget() {
                 );
             }
         }
-        measured.push((
+        (
             name,
             telemetry.iteration_count(),
             telemetry.total_nodes_expanded(),
-        ));
-    }
-    let expected: Vec<(String, usize, u64)> = SCHEDULE
+            route_digest(&routes),
+        )
+    });
+    (device, measured)
+}
+
+fn assert_schedule(measured: &[(String, usize, u64, u64)], schedule: &[(&str, usize, u64, u64)]) {
+    let expected: Vec<(String, usize, u64, u64)> = schedule
         .iter()
-        .map(|&(name, iterations, nodes)| (name.to_string(), iterations, nodes))
+        .map(|&(name, iterations, nodes, digest)| (name.to_string(), iterations, nodes, digest))
         .collect();
     assert_eq!(
         measured, expected,
-        "the negotiation schedule changed: (variant, iterations, nodes expanded)"
+        "the negotiation schedule changed: (variant, iterations, nodes expanded, route digest)"
     );
+}
+
+#[test]
+fn paper_variants_route_within_the_iteration_budget() {
+    let base = FirFilter::small_filter().to_design();
+    let device = Device::small(24, 24);
+    let (_, measured) = measure(Sweep::paper(&base).on_device(&device));
+    assert_schedule(&measured, &SCHEDULE);
+}
+
+#[test]
+fn paper_fir_routes_on_the_auto_sized_device() {
+    let base = FirFilter::paper_filter().to_design();
+    let (device, measured) = measure(Sweep::paper(&base).seed(1));
+    assert_eq!((device.cols(), device.rows()), (54, 40));
+    assert_schedule(&measured, &PAPER_SCHEDULE);
 }
