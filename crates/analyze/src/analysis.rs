@@ -1,9 +1,10 @@
 //! The whole-bitstream static criticality analysis.
 
+use crate::verdict::domain_bit;
 use crate::{CriticalityReport, Verdict};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use tmr_arch::Device;
-use tmr_faultsim::{classify_bit, FaultClass};
+use tmr_faultsim::{classify_touch, FaultClass, Touch};
 use tmr_netlist::{Domain, Netlist};
 use tmr_pnr::RoutedDesign;
 use tmr_sim::OutputGroups;
@@ -12,13 +13,14 @@ use tmr_sim::OutputGroups;
 /// design.
 ///
 /// [`StaticAnalysis::run`] walks the complete configuration space — not a
-/// random sample — and classifies each bit with `tmr-faultsim`'s structural
-/// effect machinery ([`classify_bit`]) used *purely structurally*: the derived
-/// fault overlay is never simulated, only the TMR domains of the affected
-/// nets and sinks are inspected. This gives exhaustive coverage of the
-/// domain-crossing bits (the paper's voter-defeating upsets) at a cost of
-/// microseconds per bit, where the dynamic campaign pays a full multi-cycle
-/// simulation per sampled bit.
+/// random sample — and classifies each bit with `tmr-faultsim`'s
+/// classification rules ([`classify_touch`]) used *purely structurally*:
+/// no fault overlay is built or simulated, only the TMR domains of what the
+/// flip touches (a cell, the sinks below an opened PIP, shorted or victim
+/// nets) are inspected. This gives exhaustive coverage of the
+/// domain-crossing bits (the paper's voter-defeating upsets) at a few tens
+/// of nanoseconds per bit, where the dynamic campaign pays a full
+/// multi-cycle simulation per sampled bit.
 ///
 /// # Soundness preconditions
 ///
@@ -42,8 +44,8 @@ pub struct StaticAnalysis {
     design: String,
     verdicts: Vec<Verdict>,
     classes: Vec<FaultClass>,
-    /// The *exact* affected-domain set of each bit, as a [`domain_mask`]
-    /// bitmask — verdicts are lossy (`SingleDomain` keeps only the least
+    /// The *exact* affected-domain set of each bit, as a [`domain_bit`]
+    /// mask — verdicts are lossy (`SingleDomain` keeps only the least
     /// protected domain), so cluster merging works on these instead.
     domain_masks: Vec<u8>,
     design_related: usize,
@@ -51,64 +53,41 @@ pub struct StaticAnalysis {
     observable: Vec<usize>,
 }
 
-/// Encodes a set of TMR domains as a bitmask (one bit per [`Domain`]
-/// variant), the exact per-bit record cluster verdicts merge over.
-fn domain_mask(domains: &BTreeSet<Domain>) -> u8 {
-    domains.iter().fold(0u8, |mask, domain| {
-        mask | match domain {
-            Domain::None => 1 << 0,
-            Domain::Tr0 => 1 << 1,
-            Domain::Tr1 => 1 << 2,
-            Domain::Tr2 => 1 << 3,
-            Domain::Voter => 1 << 4,
-        }
-    })
-}
-
-/// Decodes a [`domain_mask`] back into the domain set.
-fn domains_from_mask(mask: u8) -> BTreeSet<Domain> {
-    [
-        (1 << 0, Domain::None),
-        (1 << 1, Domain::Tr0),
-        (1 << 2, Domain::Tr1),
-        (1 << 3, Domain::Tr2),
-        (1 << 4, Domain::Voter),
-    ]
-    .into_iter()
-    .filter(|&(bit, _)| mask & bit != 0)
-    .map(|(_, domain)| domain)
-    .collect()
-}
-
 impl StaticAnalysis {
     /// Analyzes every configuration bit of `routed` on `device`.
+    ///
+    /// The per-run tables are built once: each net's domain, each cell's
+    /// domain with its output's, and each routing-tree node's mask of the
+    /// domains the sinks below it read. The pass over the bits then reads
+    /// [`classify_touch`] and those arrays only, allocating and hashing
+    /// nothing per bit. Each bit's domain mask is exactly the set
+    /// [`tmr_faultsim::BitEffect::affected_domains`] derives from
+    /// [`tmr_faultsim::classify_bit`]'s overlay.
     pub fn run(device: &Device, routed: &RoutedDesign) -> Self {
         let mut trace_span = tmr_trace::span("analyze.static");
         let netlist = routed.netlist();
         let voted_tmr = outputs_fully_voted(netlist) && merging_confined_to_voters(netlist);
-        let layout = device.config_layout();
+        let bit_count = device.config_layout().bit_count();
         trace_span.attr("design", netlist.name());
-        trace_span.attr("bits", layout.bit_count());
+        trace_span.attr("bits", bit_count);
 
-        let mut verdicts = Vec::with_capacity(layout.bit_count());
-        let mut classes = Vec::with_capacity(layout.bit_count());
-        let mut domain_masks = Vec::with_capacity(layout.bit_count());
-        let mut observable = Vec::new();
-        let mut design_related = 0;
-        for bit in 0..layout.bit_count() {
-            let resource = layout.resource_at(bit).expect("bit in range");
-            if routed.resource_is_design_related(device, &resource) {
-                design_related += 1;
-            }
-            let effect = classify_bit(device, routed, bit);
-            let affected = effect.affected_domains(routed);
-            let verdict = Verdict::from_affected_domains(&affected, effect.class);
+        let tables = DomainTables::new(device, routed);
+        let design_related = routed.design_related_bits(device).len();
+        let mut verdicts = Vec::with_capacity(bit_count);
+        let mut classes = Vec::with_capacity(bit_count);
+        let mut domain_masks = Vec::with_capacity(bit_count);
+        // Only design-related bits touch anything, so this never regrows.
+        let mut observable = Vec::with_capacity(design_related);
+        for bit in 0..bit_count {
+            let (class, touch) = classify_touch(device, routed, bit);
+            let mask = tables.mask(device, touch);
+            let verdict = Verdict::from_domain_mask(mask, class);
             if verdict.possibly_observable(voted_tmr) {
                 observable.push(bit);
             }
             verdicts.push(verdict);
-            classes.push(effect.class);
-            domain_masks.push(domain_mask(&affected));
+            classes.push(class);
+            domain_masks.push(mask);
         }
         trace_span.attr("observable", observable.len());
         trace_span.attr("design_related", design_related);
@@ -180,10 +159,7 @@ impl StaticAnalysis {
             }
             mask |= self.domain_masks[bit];
         }
-        Verdict::from_affected_domains(
-            &domains_from_mask(mask),
-            class.unwrap_or(self.classes[bits[0]]),
-        )
+        Verdict::from_domain_mask(mask, class.unwrap_or(self.classes[bits[0]]))
     }
 
     /// Whether a multi-bit fault could be observable at the voted outputs —
@@ -281,6 +257,73 @@ impl StaticAnalysis {
     }
 }
 
+/// The per-run tables that turn what a flip touches ([`Touch`]) into its
+/// exact affected-domain mask.
+struct DomainTables {
+    /// The domain bit of each net.
+    net: Vec<u8>,
+    /// Each cell's own domain with its output net's: an upset inside a
+    /// voter LUT is never mistaken for a plain redundant-domain fault.
+    cell: Vec<u8>,
+    /// Each routing node's mask of the domains the tree sinks at or below it
+    /// read: what opening the PIP that enters the node disconnects.
+    below: Vec<u8>,
+}
+
+impl DomainTables {
+    fn new(device: &Device, routed: &RoutedDesign) -> Self {
+        let netlist = routed.netlist();
+        let net: Vec<u8> = netlist
+            .nets()
+            .map(|(_, net)| domain_bit(net.domain))
+            .collect();
+        let cell = netlist
+            .cells()
+            .map(|(_, cell)| domain_bit(cell.domain) | net[cell.output.index()])
+            .collect();
+
+        // Each non-source tree node is entered by exactly one tree PIP, and
+        // trees share no node: one parent table serves every tree.
+        const NO_PARENT: u32 = u32::MAX;
+        let mut parent = vec![NO_PARENT; device.node_count()];
+        for (_, tree) in routed.routes() {
+            for &pip in &tree.pips {
+                let pip = device.pip(pip);
+                parent[pip.dst.index()] = pip.src.index() as u32;
+            }
+        }
+        // Carry each sink's domain up its path. A node that already holds
+        // the bit got it from a walk that reached the source, so the walk
+        // stops there.
+        let mut below = vec![0u8; device.node_count()];
+        for (_, tree) in routed.routes() {
+            for &(sink, cell, pin) in &tree.sinks {
+                let bit = net[netlist.cell(cell).inputs[pin].index()];
+                let mut node = sink.index();
+                while below[node] & bit == 0 {
+                    below[node] |= bit;
+                    match parent[node] {
+                        NO_PARENT => break,
+                        up => node = up as usize,
+                    }
+                }
+            }
+        }
+        Self { net, cell, below }
+    }
+
+    /// The affected-domain mask of one flip.
+    fn mask(&self, device: &Device, touch: Touch) -> u8 {
+        match touch {
+            Touch::Nothing => 0,
+            Touch::Lut { cell, .. } | Touch::FfInit { cell, .. } => self.cell[cell.index()],
+            Touch::Open { pip, .. } => self.below[device.pip(pip).dst.index()],
+            Touch::Short { a, b } => self.net[a.index()] | self.net[b.index()],
+            Touch::Antenna { victim } => self.net[victim.index()],
+        }
+    }
+}
+
 /// Checks that every word-level output bit is a pad-voted triple covering all
 /// three redundant domains.
 fn outputs_fully_voted(netlist: &Netlist) -> bool {
@@ -324,6 +367,7 @@ mod tests {
     use super::*;
     use tmr_core::{apply_tmr, TmrConfig};
     use tmr_designs::counter;
+    use tmr_faultsim::classify_bit;
     use tmr_pnr::place_and_route;
     use tmr_synth::{lower, optimize, techmap, Design};
 

@@ -13,10 +13,12 @@
 //!
 //! * [`StaticAnalysis::run`] classifies **every** configuration bit into a
 //!   [`Verdict`] — [`Verdict::Benign`], [`Verdict::SingleDomain`] or
-//!   [`Verdict::DomainCrossing`] — by deriving each bit's structural effect
-//!   with [`tmr_faultsim::classify_bit`] and inspecting only the TMR domains
-//!   of the affected nets and sinks (no simulator run, exhaustive
-//!   whole-bitstream coverage);
+//!   [`Verdict::DomainCrossing`] — in one allocation-free pass: each bit's
+//!   class and what its flip touches come from
+//!   [`tmr_faultsim::classify_touch`] (the rules
+//!   [`tmr_faultsim::classify_bit`] builds its overlays from), and per-run
+//!   tables map that to the exact set of affected TMR domains (no simulator
+//!   run, exhaustive whole-bitstream coverage);
 //! * [`CriticalityReport`] aggregates the verdict map into per-domain-pair ×
 //!   per-effect-class counts plus the TMR-defeating bit set, with text
 //!   ([`std::fmt::Display`]) and dependency-free JSON ([`Json`]) rendering;

@@ -5,6 +5,35 @@ use std::fmt;
 use tmr_faultsim::FaultClass;
 use tmr_netlist::Domain;
 
+/// The domains of a domain mask, by bit position: [`Domain`] order.
+const MASK_DOMAINS: [Domain; 5] = [
+    Domain::None,
+    Domain::Tr0,
+    Domain::Tr1,
+    Domain::Tr2,
+    Domain::Voter,
+];
+
+/// The mask bits of the three redundant domains.
+const REDUNDANT_BITS: u8 = 0b0_1110;
+
+/// The bit of `domain` in an affected-domain mask: one bit per [`Domain`]
+/// variant, in [`Domain`] order.
+pub(crate) fn domain_bit(domain: Domain) -> u8 {
+    match domain {
+        Domain::None => 1 << 0,
+        Domain::Tr0 => 1 << 1,
+        Domain::Tr1 => 1 << 2,
+        Domain::Tr2 => 1 << 3,
+        Domain::Voter => 1 << 4,
+    }
+}
+
+/// The lowest domain of a non-empty mask.
+fn lowest_domain(mask: u8) -> Domain {
+    MASK_DOMAINS[mask.trailing_zeros() as usize]
+}
+
 /// The static criticality of one configuration bit.
 ///
 /// The verdict is derived purely structurally — from the routed design's
@@ -41,27 +70,37 @@ impl Verdict {
     /// ([`tmr_faultsim::BitEffect::affected_domains`]) and the effect class.
     ///
     /// Precedence: two distinct redundant domains make the bit
-    /// [`Verdict::DomainCrossing`]; otherwise the *least protected* affected
-    /// domain wins — [`Domain::None`] over [`Domain::Voter`] over a redundant
-    /// domain — so a fault touching both `tr0` and voter logic is reported
-    /// (and kept observable) as a voter fault, never mistaken for a maskable
+    /// [`Verdict::DomainCrossing`], naming the two lowest in [`Domain`]
+    /// order; otherwise the *least protected* affected domain wins —
+    /// [`Domain::None`] over [`Domain::Voter`] over a redundant domain — so a
+    /// fault touching both `tr0` and voter logic is reported (and kept
+    /// observable) as a voter fault, never mistaken for a maskable
     /// single-copy fault.
     pub fn from_affected_domains(domains: &BTreeSet<Domain>, class: FaultClass) -> Self {
-        let mut redundant = domains.iter().copied().filter(|d| d.is_redundant());
-        if let Some(first) = redundant.next() {
-            if let Some(second) = redundant.next() {
-                return Verdict::DomainCrossing {
-                    domains: (first, second),
-                    class,
-                };
-            }
+        let mask = domains
+            .iter()
+            .fold(0, |mask, &domain| mask | domain_bit(domain));
+        Self::from_domain_mask(mask, class)
+    }
+
+    /// The rule of [`Verdict::from_affected_domains`] on an affected-domain
+    /// mask (one [`domain_bit`] per affected domain): the form the analyzer
+    /// stores per bit and merges clusters over.
+    pub(crate) fn from_domain_mask(mask: u8, class: FaultClass) -> Self {
+        let redundant = mask & REDUNDANT_BITS;
+        if redundant.count_ones() >= 2 {
+            let second = redundant & (redundant - 1);
+            return Verdict::DomainCrossing {
+                domains: (lowest_domain(redundant), lowest_domain(second)),
+                class,
+            };
         }
-        if domains.contains(&Domain::None) {
+        if mask & domain_bit(Domain::None) != 0 {
             Verdict::SingleDomain(Domain::None)
-        } else if domains.contains(&Domain::Voter) {
+        } else if mask & domain_bit(Domain::Voter) != 0 {
             Verdict::SingleDomain(Domain::Voter)
-        } else if let Some(&domain) = domains.iter().next() {
-            Verdict::SingleDomain(domain)
+        } else if redundant != 0 {
+            Verdict::SingleDomain(lowest_domain(redundant))
         } else {
             Verdict::Benign
         }

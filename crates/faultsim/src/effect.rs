@@ -1,10 +1,10 @@
 //! Translation of a flipped configuration bit into its fault class and its
 //! structural effect on the routed design.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use tmr_arch::{ConfigResource, Device, NodeId, PipId, RouteNode};
-use tmr_netlist::{CellKind, Domain, NetId};
+use tmr_netlist::{CellId, CellKind, Domain, NetId};
 use tmr_pnr::RoutedDesign;
 use tmr_sim::{FaultOverlay, SinkRef};
 
@@ -222,8 +222,8 @@ impl FaultEffect {
 /// * several truth-table flips of the same LUT are combined into one
 ///   override carrying all flipped entries (the simulator keeps one override
 ///   per cell);
-/// * several opens on the same routed net re-walk the route tree with *all*
-///   removed PIPs absent at once, so sinks only reachable through the
+/// * several opens on the same routed net walk the route tree once with
+///   *all* removed PIPs absent, so sinks only reachable through the
 ///   combination are correctly disconnected.
 ///
 /// Other cross-bit interactions (e.g. a bridge onto a net another component
@@ -283,19 +283,14 @@ fn merge_overlays(
     let netlist = routed.netlist();
     let mut merged = FaultOverlay::none();
 
-    // Opens: group the removed PIPs of set routing bits by net and re-derive
-    // the disconnected sinks with the whole group absent.
-    let layout = device.config_layout();
+    // Opens: group the removed PIPs by net and re-derive the disconnected
+    // sinks with the whole group absent.
     let mut removed_by_net: Vec<(NetId, Vec<PipId>)> = Vec::new();
     for &bit in bits {
-        if let Some(ConfigResource::Pip(pip_id)) = layout.resource_at(bit) {
-            if routed.bitstream().get(bit) {
-                if let Some(net) = routed.net_of_pip(pip_id) {
-                    match removed_by_net.iter_mut().find(|(n, _)| *n == net) {
-                        Some((_, pips)) => pips.push(pip_id),
-                        None => removed_by_net.push((net, vec![pip_id])),
-                    }
-                }
+        if let (_, Touch::Open { net, pip }) = classify_touch(device, routed, bit) {
+            match removed_by_net.iter_mut().find(|(n, _)| *n == net) {
+                Some((_, pips)) => pips.push(pip),
+                None => removed_by_net.push((net, vec![pip])),
             }
         }
     }
@@ -338,34 +333,79 @@ fn merge_overlays(
     merged
 }
 
-/// Classifies a configuration bit flip and derives its structural effect.
+/// What flipping one configuration bit touches in the configured circuit,
+/// as decided by [`classify_touch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Touch {
+    /// Nothing the configured circuit uses: an unused resource, an
+    /// unexercised LUT entry, a same-net PIP, or a new PIP whose destination
+    /// no net uses.
+    Nothing,
+    /// The truth table of a placed LUT cell changes.
+    Lut {
+        /// The LUT cell.
+        cell: CellId,
+        /// Its truth table with the flipped entry.
+        init: u64,
+    },
+    /// The power-up value of a placed flip-flop inverts.
+    FfInit {
+        /// The flip-flop cell.
+        cell: CellId,
+        /// Its inverted power-up value.
+        init: bool,
+    },
+    /// A used PIP opens: the sinks of `net` downstream of it lose their
+    /// driver.
+    Open {
+        /// The net whose tree enables the PIP.
+        net: NetId,
+        /// The opened PIP.
+        pip: PipId,
+    },
+    /// A new PIP shorts two distinct used nets (a bridge or a conflict).
+    Short {
+        /// The net on the PIP's source node.
+        a: NetId,
+        /// The net on the PIP's destination node.
+        b: NetId,
+    },
+    /// A new PIP drives a used net from a floating, unused source.
+    Antenna {
+        /// The net on the PIP's destination node.
+        victim: NetId,
+    },
+}
+
+/// Classifies a configuration bit flip and decides what it touches — the
+/// one place the classification rules live, without allocating or hashing.
+///
+/// [`classify_bit`] builds the simulator's [`FaultOverlay`] from this
+/// decision; the static analyzer (`tmr-analyze`) reads it directly for
+/// every bit of the configuration memory.
 ///
 /// # Panics
 ///
 /// Panics if `bit` is outside the device's configuration space.
-pub fn classify_bit(device: &Device, routed: &RoutedDesign, bit: usize) -> BitEffect {
-    let layout = device.config_layout();
-    let resource = layout
+#[inline]
+pub fn classify_touch(device: &Device, routed: &RoutedDesign, bit: usize) -> (FaultClass, Touch) {
+    let resource = device
+        .config_layout()
         .resource_at(bit)
         .expect("bit must be inside the configuration space");
-    let currently_set = routed.bitstream().get(bit);
-
     match resource {
         ConfigResource::LutBit { site, bit: lut_bit } => {
-            let mut effect = BitEffect {
-                bit,
-                class: FaultClass::Lut,
-                overlay: FaultOverlay::none(),
-                crosses_domains: false,
-            };
-            if let Some(cell_id) = routed.placement().cell_at(site) {
-                if let CellKind::Lut { k, init } = routed.netlist().cell(cell_id).kind {
+            let mut touch = Touch::Nothing;
+            if let Some(cell) = routed.placement().cell_at(site) {
+                if let CellKind::Lut { k, init } = routed.netlist().cell(cell).kind {
                     // Unused LUT pins are tied low, so only entries whose
                     // unused-pin bits are zero are ever exercised.
                     let used_mask = (1u8 << k) - 1;
                     if lut_bit & !used_mask == 0 {
-                        let new_init = init ^ (1 << lut_bit);
-                        effect.overlay.lut_overrides.push((cell_id, new_init));
+                        touch = Touch::Lut {
+                            cell,
+                            init: init ^ (1 << lut_bit),
+                        };
                     }
                 }
                 // Constant generators (GND/VCC placed on LUT sites) are left
@@ -373,114 +413,111 @@ pub fn classify_bit(device: &Device, routed: &RoutedDesign, bit: usize) -> BitEf
                 // designs, confined to a single domain, so they are treated as
                 // functionally silent LUT upsets.
             }
-            effect
+            (FaultClass::Lut, touch)
         }
         ConfigResource::FfInit { site } => {
-            let mut effect = BitEffect {
-                bit,
-                class: FaultClass::Initialization,
-                overlay: FaultOverlay::none(),
-                crosses_domains: false,
-            };
-            if let Some(cell_id) = routed.placement().cell_at(site) {
-                if let CellKind::Dff { init } = routed.netlist().cell(cell_id).kind {
-                    effect.overlay.ff_init_overrides.push((cell_id, !init));
+            let mut touch = Touch::Nothing;
+            if let Some(cell) = routed.placement().cell_at(site) {
+                if let CellKind::Dff { init } = routed.netlist().cell(cell).kind {
+                    touch = Touch::FfInit { cell, init: !init };
                 }
             }
-            effect
+            (FaultClass::Initialization, touch)
         }
-        ConfigResource::Pip(pip_id) => {
-            classify_pip_flip(device, routed, bit, pip_id, currently_set)
-        }
+        ConfigResource::Pip(pip) => classify_pip_touch(device, routed, bit, pip),
     }
 }
 
-fn classify_pip_flip(
+#[inline]
+fn classify_pip_touch(
     device: &Device,
     routed: &RoutedDesign,
     bit: usize,
     pip_id: PipId,
-    currently_set: bool,
-) -> BitEffect {
+) -> (FaultClass, Touch) {
     let pip = device.pip(pip_id);
-    let is_clb_mux = !pip.category.is_general_routing();
     let class_for = |routing_class: FaultClass| {
-        if is_clb_mux {
-            FaultClass::Mux
-        } else {
+        if pip.category.is_general_routing() {
             routing_class
+        } else {
+            FaultClass::Mux
         }
     };
 
-    if currently_set {
+    if routed.bitstream().get(bit) {
         // A used PIP opens: the sinks downstream of it lose their driver.
+        // Routed trees share no node, so the PIP's destination names its net.
         let net = routed
-            .net_of_pip(pip_id)
+            .net_of_node(pip.dst)
             .expect("a set PIP bit belongs to a routed net");
-        let overlay = open_overlay(device, routed, net, &[pip_id]);
-        return BitEffect {
-            bit,
-            class: class_for(FaultClass::Open),
-            overlay,
-            crosses_domains: false,
-        };
+        return (
+            class_for(FaultClass::Open),
+            Touch::Open { net, pip: pip_id },
+        );
     }
 
     // A new PIP is enabled: a connection from `src` onto `dst` appears.
-    let src_net = routed.net_of_node(pip.src);
-    let dst_net = routed.net_of_node(pip.dst);
-    let dst_is_pin = matches!(device.node(pip.dst), RouteNode::InPin { .. });
-
-    match (src_net, dst_net) {
-        (Some(a), Some(b)) if a == b => BitEffect {
-            bit,
-            class: class_for(FaultClass::Others),
-            overlay: FaultOverlay::none(),
-            crosses_domains: false,
-        },
+    match (routed.net_of_node(pip.src), routed.net_of_node(pip.dst)) {
+        (Some(a), Some(b)) if a == b => (class_for(FaultClass::Others), Touch::Nothing),
         (Some(a), Some(b)) => {
-            let class = if dst_is_pin {
+            let class = if matches!(device.node(pip.dst), RouteNode::InPin { .. }) {
                 FaultClass::Conflict
             } else {
                 FaultClass::Bridge
             };
-            let crosses = routed.net_domain(a).crosses(routed.net_domain(b));
-            BitEffect {
-                bit,
-                class: class_for(class),
-                overlay: FaultOverlay {
-                    shorted_nets: vec![(a, b)],
-                    ..FaultOverlay::none()
-                },
-                crosses_domains: crosses,
-            }
+            (class_for(class), Touch::Short { a, b })
         }
-        (None, Some(victim)) => BitEffect {
-            bit,
-            class: class_for(FaultClass::InputAntenna),
-            overlay: FaultOverlay {
-                corrupted_nets: vec![victim],
-                ..FaultOverlay::none()
-            },
-            crosses_domains: false,
-        },
-        (Some(_), None) | (None, None) => BitEffect {
-            bit,
-            class: class_for(if src_net.is_some() {
-                FaultClass::Bridge
-            } else {
-                FaultClass::Others
-            }),
-            overlay: FaultOverlay::none(),
-            crosses_domains: false,
-        },
+        (None, Some(victim)) => (
+            class_for(FaultClass::InputAntenna),
+            Touch::Antenna { victim },
+        ),
+        (Some(_), None) => (class_for(FaultClass::Bridge), Touch::Nothing),
+        (None, None) => (class_for(FaultClass::Others), Touch::Nothing),
     }
 }
 
-/// Builds the overlay of an *Open*: every sink of `net` that is no longer
-/// reachable from the source once every PIP in `removed_pips` is disabled
-/// reads `X` (a single-bit open removes one PIP; accumulated faults can
-/// remove several from the same tree).
+/// Classifies a configuration bit flip and derives its structural effect:
+/// the overlay of [`classify_touch`]'s decision.
+///
+/// # Panics
+///
+/// Panics if `bit` is outside the device's configuration space.
+pub fn classify_bit(device: &Device, routed: &RoutedDesign, bit: usize) -> BitEffect {
+    let (class, touch) = classify_touch(device, routed, bit);
+    let overlay = match touch {
+        Touch::Nothing => FaultOverlay::none(),
+        Touch::Lut { cell, init } => FaultOverlay {
+            lut_overrides: vec![(cell, init)],
+            ..FaultOverlay::none()
+        },
+        Touch::FfInit { cell, init } => FaultOverlay {
+            ff_init_overrides: vec![(cell, init)],
+            ..FaultOverlay::none()
+        },
+        Touch::Open { net, pip } => open_overlay(device, routed, net, &[pip]),
+        Touch::Short { a, b } => FaultOverlay {
+            shorted_nets: vec![(a, b)],
+            ..FaultOverlay::none()
+        },
+        Touch::Antenna { victim } => FaultOverlay {
+            corrupted_nets: vec![victim],
+            ..FaultOverlay::none()
+        },
+    };
+    let crosses_domains = matches!(touch, Touch::Short { a, b }
+        if routed.net_domain(a).crosses(routed.net_domain(b)));
+    BitEffect {
+        bit,
+        class,
+        overlay,
+        crosses_domains,
+    }
+}
+
+/// Builds the overlay of an *Open*: every sink of `net` whose path from the
+/// source runs through a PIP of `removed_pips` reads `X` (a single-bit open
+/// removes one PIP; accumulated faults can remove several from the same
+/// tree). The opened sinks keep the tree's sink order.
 fn open_overlay(
     device: &Device,
     routed: &RoutedDesign,
@@ -488,33 +525,29 @@ fn open_overlay(
     removed_pips: &[PipId],
 ) -> FaultOverlay {
     let tree = routed.route_of(net).expect("routed net has a tree");
-    // Re-walk the tree without the removed PIPs.
-    let mut reachable: HashSet<NodeId> = HashSet::new();
-    reachable.insert(tree.source);
-    let mut remaining: Vec<PipId> = tree
+    // Each non-source tree node is entered by exactly one tree PIP: index
+    // them by destination and walk every sink back towards the source.
+    let mut entering: Vec<(NodeId, PipId)> = tree
         .pips
         .iter()
-        .copied()
-        .filter(|p| !removed_pips.contains(p))
+        .map(|&pip| (device.pip(pip).dst, pip))
         .collect();
-    let mut progress = true;
-    while progress {
-        progress = false;
-        remaining.retain(|&pip_id| {
-            let pip = device.pip(pip_id);
-            if reachable.contains(&pip.src) {
-                reachable.insert(pip.dst);
-                progress = true;
-                false
-            } else {
-                true
-            }
-        });
-    }
+    entering.sort_unstable();
     let opened_sinks = tree
         .sinks
         .iter()
-        .filter(|(node, _, _)| !reachable.contains(node))
+        .filter(|&&(sink, _, _)| {
+            let mut node = sink;
+            while let Ok(at) = entering.binary_search_by_key(&node, |&(dst, _)| dst) {
+                let pip = entering[at].1;
+                if removed_pips.contains(&pip) {
+                    return true;
+                }
+                node = device.pip(pip).src;
+            }
+            // A walk that stops short of the source never reached the sink.
+            node != tree.source
+        })
         .map(|&(_, cell, pin)| SinkRef::CellPin { cell, pin })
         .collect();
     FaultOverlay {
@@ -533,6 +566,7 @@ pub(crate) fn is_clb_mux_category(category: tmr_arch::PipCategory) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tmr_arch::Device;
     use tmr_designs::counter;
     use tmr_pnr::place_and_route;
@@ -541,6 +575,15 @@ mod tests {
     fn routed_counter() -> (Device, RoutedDesign) {
         let device = Device::small(5, 5);
         let netlist = techmap(&optimize(&lower(&counter(4)).unwrap())).unwrap();
+        let routed = place_and_route(&device, &netlist, 5).unwrap();
+        (device, routed)
+    }
+
+    fn routed_tmr_counter() -> (Device, RoutedDesign) {
+        use tmr_core::{apply_tmr, TmrConfig};
+        let device = Device::small(8, 8);
+        let design = apply_tmr(&counter(4), &TmrConfig::paper_p2()).unwrap();
+        let netlist = techmap(&optimize(&lower(&design).unwrap())).unwrap();
         let routed = place_and_route(&device, &netlist, 5).unwrap();
         (device, routed)
     }
@@ -787,11 +830,7 @@ mod tests {
     /// domains in the structural set.
     #[test]
     fn affected_domains_match_the_crossing_flag_on_a_tmr_design() {
-        use tmr_core::{apply_tmr, TmrConfig};
-        let device = Device::small(8, 8);
-        let design = apply_tmr(&counter(4), &TmrConfig::paper_p2()).unwrap();
-        let netlist = techmap(&optimize(&lower(&design).unwrap())).unwrap();
-        let routed = place_and_route(&device, &netlist, 5).unwrap();
+        let (device, routed) = routed_tmr_counter();
         let layout = device.config_layout();
         let mut crossing = 0;
         for bit in 0..layout.bit_count() {
@@ -813,5 +852,94 @@ mod tests {
             }
         }
         assert!(crossing > 0, "a routed TMR design has crossing candidates");
+    }
+
+    /// The fixpoint that derived opened sinks before opens walked the tree:
+    /// re-walk the tree without the removed PIPs until no remaining PIP
+    /// extends the reachable set. The reference [`open_overlay`] must
+    /// reproduce exactly, in sink order.
+    fn fixpoint_opened_sinks(
+        device: &Device,
+        routed: &RoutedDesign,
+        net: NetId,
+        removed_pips: &[PipId],
+    ) -> Vec<SinkRef> {
+        use std::collections::HashSet;
+        let tree = routed.route_of(net).expect("routed net has a tree");
+        let mut reachable: HashSet<NodeId> = HashSet::new();
+        reachable.insert(tree.source);
+        let mut remaining: Vec<PipId> = tree
+            .pips
+            .iter()
+            .copied()
+            .filter(|p| !removed_pips.contains(p))
+            .collect();
+        let mut progress = true;
+        while progress {
+            progress = false;
+            remaining.retain(|&pip_id| {
+                let pip = device.pip(pip_id);
+                if reachable.contains(&pip.src) {
+                    reachable.insert(pip.dst);
+                    progress = true;
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+        tree.sinks
+            .iter()
+            .filter(|(node, _, _)| !reachable.contains(node))
+            .map(|&(_, cell, pin)| SinkRef::CellPin { cell, pin })
+            .collect()
+    }
+
+    /// The routed TMR counter and its routed nets in `NetId` order, built
+    /// once for every property case.
+    fn tmr_fixture() -> &'static (Device, RoutedDesign, Vec<NetId>) {
+        static FIXTURE: std::sync::OnceLock<(Device, RoutedDesign, Vec<NetId>)> =
+            std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let (device, routed) = routed_tmr_counter();
+            let mut nets: Vec<NetId> = routed
+                .routes()
+                .filter(|(_, tree)| !tree.pips.is_empty())
+                .map(|(net, _)| net)
+                .collect();
+            nets.sort_unstable();
+            (device, routed, nets)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Opening 1-4 set PIPs of one net at once disconnects exactly the
+        /// sinks the fixpoint reference disconnects, in the same order.
+        #[test]
+        fn tree_walk_opens_match_the_fixpoint_reference(
+            pick in 0usize..1 << 20,
+            picks in prop::collection::vec(0usize..1 << 20, 1..5),
+        ) {
+            let (device, routed, nets) = tmr_fixture();
+            let net = nets[pick % nets.len()];
+            let tree = routed.route_of(net).expect("picked among routed nets");
+            let mut removed: Vec<PipId> =
+                picks.iter().map(|&at| tree.pips[at % tree.pips.len()]).collect();
+            removed.sort_unstable();
+            removed.dedup();
+            let layout = device.config_layout();
+            let mut bits: Vec<usize> = removed.iter().map(|&pip| layout.pip_bit(pip)).collect();
+            bits.sort_unstable();
+            for &bit in &bits {
+                prop_assert!(routed.bitstream().get(bit), "tree PIPs are set bits");
+            }
+            let fault = classify_fault(device, routed, &bits);
+            prop_assert_eq!(
+                &fault.overlay().opened_sinks,
+                &fixpoint_opened_sinks(device, routed, net, &removed)
+            );
+        }
     }
 }

@@ -32,8 +32,10 @@
 //!   once the wrong-answer rate's confidence interval is tight enough — the
 //!   outcomes are always the exact prefix of the full run;
 //! * the structural machinery is exposed for reuse without simulation:
-//!   [`classify_bit`] and [`BitEffect::affected_domains`] power the static
-//!   criticality analyzer (`tmr-analyze`), and
+//!   [`classify_touch`] holds the classification rules once, allocating
+//!   nothing, and powers both [`classify_bit`] and the static criticality
+//!   analyzer (`tmr-analyze`); [`BitEffect::affected_domains`] is the
+//!   allocating reference the analyzer's verdicts are checked against; and
 //!   [`CampaignBuilder::restrict_to`] lets it prune campaigns down to the
 //!   statically-possibly-observable bits ([`CampaignResult::simulated`]
 //!   counts the simulations actually run).
@@ -54,7 +56,9 @@ mod session;
 pub use campaign::{CampaignOptions, CampaignResult, FaultOutcome};
 
 pub use builder::{CampaignBuilder, SimBackend};
-pub use effect::{classify_bit, classify_fault, BitEffect, FaultClass, FaultEffect};
+pub use effect::{
+    classify_bit, classify_fault, classify_touch, BitEffect, FaultClass, FaultEffect, Touch,
+};
 pub use fault_list::FaultList;
 pub use model::FaultModel;
 pub use session::{CampaignSession, EarlyStop, SessionProgress};

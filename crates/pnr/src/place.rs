@@ -42,21 +42,26 @@ impl Default for PlacerOptions {
 #[derive(Debug, Clone)]
 pub struct Placement {
     site_of_cell: Vec<SiteId>,
-    cell_at_site: HashMap<SiteId, CellId>,
+    /// The cell on each site, indexed by site up to the highest occupied
+    /// one; [`NO_CELL`] marks a free site.
+    cell_at_site: Vec<u32>,
     wirelength: u64,
 }
+
+/// The [`Placement`] occupancy entry of a free site.
+const NO_CELL: u32 = u32::MAX;
 
 impl Placement {
     /// Rebuilds a placement from the per-cell site assignment and the
     /// recorded wirelength — the inverse of iterating [`Placement::iter`],
-    /// used by the `tmr-store` codec. The site-occupancy map is rebuilt from
-    /// the assignment.
+    /// used by the `tmr-store` codec. The dense site-occupancy table is
+    /// rebuilt from the assignment.
     pub fn from_parts(site_of_cell: Vec<SiteId>, wirelength: u64) -> Self {
-        let cell_at_site = site_of_cell
-            .iter()
-            .enumerate()
-            .map(|(i, &site)| (site, CellId::from_index(i)))
-            .collect();
+        let sites = site_of_cell.iter().map(|site| site.index() + 1).max();
+        let mut cell_at_site = vec![NO_CELL; sites.unwrap_or(0)];
+        for (cell, site) in site_of_cell.iter().enumerate() {
+            cell_at_site[site.index()] = cell as u32;
+        }
         Self {
             site_of_cell,
             cell_at_site,
@@ -75,7 +80,10 @@ impl Placement {
 
     /// The cell placed on a site, if any.
     pub fn cell_at(&self, site: SiteId) -> Option<CellId> {
-        self.cell_at_site.get(&site).copied()
+        match self.cell_at_site.get(site.index()) {
+            Some(&cell) if cell != NO_CELL => Some(CellId::from_index(cell as usize)),
+            _ => None,
+        }
     }
 
     /// Iterates over (cell, site) pairs.
@@ -464,11 +472,7 @@ pub fn place(
         "incremental total cost diverged from the maintained boxes"
     );
 
-    Ok(Placement {
-        site_of_cell,
-        cell_at_site,
-        wirelength: total_cost,
-    })
+    Ok(Placement::from_parts(site_of_cell, total_cost))
 }
 
 #[cfg(test)]

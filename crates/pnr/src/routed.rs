@@ -58,10 +58,14 @@ pub struct RoutedDesign {
     placement: Placement,
     routes: HashMap<NetId, RouteTree>,
     bitstream: Bitstream,
-    node_net: HashMap<NodeId, NetId>,
-    pip_net: HashMap<PipId, NetId>,
+    /// The net occupying each routing node, indexed by node up to the
+    /// highest node any tree uses; [`NO_NET`] marks a free node.
+    node_net: Vec<u32>,
     design_bits: std::sync::OnceLock<Vec<usize>>,
 }
+
+/// The [`RoutedDesign`] node-table entry of a node no net uses.
+const NO_NET: u32 = u32::MAX;
 
 impl RoutedDesign {
     /// The mapped netlist this design was built from.
@@ -89,14 +93,13 @@ impl RoutedDesign {
         &self.bitstream
     }
 
-    /// The net using a routing node, if any.
+    /// The net using a routing node, if any: one read of the dense node
+    /// table.
     pub fn net_of_node(&self, node: NodeId) -> Option<NetId> {
-        self.node_net.get(&node).copied()
-    }
-
-    /// The net whose tree enables a PIP, if any.
-    pub fn net_of_pip(&self, pip: PipId) -> Option<NetId> {
-        self.pip_net.get(&pip).copied()
+        match self.node_net.get(node.index()) {
+            Some(&net) if net != NO_NET => Some(NetId::from_index(net as usize)),
+            _ => None,
+        }
     }
 
     /// The TMR domain of the signal carried by a net.
@@ -147,7 +150,7 @@ impl RoutedDesign {
         match *resource {
             ConfigResource::Pip(pip) => {
                 let pip = device.pip(pip);
-                self.node_net.contains_key(&pip.src) || self.node_net.contains_key(&pip.dst)
+                self.net_of_node(pip.src).is_some() || self.net_of_node(pip.dst).is_some()
             }
             ConfigResource::LutBit { site, .. } | ConfigResource::FfInit { site } => {
                 self.placement.cell_at(site).is_some()
@@ -160,34 +163,19 @@ impl RoutedDesign {
     /// [`RoutedDesign::resource_is_design_related`]. This is the fault-list
     /// population of the paper's Fault List Manager.
     ///
-    /// The scan is computed once per routed design and cached: the used-node
-    /// and used-site sets are materialized as index masks, so the pass over
-    /// the (large) configuration memory costs two array probes per bit, and
-    /// repeated campaigns on the same design (sweeps, streaming benches)
-    /// reuse the list for free.
+    /// The scan is computed once per routed design and cached: the dense
+    /// node table and the placement's dense site table make the pass over
+    /// the (large) configuration memory cost two array probes per bit, and
+    /// repeated campaigns on the same design (sweeps, streaming benches,
+    /// static analysis) reuse the list for free.
     pub fn design_related_bits(&self, device: &Device) -> &[usize] {
         self.design_bits.get_or_init(|| {
             let layout = device.config_layout();
-            let mut node_used = vec![false; device.node_count()];
-            for &node in self.node_net.keys() {
-                node_used[node.index()] = true;
-            }
-            let mut site_used = vec![false; device.site_count()];
-            for (_, site) in self.placement.iter() {
-                site_used[site.index()] = true;
-            }
             (0..layout.bit_count())
-                .filter(
-                    |&bit| match layout.resource_at(bit).expect("bit in range") {
-                        ConfigResource::Pip(pip) => {
-                            let pip = device.pip(pip);
-                            node_used[pip.src.index()] || node_used[pip.dst.index()]
-                        }
-                        ConfigResource::LutBit { site, .. } | ConfigResource::FfInit { site } => {
-                            site_used[site.index()]
-                        }
-                    },
-                )
+                .filter(|&bit| {
+                    let resource = layout.resource_at(bit).expect("bit in range");
+                    self.resource_is_design_related(device, &resource)
+                })
                 .collect()
         })
     }
@@ -278,8 +266,8 @@ pub fn place_and_route(
 impl RoutedDesign {
     /// Assembles the routed-design database from the outputs of the
     /// individual [`place`] and [`route`] stages: generates the
-    /// configuration bitstream and indexes which routing node and PIP
-    /// belongs to which logical net.
+    /// configuration bitstream and indexes which routing node belongs to
+    /// which logical net.
     ///
     /// This is the final, infallible step of [`place_and_route`], exposed
     /// separately so staged pipelines can cache a [`Placement`] and re-enter
@@ -290,50 +278,31 @@ impl RoutedDesign {
         placement: Placement,
         routes: HashMap<NetId, RouteTree>,
     ) -> RoutedDesign {
-        let mut node_net = HashMap::new();
-        let mut pip_net = HashMap::new();
-        for (&net, tree) in &routes {
-            for &node in &tree.nodes {
-                node_net.insert(node, net);
-            }
-            for &pip in &tree.pips {
-                pip_net.insert(pip, net);
-            }
-        }
-
         let bitstream = RoutedDesign::generate_bitstream(device, netlist, &placement, &routes);
-
-        RoutedDesign {
-            netlist: netlist.clone(),
-            placement,
-            routes,
-            bitstream,
-            node_net,
-            pip_net,
-            design_bits: std::sync::OnceLock::new(),
-        }
+        RoutedDesign::from_parts(netlist.clone(), placement, routes, bitstream)
     }
 
     /// Rebuilds the database from persisted parts — netlist, placement,
     /// routing trees and the already-generated bitstream — without a
     /// [`Device`]: unlike [`RoutedDesign::assemble`] the bitstream is taken
     /// as given (it was generated when the design was first assembled), and
-    /// only the node/PIP occupancy indexes are rebuilt from the routes. Used
-    /// by the `tmr-store` codec.
+    /// only the node-occupancy table is rebuilt from the routes, sized from
+    /// the highest node the trees use. Used by the `tmr-store` codec.
     pub fn from_parts(
         netlist: Netlist,
         placement: Placement,
         routes: HashMap<NetId, RouteTree>,
         bitstream: Bitstream,
     ) -> RoutedDesign {
-        let mut node_net = HashMap::new();
-        let mut pip_net = HashMap::new();
+        let nodes = routes
+            .values()
+            .flat_map(|tree| &tree.nodes)
+            .map(|node| node.index() + 1)
+            .max();
+        let mut node_net = vec![NO_NET; nodes.unwrap_or(0)];
         for (&net, tree) in &routes {
             for &node in &tree.nodes {
-                node_net.insert(node, net);
-            }
-            for &pip in &tree.pips {
-                pip_net.insert(pip, net);
+                node_net[node.index()] = net.index() as u32;
             }
         }
         RoutedDesign {
@@ -342,7 +311,6 @@ impl RoutedDesign {
             routes,
             bitstream,
             node_net,
-            pip_net,
             design_bits: std::sync::OnceLock::new(),
         }
     }
@@ -393,18 +361,25 @@ mod tests {
     }
 
     #[test]
-    fn node_and_pip_usage_maps_are_consistent() {
+    fn node_table_matches_the_route_trees() {
         let device = Device::small(5, 5);
         let netlist = mapped(&counter(4));
         let routed = place_and_route(&device, &netlist, 7).unwrap();
+        let mut used = 0;
         for (net, tree) in routed.routes() {
+            used += tree.nodes.len();
             for &node in &tree.nodes {
                 assert_eq!(routed.net_of_node(node), Some(net));
             }
+            // A tree PIP's destination belongs to the PIP's net alone.
             for &pip in &tree.pips {
-                assert_eq!(routed.net_of_pip(pip), Some(net));
+                assert_eq!(routed.net_of_node(device.pip(pip).dst), Some(net));
             }
         }
+        let table_hits = (0..device.node_count())
+            .filter(|&node| routed.net_of_node(NodeId::from_index(node)).is_some())
+            .count();
+        assert_eq!(table_hits, used, "routed trees share no node");
         assert_eq!(
             routed.net_of_node(NodeId::from_index(usize::MAX as u32 as usize - 1)),
             None
