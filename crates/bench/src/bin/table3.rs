@@ -3,14 +3,13 @@
 //! variants — one [`Sweep`](tmr_fpga::Sweep) call over the staged pipeline.
 //!
 //! The number of injected faults per design is controlled by the `TMR_FAULTS`
-//! environment variable (default 4000), the stimulus length by `TMR_CYCLES`
-//! (default 24) and the worker shards by `TMR_SHARDS` (default: one per CPU
-//! core; results are bit-identical for any shard count). Setting `TMR_CI`
-//! (e.g. `0.005`) stops each campaign early once the wrong-answer rate's
-//! 95 % confidence half-width is below that bound. `TMR_CACHE_DIR=dir`
-//! attaches a disk artifact store: a re-run over the same directory serves
-//! every implementation and campaign from disk (the stderr perf line shows
-//! the disk hit/miss counters).
+//! environment variable (default 4000) and the stimulus length by
+//! `TMR_CYCLES` (default 24). Setting `TMR_CI` (e.g. `0.005`) stops each
+//! campaign early once the wrong-answer rate's 95 % confidence half-width is
+//! below that bound. `TMR_CACHE_DIR=dir` attaches a disk artifact store: a
+//! re-run over the same directory serves every implementation and campaign
+//! from disk (the stderr perf line shows the disk hit/miss counters, and a
+//! warm run ends it with `(0 writes)`).
 //!
 //! ```text
 //! TMR_FAULTS=4000 cargo run --release -p tmr-bench --bin table3

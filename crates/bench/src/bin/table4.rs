@@ -3,9 +3,9 @@
 //! (LUT / MUX / Initialization / Open / Bridge / Input-Antenna / Conflict /
 //! Others) — one [`Sweep`](tmr_fpga::Sweep) call over the staged pipeline.
 //!
-//! Fault count, stimulus length, shard count, early stopping and the disk
-//! artifact store are controlled by `TMR_FAULTS`, `TMR_CYCLES`,
-//! `TMR_SHARDS`, `TMR_CI` and `TMR_CACHE_DIR`, as for `table3`.
+//! Fault count, stimulus length, early stopping and the disk artifact store
+//! are controlled by `TMR_FAULTS`, `TMR_CYCLES`, `TMR_CI` and
+//! `TMR_CACHE_DIR`, as for `table3`.
 //!
 //! ```text
 //! cargo run --release -p tmr-bench --bin table4

@@ -17,10 +17,9 @@
 //! TMR_FAULTS=2000 cargo run --release -p tmr-bench --bin table_mbu
 //! ```
 //!
-//! Environment knobs as for `table3` (`TMR_FAULTS`, `TMR_CYCLES`,
-//! `TMR_SHARDS`, `TMR_CI`, `TMR_CACHE_DIR`); `--json` emits one
-//! machine-readable document (shared serializer in `tmr_bench::report`)
-//! instead of markdown.
+//! Environment knobs as for `table3` (`TMR_FAULTS`, `TMR_CYCLES`, `TMR_CI`,
+//! `TMR_CACHE_DIR`); `--json` emits one machine-readable document (shared
+//! serializer in `tmr_bench::report`) instead of markdown.
 
 use tmr_analyze::Json;
 use tmr_arch::MbuPattern;

@@ -59,7 +59,6 @@
 mod analysis;
 mod area;
 mod error;
-pub mod json;
 mod par;
 pub mod pipeline;
 mod transform;
@@ -68,4 +67,5 @@ pub use analysis::{partition_report, redundant_signal_fraction, PartitionInfo, P
 pub use area::{estimate_resources, ResourceEstimate};
 pub use error::TmrError;
 pub use par::par_map;
+pub use tmr_trace::json;
 pub use transform::{apply_tmr, paper_variants, TmrConfig, VoterPlacement};

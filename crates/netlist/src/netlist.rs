@@ -69,11 +69,6 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     // ------------------------------------------------------------------
     // Construction
     // ------------------------------------------------------------------

@@ -1,6 +1,6 @@
-//! Graph traversals: topological ordering, levelization, cones.
+//! Graph traversals: topological ordering and levelization.
 
-use crate::{CellId, CellKind, NetDriver, NetId, NetSink, Netlist};
+use crate::{CellId, NetDriver, NetId, NetSink, Netlist};
 use std::collections::{HashSet, VecDeque};
 
 /// A combinational loop found during levelization.
@@ -106,54 +106,6 @@ impl Netlist {
         })
     }
 
-    /// Returns the transitive fanin cone of `net`: every cell whose output can
-    /// reach `net` through combinational logic, stopping at flip-flop outputs,
-    /// constants and top-level inputs (the stop cells themselves are included).
-    pub fn fanin_cone(&self, net: NetId) -> HashSet<CellId> {
-        let mut seen: HashSet<CellId> = HashSet::new();
-        let mut stack: Vec<NetId> = vec![net];
-        let mut visited_nets: HashSet<NetId> = HashSet::new();
-        while let Some(n) = stack.pop() {
-            if !visited_nets.insert(n) {
-                continue;
-            }
-            if let Some(NetDriver::Cell(c)) = self.net(n).driver {
-                if seen.insert(c) {
-                    let cell = self.cell(c);
-                    if !cell.kind.is_sequential() && !cell.kind.is_constant() {
-                        stack.extend(cell.inputs.iter().copied());
-                    }
-                }
-            }
-        }
-        seen
-    }
-
-    /// Returns the transitive fanout cone of `net`: every cell reachable from
-    /// `net` through combinational logic, stopping at (and including)
-    /// flip-flops.
-    pub fn fanout_cone(&self, net: NetId) -> HashSet<CellId> {
-        let mut seen: HashSet<CellId> = HashSet::new();
-        let mut stack: Vec<NetId> = vec![net];
-        let mut visited_nets: HashSet<NetId> = HashSet::new();
-        while let Some(n) = stack.pop() {
-            if !visited_nets.insert(n) {
-                continue;
-            }
-            for sink in &self.net(n).sinks {
-                if let NetSink::CellPin { cell, .. } = sink {
-                    if seen.insert(*cell) {
-                        let c = self.cell(*cell);
-                        if !c.kind.is_sequential() {
-                            stack.push(c.output);
-                        }
-                    }
-                }
-            }
-        }
-        seen
-    }
-
     /// Estimates the critical-path length in "logic levels", counting LUTs and
     /// generic gates as one level each and ignoring I/O buffers.
     ///
@@ -174,35 +126,6 @@ impl Netlist {
             .unwrap_or(0);
         Ok(depth + 1)
     }
-
-    /// Lists, for every flip-flop, whether it is part of a feedback loop
-    /// (i.e. its output cone reaches its own input — "state-machine logic" in
-    /// the paper's taxonomy) or pure throughput logic.
-    pub fn feedback_registers(&self) -> Vec<(CellId, bool)> {
-        self.sequential_cells()
-            .into_iter()
-            .map(|id| {
-                let out = self.cell(id).output;
-                let reachable = self.fanout_cone(out);
-                let feeds_back = reachable.contains(&id)
-                    || self
-                        .cell(id)
-                        .inputs
-                        .iter()
-                        .any(|&d| match self.net(d).driver {
-                            Some(NetDriver::Cell(c)) => c == id,
-                            _ => false,
-                        });
-                (id, feeds_back)
-            })
-            .collect()
-    }
-}
-
-/// Marker trait check helper used in tests: the kinds considered sources.
-#[allow(dead_code)]
-fn is_source_kind(kind: CellKind) -> bool {
-    kind.is_sequential() || kind.is_constant()
 }
 
 #[cfg(test)]
@@ -275,39 +198,5 @@ mod tests {
             .unwrap();
         nl.add_output("q", q);
         assert!(nl.levelize().is_ok());
-        let fb = nl.feedback_registers();
-        assert_eq!(fb.len(), 1);
-        assert!(fb[0].1, "accumulator register must be flagged as feedback");
-    }
-
-    #[test]
-    fn throughput_register_is_not_feedback() {
-        let nl = sample();
-        let fb = nl.feedback_registers();
-        assert_eq!(fb.len(), 1);
-        assert!(!fb[0].1);
-    }
-
-    #[test]
-    fn fanin_cone_collects_drivers() {
-        let nl = sample();
-        let q_net = nl.find_port("q", crate::PortDir::Output).unwrap().1.net;
-        let cone = nl.fanin_cone(q_net);
-        // register only (cone stops at the register)
-        assert!(cone.contains(&nl.find_cell("u_reg").unwrap().0));
-        let reg_d = nl.cell(nl.find_cell("u_reg").unwrap().0).inputs[0];
-        let cone = nl.fanin_cone(reg_d);
-        assert!(cone.contains(&nl.find_cell("u_and").unwrap().0));
-        assert!(cone.contains(&nl.find_cell("u_xor").unwrap().0));
-    }
-
-    #[test]
-    fn fanout_cone_collects_consumers() {
-        let nl = sample();
-        let a_net = nl.find_port("a", crate::PortDir::Input).unwrap().1.net;
-        let cone = nl.fanout_cone(a_net);
-        assert!(cone.contains(&nl.find_cell("u_and").unwrap().0));
-        assert!(cone.contains(&nl.find_cell("u_xor").unwrap().0));
-        assert!(cone.contains(&nl.find_cell("u_reg").unwrap().0));
     }
 }

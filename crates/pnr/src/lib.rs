@@ -64,4 +64,4 @@ pub use error::PnrError;
 pub use lookahead::Lookahead;
 pub use place::{place, placement_wirelength, Placement, PlacerOptions};
 pub use route::{route, route_with_telemetry, RouteIteration, RouteTelemetry, RouterOptions};
-pub use routed::{place_and_route, site_usage, BitReport, RouteTree, RoutedDesign};
+pub use routed::{place_and_route, BitReport, RouteTree, RoutedDesign};

@@ -118,6 +118,7 @@ impl Lookahead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmr_arch::NodeId;
 
     #[test]
     fn floors_are_monotone_and_start_at_zero() {
@@ -144,6 +145,91 @@ mod tests {
         for d in 1..lookahead.entries() as u32 {
             assert!(lookahead.cost_floor(d) <= d as f32);
         }
+    }
+
+    /// Exact cheapest remaining cost from every node to `sink`: a backward
+    /// Dijkstra over incoming PIPs in which entering a node costs its
+    /// `base_cost` and no path enters an input pin other than the sink.
+    /// `None` marks a node that cannot reach the sink.
+    fn exact_costs_to(device: &Device, incoming: &[Vec<NodeId>], sink: NodeId) -> Vec<Option<f64>> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut cost: Vec<Option<f64>> = vec![None; device.node_count()];
+        // Non-negative finite f64s order like their bit patterns.
+        let mut queue = BinaryHeap::from([Reverse((0f64.to_bits(), sink.index()))]);
+        cost[sink.index()] = Some(0.0);
+        while let Some(Reverse((bits, index))) = queue.pop() {
+            let reached = f64::from_bits(bits);
+            if cost[index].is_some_and(|best| best < reached) {
+                continue;
+            }
+            let node = NodeId::from_index(index);
+            let through = reached + f64::from(base_cost(&device.node(node)));
+            for &src in &incoming[index] {
+                if device.node(src).is_in_pin() {
+                    continue;
+                }
+                if cost[src.index()].is_none_or(|best| through < best) {
+                    cost[src.index()] = Some(through);
+                    queue.push(Reverse((through.to_bits(), src.index())));
+                }
+            }
+        }
+        cost
+    }
+
+    /// Checks `cost_floor(manhattan)` against the exact remaining cost for
+    /// every node that reaches one of `samples` evenly spaced input pins,
+    /// and returns the number of node–pin pairs checked.
+    fn assert_floor_is_admissible(device: &Device, samples: usize) -> usize {
+        let mut incoming: Vec<Vec<NodeId>> = vec![Vec::new(); device.node_count()];
+        for index in 0..device.pip_count() {
+            let pip = device.pip(tmr_arch::PipId::from_index(index));
+            incoming[pip.dst.index()].push(pip.src);
+        }
+        let pins: Vec<NodeId> = (0..device.node_count())
+            .map(NodeId::from_index)
+            .filter(|&node| device.node(node).is_in_pin())
+            .collect();
+        let lookahead = Lookahead::compute(device);
+        let mut pairs = 0;
+        for &sink in pins.iter().step_by(pins.len().div_ceil(samples)) {
+            let sink_tile = device.node_tile(sink);
+            for (index, exact) in exact_costs_to(device, &incoming, sink)
+                .into_iter()
+                .enumerate()
+            {
+                let Some(exact) = exact else { continue };
+                let node = NodeId::from_index(index);
+                let floor = lookahead.cost_floor(device.node_tile(node).manhattan(sink_tile));
+                // The tolerance absorbs the f32 rounding of the floors; every
+                // cost step is at least 0.95.
+                assert!(
+                    f64::from(floor) <= exact + 1e-4,
+                    "floor {floor} exceeds the exact cost {exact} from node {node} to pin {sink}"
+                );
+                pairs += 1;
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn floors_never_exceed_the_exact_cost_to_a_pin() {
+        let small = assert_floor_is_admissible(&Device::small(6, 6), 32);
+        // The lean preset the fuzzer rotates in: starved channels and pin
+        // candidates, so pins are reached over few, long detours.
+        let mut lean = DeviceParams::small(6, 6);
+        lean.tracks = 8;
+        lean.out_pin_candidates = 4;
+        lean.in_pin_candidates = 2;
+        lean.sb_same_tile = 2;
+        lean.sb_neighbor = 2;
+        let lean = assert_floor_is_admissible(&Device::new(lean), 32);
+        assert!(
+            small > 0 && lean > 0,
+            "the oracle checked {small} / {lean} pairs"
+        );
     }
 
     #[test]

@@ -24,16 +24,11 @@ use tmr_netlist::{CellId, CellKind, NetDriver, NetId, NetSink, Netlist};
 pub struct PlacerOptions {
     /// RNG seed; placements are deterministic for a given seed.
     pub seed: u64,
-    /// Annealing moves attempted per movable cell.
-    pub moves_per_cell: usize,
 }
 
 impl Default for PlacerOptions {
     fn default() -> Self {
-        Self {
-            seed: 1,
-            moves_per_cell: 24,
-        }
+        Self { seed: 1 }
     }
 }
 
@@ -347,10 +342,11 @@ pub fn place(
         .collect();
     let mut total_cost: u64 = boxes.iter().map(NetBox::hpwl).sum();
 
-    // Simulated annealing.
+    // Simulated annealing: `MOVES_PER_CELL` attempted moves per movable cell.
+    const MOVES_PER_CELL: usize = 24;
     let movable: Vec<CellId> = netlist.cells().map(|(id, _)| id).collect();
     let mut rng = StdRng::seed_from_u64(options.seed);
-    let total_moves = options.moves_per_cell * movable.len().max(1);
+    let total_moves = MOVES_PER_CELL * movable.len().max(1);
     let mut temperature = (total_cost as f64 / cost_nets.len().max(1) as f64).max(1.0);
     let temperature_steps = 64usize;
     let moves_per_step = (total_moves / temperature_steps).max(1);
@@ -520,15 +516,7 @@ mod tests {
         for (cols, rows, seed) in [(5, 5, 1), (6, 6, 7), (8, 8, 42)] {
             let device = Device::small(cols, rows);
             let netlist = mapped_counter();
-            let placement = place(
-                &device,
-                &netlist,
-                &PlacerOptions {
-                    seed,
-                    ..PlacerOptions::default()
-                },
-            )
-            .unwrap();
+            let placement = place(&device, &netlist, &PlacerOptions { seed }).unwrap();
             assert_eq!(
                 placement.wirelength(),
                 placement_wirelength(&device, &netlist, &placement),

@@ -5,7 +5,7 @@
 //! * **Directed search.** Every sink is found with A* over the device's
 //!   routing graph, guided by the admissible per-device
 //!   [`Lookahead`](crate::Lookahead) table and confined to the net's
-//!   bounding box (plus [`RouterOptions::bbox_margin`] tiles of slack); a
+//!   bounding box (plus `BBOX_MARGIN` tiles of slack); a
 //!   sink that cannot be reached inside the box deterministically retries
 //!   unconfined. Expansions walk the device's own fanout rows
 //!   ([`Device::fanout`]); the open list is a 4-ary heap over packed keys
@@ -35,38 +35,12 @@ use tmr_netlist::{NetDriver, NetId, NetSink, Netlist};
 pub struct RouterOptions {
     /// Maximum negotiation iterations before giving up.
     pub max_iterations: usize,
-    /// Initial present-congestion penalty factor.
-    pub present_factor: f64,
-    /// Multiplier applied to the present-congestion factor each iteration.
-    pub present_factor_growth: f64,
-    /// Ceiling on the present-congestion factor. Beyond it the accumulated
-    /// history cost does the arbitration; an uncapped factor makes every
-    /// must-displace search explore a cost ball as wide as the penalty.
-    pub present_factor_max: f64,
-    /// Historical congestion cost added to every overused node per iteration.
-    pub history_increment: f64,
-    /// A* heuristic weight (1.0 = admissible, larger = faster but greedier).
-    pub astar_weight: f64,
-    /// Search-confinement slack: tiles added around each net's terminal
-    /// bounding box before the A* expansion is clipped to it.
-    pub bbox_margin: u16,
 }
 
 impl Default for RouterOptions {
     fn default() -> Self {
-        // The growth factor must stay gentle: with an aggressive schedule
-        // (e.g. 1.8 per iteration) the present-congestion penalty explodes
-        // after a few dozen iterations, the router degenerates into pure
-        // avoidance of any occupied node and negotiation oscillates instead
-        // of converging — overuse *increases* with more iterations.
         Self {
             max_iterations: 250,
-            present_factor: 0.6,
-            present_factor_growth: 1.2,
-            present_factor_max: 32.0,
-            history_increment: 1.5,
-            astar_weight: 2.25,
-            bbox_margin: 3,
         }
     }
 }
@@ -92,18 +66,16 @@ impl TileBounds {
     }
 }
 
+/// Search-confinement slack: tiles added around each net's terminal
+/// bounding box before the A* expansion is clipped to it.
+const BBOX_MARGIN: u16 = 3;
+
 /// The clipped search rectangle for one net attempt: the terminal bounding
 /// box, widened by the base margin plus one tile per rip-up the net has
 /// suffered (so congestion-locked nets progressively escape their
 /// neighbourhood).
-fn search_rect(
-    terminals: &NetTerminals,
-    rip_count: u16,
-    bbox_margin: u16,
-    cols: u16,
-    rows: u16,
-) -> TileBounds {
-    let margin = bbox_margin.saturating_add(rip_count);
+fn search_rect(terminals: &NetTerminals, rip_count: u16, cols: u16, rows: u16) -> TileBounds {
+    let margin = BBOX_MARGIN.saturating_add(rip_count);
     TileBounds {
         min_x: terminals.bbox.min_x.saturating_sub(margin),
         min_y: terminals.bbox.min_y.saturating_sub(margin),
@@ -137,7 +109,7 @@ struct NetTerminals {
 /// One negotiation iteration's congestion signals.
 ///
 /// These are the numbers that expose the divergence class fixed in the
-/// present-factor schedule (see [`RouterOptions::default`]): a healthy run
+/// router's present-factor schedule: a healthy run
 /// shows `overused_nodes` trending to zero while `present_factor` grows
 /// gently; an oscillating run shows overuse flat or growing as the factor
 /// explodes.
@@ -229,7 +201,6 @@ struct RouteContext<'a> {
     lookahead: &'a Lookahead,
     cols: u16,
     rows: u16,
-    bbox_margin: u16,
 }
 
 /// Everything the expansion loop needs to price and locate one node, packed
@@ -298,6 +269,22 @@ fn route_inner(
     options: &RouterOptions,
     telemetry: &mut RouteTelemetry,
 ) -> Result<HashMap<NetId, RouteTree>, PnrError> {
+    // The PathFinder schedule. The present-congestion factor starts at
+    // `PRESENT_FACTOR` and grows by `PRESENT_FACTOR_GROWTH` per iteration.
+    // The growth must stay gentle: with an aggressive schedule (e.g. 1.8 per
+    // iteration) the penalty explodes after a few dozen iterations, the
+    // router degenerates into pure avoidance of any occupied node and
+    // negotiation oscillates instead of converging — overuse *increases*
+    // with more iterations. Past `PRESENT_FACTOR_MAX` the accumulated
+    // history cost (`HISTORY_INCREMENT` per extra occupant of an overused
+    // node, every iteration) does the arbitration; an uncapped factor makes
+    // every must-displace search explore a cost ball as wide as the penalty.
+    const PRESENT_FACTOR: f64 = 0.6;
+    const PRESENT_FACTOR_GROWTH: f64 = 1.2;
+    const PRESENT_FACTOR_MAX: f64 = 32.0;
+    const HISTORY_INCREMENT: f64 = 1.5;
+    // A* heuristic weight (1.0 = admissible, larger = faster but greedier).
+    const ASTAR_WEIGHT: f64 = 2.25;
     let node_count = device.node_count();
     let lookahead = Lookahead::for_device(device);
     let mut base = vec![0f32; node_count];
@@ -321,7 +308,6 @@ fn route_inner(
         lookahead: &lookahead,
         cols: device.cols(),
         rows: device.rows(),
-        bbox_margin: options.bbox_margin,
     };
 
     let nets = collect_terminals(device, netlist, placement);
@@ -329,8 +315,8 @@ fn route_inner(
     if tmr_trace::enabled() {
         tmr_trace::event("route.astar")
             .attr("lookahead_entries", lookahead.entries())
-            .attr("astar_weight", options.astar_weight)
-            .attr("bbox_margin", u32::from(options.bbox_margin));
+            .attr("astar_weight", ASTAR_WEIGHT)
+            .attr("bbox_margin", u32::from(BBOX_MARGIN));
     }
 
     let mut history = vec![0f32; node_count];
@@ -340,7 +326,7 @@ fn route_inner(
     // nets locked in a congestion fight progressively escape their bounding
     // boxes.
     let mut rip_counts: Vec<u16> = vec![0; nets.len()];
-    let mut present_factor = options.present_factor;
+    let mut present_factor = PRESENT_FACTOR;
     let mut overused = 0;
 
     for iteration in 1..=options.max_iterations {
@@ -354,7 +340,7 @@ fn route_inner(
         // decay starts and never see it.
         const WEIGHT_DECAY_START: i32 = 60;
         const WEIGHT_DECAY: f64 = 0.9;
-        let weight = (options.astar_weight
+        let weight = (ASTAR_WEIGHT
             * WEIGHT_DECAY.powi((iteration as i32 - WEIGHT_DECAY_START).max(0)))
         .max(1.0) as f32;
         let mut rerouted = 0usize;
@@ -427,12 +413,11 @@ fn route_inner(
         for node in 0..node_count {
             let occ = states[node].occupancy;
             if occ > 1 {
-                history[node] += (options.history_increment * f64::from(occ - 1)) as f32;
+                history[node] += (HISTORY_INCREMENT * f64::from(occ - 1)) as f32;
             }
             states[node].cost_static = base[node] + history[node];
         }
-        present_factor =
-            (present_factor * options.present_factor_growth).min(options.present_factor_max);
+        present_factor = (present_factor * PRESENT_FACTOR_GROWTH).min(PRESENT_FACTOR_MAX);
     }
     // The budget is spent (a zero budget routes nothing).
     Err(PnrError::Unroutable {
@@ -661,7 +646,7 @@ fn route_net(
     let floor = WEIGHT_FLOOR.min(weight);
     let weight =
         (weight - WEIGHT_SLOPE * (f32::from(rip_count) - WEIGHT_GRACE).max(0.0)).max(floor);
-    let bounds = search_rect(terminals, rip_count, ctx.bbox_margin, ctx.cols, ctx.rows);
+    let bounds = search_rect(terminals, rip_count, ctx.cols, ctx.rows);
     let net_confined = !bounds.covers_grid(ctx.cols, ctx.rows);
     // `start` is either a fresh source-only tree or the clean subtree a
     // partial rip-up preserved; either way its sinks are re-collected below.
@@ -907,10 +892,7 @@ mod tests {
         let device = Device::small(5, 5);
         let netlist = techmap(&optimize(&lower(&counter(4)).unwrap())).unwrap();
         let placement = place(&device, &netlist, &PlacerOptions::default()).unwrap();
-        let options = RouterOptions {
-            max_iterations: 0,
-            ..RouterOptions::default()
-        };
+        let options = RouterOptions { max_iterations: 0 };
         let unroutable = PnrError::Unroutable {
             overused_nodes: 0,
             iterations: 0,

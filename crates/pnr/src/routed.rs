@@ -2,7 +2,7 @@
 
 use crate::{place, route, Placement, PlacerOptions, PnrError, RouterOptions};
 use std::collections::HashMap;
-use tmr_arch::{BitCategory, Bitstream, ConfigResource, Device, NodeId, PipId, SiteKind};
+use tmr_arch::{BitCategory, Bitstream, ConfigResource, Device, NodeId, PipId};
 use tmr_netlist::{CellId, CellKind, Domain, NetId, Netlist};
 
 /// The routing tree of one net: the set of routing-graph nodes and enabled
@@ -251,14 +251,7 @@ pub fn place_and_route(
     netlist: &Netlist,
     seed: u64,
 ) -> Result<RoutedDesign, PnrError> {
-    let placement = place(
-        device,
-        netlist,
-        &PlacerOptions {
-            seed,
-            ..PlacerOptions::default()
-        },
-    )?;
+    let placement = place(device, netlist, &PlacerOptions { seed })?;
     let routes = route(device, netlist, &placement, &RouterOptions::default())?;
     Ok(RoutedDesign::assemble(device, netlist, placement, routes))
 }
@@ -314,16 +307,6 @@ impl RoutedDesign {
             design_bits: std::sync::OnceLock::new(),
         }
     }
-}
-
-/// Number of sites of each kind used by a placement — convenience for
-/// utilisation reports.
-pub fn site_usage(device: &Device, placement: &Placement) -> HashMap<SiteKind, usize> {
-    let mut usage: HashMap<SiteKind, usize> = HashMap::new();
-    for (_, site) in placement.iter() {
-        *usage.entry(device.site(site).kind).or_insert(0) += 1;
-    }
-    usage
 }
 
 #[cfg(test)]
@@ -457,18 +440,6 @@ mod tests {
             routed.node_domain(NodeId::from_index(usize::MAX as u32 as usize - 1)),
             None
         );
-    }
-
-    #[test]
-    fn site_usage_counts_placed_cells() {
-        let device = Device::small(5, 5);
-        let netlist = mapped(&counter(4));
-        let routed = place_and_route(&device, &netlist, 7).unwrap();
-        let usage = site_usage(&device, routed.placement());
-        let stats = netlist.stats();
-        assert_eq!(usage[&SiteKind::Ff], stats.flip_flops);
-        assert_eq!(usage[&SiteKind::Iob], stats.io_buffers);
-        assert_eq!(usage[&SiteKind::Lut], stats.luts + stats.constants);
     }
 
     #[test]

@@ -82,9 +82,10 @@ impl JobState {
 pub struct ServiceConfig {
     /// Worker threads (0 = default of 2).
     pub workers: usize,
-    /// The disk store backing resumable prefixes, result dedup and all
-    /// stage artifacts. `None` = memory-only: jobs still interleave and
-    /// pause/resume, but nothing survives the process.
+    /// The disk store backing resumable prefixes, result dedup and the
+    /// persisted flow stages (`synth`, `route`, `campaign`). `None` =
+    /// memory-only, whatever the environment holds: jobs still interleave
+    /// and pause/resume, but nothing survives the process.
     pub store: Option<Arc<Store>>,
 }
 

@@ -135,6 +135,8 @@ impl Store {
     }
 
     /// Opens the store named by the `TMR_CACHE_DIR` environment variable.
+    /// Flows and sweeps never call this; binaries do, and attach the result
+    /// with `store(...)`.
     ///
     /// Returns `None` when the variable is unset or empty. An unusable
     /// directory also yields `None` (with a note on stderr) rather than an

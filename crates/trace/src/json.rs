@@ -3,14 +3,14 @@
 //! ([`validate`]), and string escaping ([`escape`]).
 //!
 //! The workspace builds fully offline, so everything that speaks JSON — the
-//! trace sinks in `tmr-trace` (which includes this file via `#[path]`, as
-//! `tmr-core` sits above it in the dependency order), the criticality and
-//! campaign reports in `tmr-analyze`/`tmr-bench`, the artifact-store
-//! metadata in `tmr-store` and the campaign-service wire protocol in
-//! `tmr-serve` — shares this module instead of pulling in `serde`. Only what
-//! those layers need is implemented: objects with insertion-ordered keys,
-//! arrays, escaped strings, integers, floats, booleans and null, rendered
-//! compactly and parsed back with byte-offset errors.
+//! trace sinks in this crate, the criticality and campaign reports in
+//! `tmr-analyze`/`tmr-bench`, the artifact-store metadata in `tmr-store` and
+//! the campaign-service wire protocol in `tmr-serve` — shares this module
+//! instead of pulling in `serde`. It lives in `tmr-trace`, the bottom of the
+//! dependency order, and `tmr-core` re-exports it as `tmr_core::json`. Only
+//! what those layers need is implemented: objects with insertion-ordered
+//! keys, arrays, escaped strings, integers, floats, booleans and null,
+//! rendered compactly and parsed back with byte-offset errors.
 
 use std::fmt;
 

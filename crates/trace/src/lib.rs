@@ -55,11 +55,6 @@
 
 mod attr;
 mod config;
-// The JSON module is the workspace-shared one that lives in `tmr-core`
-// (`crates/core/src/json.rs`). `tmr-core` depends on this crate, so the file
-// is compiled into both via `#[path]` instead of a dependency edge — it is
-// deliberately self-contained (std only, no doctests).
-#[path = "../../core/src/json.rs"]
 pub mod json;
 mod record;
 mod sink;

@@ -87,11 +87,10 @@ impl FlowBuilder {
         self
     }
 
-    /// Backs the flow's cache with an open disk [`Store`], so stage
-    /// artifacts survive the process and warm-start later runs (default:
-    /// the store named by the `TMR_CACHE_DIR` environment variable, if
-    /// any). A sweep passes one store to all of its flows so the disk
-    /// counters aggregate.
+    /// Backs the flow's cache with an open disk [`Store`], so the persisted
+    /// stages (`synth`, `route`, `campaign`) survive the process and
+    /// warm-start later runs (default: memory only). A sweep passes one
+    /// store to all of its flows so the disk counters aggregate.
     #[must_use]
     pub fn store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
@@ -102,14 +101,13 @@ impl FlowBuilder {
     pub fn build(self) -> Flow {
         let identity = fingerprint(&[&self.design, &self.tmr]);
         let device_fp = fingerprint(&[self.device.params()]);
-        let disk = self.store.or_else(Store::from_env);
         Flow {
             device: self.device,
             design: self.design,
             tmr: self.tmr,
             seed: self.seed,
             shards: self.shards,
-            cache: PersistentCache::new(self.cache.unwrap_or_default(), disk),
+            cache: PersistentCache::new(self.cache.unwrap_or_default(), self.store),
             identity,
             device_fp,
         }
@@ -159,8 +157,8 @@ impl Flow {
         self.cache.mem()
     }
 
-    /// The disk store behind the cache, when one is attached (via
-    /// [`FlowBuilder::store`] or `TMR_CACHE_DIR`).
+    /// The disk store behind the cache, when [`FlowBuilder::store`]
+    /// attached one.
     pub fn store(&self) -> Option<&Arc<Store>> {
         self.cache.disk()
     }
@@ -203,10 +201,7 @@ impl Flow {
                 let placement = place(
                     &self.device,
                     synthesized.netlist(),
-                    &PlacerOptions {
-                        seed: self.seed,
-                        ..PlacerOptions::default()
-                    },
+                    &PlacerOptions { seed: self.seed },
                 )?;
                 if tmr_trace::enabled() {
                     tmr_trace::attr_current("cells", placement.iter().count());
@@ -281,10 +276,11 @@ impl Flow {
 
     /// The [`Compiled`] simulator stage: the synthesized netlist levelized
     /// into the flat 64-lane bit-parallel instruction stream campaigns
-    /// evaluate on. Cached per design identity (compilation is
+    /// evaluate on. Cached in memory per design identity (compilation is
     /// placement-independent) and injected into every campaign this flow
     /// runs, so repeated campaigns — including different fault models —
-    /// levelize exactly once.
+    /// levelize exactly once. Never persisted: a warm disk serves the
+    /// synthesized netlist it compiles from.
     ///
     /// # Errors
     ///
@@ -317,9 +313,10 @@ impl Flow {
     }
 
     /// The golden (fault-free) reference run for campaigns of `cycles`
-    /// cycles under stimulus `seed` — cached per netlist (persisted to disk
-    /// when a store is attached), shared by every campaign and session over
-    /// this design, on any device.
+    /// cycles under stimulus `seed` — cached in memory per netlist, shared
+    /// by every campaign and session over this design, on any device. Never
+    /// persisted: recomputing it from the (persisted) synthesized netlist
+    /// takes milliseconds.
     ///
     /// # Errors
     ///
@@ -330,7 +327,8 @@ impl Flow {
             .write_u64(cycles as u64)
             .write_u64(stimulus_seed);
         self.cache
-            .get_or_try_insert_self(CacheKey::new("golden", fp.finish()), || {
+            .mem()
+            .get_or_try_insert(CacheKey::new("golden", fp.finish()), || {
                 if tmr_trace::enabled() {
                     tmr_trace::attr_current("cycles", cycles);
                 }

@@ -206,32 +206,26 @@ pub(crate) fn stage_synthesized(
     )
 }
 
-/// The cache-backed simulator-compilation stage. The persisted payload is
-/// the *source* netlist ([`CompiledNetlist`] does not retain it); decoding
-/// replays the (fast, deterministic) compilation, which still skips the
-/// whole synthesis pipeline on a warm disk.
+/// The cache-backed simulator-compilation stage. Memory-only: the compiled
+/// stream is a fast, deterministic function of the synthesized netlist,
+/// which the (persisted) synthesis stage already stores, so a warm disk
+/// serves that netlist and the compilation replays from it.
 pub(crate) fn stage_compiled(
     cache: &PersistentCache,
     identity: u64,
     synthesized: impl FnOnce() -> Result<Arc<Synthesized>, Error>,
 ) -> Result<Arc<Compiled>, Error> {
-    let compile = |netlist: &Netlist| {
-        let compiled = CompiledNetlist::compile(netlist)?;
-        if tmr_trace::enabled() {
-            tmr_trace::attr_current("ops", compiled.op_count());
-        }
-        Ok::<_, Error>(Compiled {
-            compiled: Arc::new(compiled),
-            fingerprint: identity,
-        })
-    };
-    cache.get_or_try_insert_persisted(
-        CacheKey::new("compiled", identity),
-        |netlist: Netlist| compile(&netlist),
-        || {
+    cache
+        .mem()
+        .get_or_try_insert(CacheKey::new("compiled", identity), || {
             let synthesized = synthesized()?;
-            let artifact = compile(synthesized.netlist())?;
-            Ok((artifact, synthesized.netlist().clone()))
-        },
-    )
+            let compiled = CompiledNetlist::compile(synthesized.netlist())?;
+            if tmr_trace::enabled() {
+                tmr_trace::attr_current("ops", compiled.op_count());
+            }
+            Ok::<_, Error>(Compiled {
+                compiled: Arc::new(compiled),
+                fingerprint: identity,
+            })
+        })
 }

@@ -100,19 +100,6 @@ pub fn device_params_for(
     params
 }
 
-/// The device-selection policy of a [`Sweep`].
-#[derive(Debug, Clone)]
-enum SweepDevice {
-    /// Implement every variant on this device.
-    Fixed(Device),
-    /// Scale this architecture up until every variant fits below the given
-    /// utilisation (see [`device_for`]).
-    Auto {
-        params: DeviceParams,
-        max_utilisation: f64,
-    },
-}
-
 /// A configuration sweep: many [`Flow`]s over the variants of one base
 /// design, sharing a device and an artifact cache.
 ///
@@ -136,7 +123,8 @@ enum SweepDevice {
 pub struct Sweep {
     base: Design,
     variants: Vec<(String, Option<TmrConfig>)>,
-    device: SweepDevice,
+    /// The fixed device of [`Sweep::on_device`]; `None` auto-sizes.
+    device: Option<Device>,
     seed: u64,
     campaign: Option<CampaignBuilder>,
     analyze: bool,
@@ -153,10 +141,7 @@ impl Sweep {
         Self {
             base: base.clone(),
             variants: Vec::new(),
-            device: SweepDevice::Auto {
-                params: DeviceParams::xc2s200e_like(),
-                max_utilisation: 0.50,
-            },
+            device: None,
             seed: 1,
             campaign: None,
             analyze: false,
@@ -186,19 +171,7 @@ impl Sweep {
     /// Implements every variant on this fixed device instead of auto-sizing.
     #[must_use]
     pub fn on_device(mut self, device: &Device) -> Self {
-        self.device = SweepDevice::Fixed(device.clone());
-        self
-    }
-
-    /// Auto-sizes the device from these architecture parameters and maximum
-    /// LUT/FF utilisation (the default policy uses
-    /// [`DeviceParams::xc2s200e_like`] at 0.50).
-    #[must_use]
-    pub fn auto_device(mut self, params: DeviceParams, max_utilisation: f64) -> Self {
-        self.device = SweepDevice::Auto {
-            params,
-            max_utilisation,
-        };
+        self.device = Some(device.clone());
         self
     }
 
@@ -238,8 +211,8 @@ impl Sweep {
     }
 
     /// Shares one already-open disk [`Store`] across every flow of the
-    /// sweep (and with other sweeps holding the same handle); default: the
-    /// store named by `TMR_CACHE_DIR`, if any.
+    /// sweep (and with other sweeps holding the same handle); default:
+    /// memory only.
     #[must_use]
     pub fn store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
@@ -255,11 +228,9 @@ impl Sweep {
     pub fn flows(&self) -> Result<(Device, Vec<(String, Flow)>), Error> {
         // Synthesis is device-independent: run it first for every variant so
         // auto-sizing can see the netlists. The per-variant flows below then
-        // hit the cache for their transformation and synthesis stages. The
-        // store is resolved once, so every variant shares it and its
-        // counters aggregate.
-        let disk = self.store.clone().or_else(Store::from_env);
-        let cache = PersistentCache::new(self.cache.clone(), disk.clone());
+        // hit the cache for their transformation and synthesis stages. Every
+        // variant shares the one store, so its counters aggregate.
+        let cache = PersistentCache::new(self.cache.clone(), self.store.clone());
         let mut synthesized = Vec::new();
         for (name, config) in &self.variants {
             let identity = fingerprint(&[&self.base, config]);
@@ -272,14 +243,11 @@ impl Sweep {
         }
 
         let device = match &self.device {
-            SweepDevice::Fixed(device) => device.clone(),
-            SweepDevice::Auto {
-                params,
-                max_utilisation,
-            } => {
+            Some(device) => device.clone(),
+            None => {
                 let netlists: Vec<&Netlist> =
                     synthesized.iter().map(|(_, s)| s.netlist()).collect();
-                device_for(*params, &netlists, *max_utilisation)
+                device_for(DeviceParams::xc2s200e_like(), &netlists, 0.50)
             }
         };
 
@@ -291,7 +259,7 @@ impl Sweep {
                 if let Some(config) = config {
                     builder = builder.tmr(config.clone());
                 }
-                if let Some(store) = &disk {
+                if let Some(store) = &self.store {
                     builder = builder.store(store.clone());
                 }
                 (name.clone(), builder.cache(self.cache.clone()).build())
@@ -314,7 +282,6 @@ impl Sweep {
     /// fail, the error of the earliest one in sweep order is returned.
     pub fn run(&self) -> Result<SweepReport, Error> {
         let (device, flows) = self.flows()?;
-        let flows_store = flows.first().and_then(|(_, flow)| flow.store().cloned());
         let trace_parent = tmr_trace::current_span();
         let campaign = self.campaign.as_ref();
         let results = par_map(flows, |(name, flow)| {
@@ -326,7 +293,7 @@ impl Sweep {
         for result in results {
             variants.push(result?);
         }
-        let disk = flows_store.as_ref();
+        let disk = self.store.as_ref();
         Ok(SweepReport {
             device,
             variants,
@@ -423,8 +390,8 @@ pub struct SweepReport {
     /// sorted by stage name — the table binaries log these so reuse of the
     /// compiled-simulator stage is visible in every run.
     pub stage_cache: Vec<(&'static str, CacheStats)>,
-    /// Aggregate disk-store counters, when the sweep ran over a disk cache
-    /// ([`Sweep::store`] or `TMR_CACHE_DIR`); `None` for memory-only sweeps.
+    /// Aggregate disk-store counters, when the sweep ran over the store of
+    /// [`Sweep::store`]; `None` for memory-only sweeps.
     pub disk: Option<DiskStats>,
     /// Per-stage disk-store counters, sorted by stage name; empty for
     /// memory-only sweeps.

@@ -46,12 +46,8 @@ proptest! {
         let params = tmr_fpga::fuzz::arch_for_seed(seed);
         let netlist = techmap(&optimize(&lower(&design).expect("lowering"))).expect("mapping");
         let device = device_for(params, &[&netlist], 0.5);
-        let placement = place(
-            &device,
-            &netlist,
-            &PlacerOptions { seed, ..PlacerOptions::default() },
-        )
-        .expect("generated design places");
+        let placement =
+            place(&device, &netlist, &PlacerOptions { seed }).expect("generated design places");
         prop_assert_eq!(
             placement.wirelength(),
             placement_wirelength(&device, &netlist, &placement)
