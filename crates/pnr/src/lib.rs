@@ -63,5 +63,7 @@ mod routed;
 pub use error::PnrError;
 pub use lookahead::Lookahead;
 pub use place::{place, placement_wirelength, Placement, PlacerOptions};
-pub use route::{route, route_with_telemetry, RouteIteration, RouteTelemetry, RouterOptions};
+pub use route::{
+    route, route_with_telemetry, RouteIteration, RouteTelemetry, RouterOptions, ROUTE_EPOCH,
+};
 pub use routed::{place_and_route, BitReport, RouteTree, RoutedDesign};

@@ -17,9 +17,16 @@
 //!   ripped up, rerouted against the live occupancy and committed by the
 //!   time the walk examines the next congested net, so every later reroute
 //!   sees it.
-//! * **Congestion pricing.** Node costs follow the classic PathFinder
-//!   schedule: a present-congestion factor that grows gently each iteration
-//!   plus an accumulated history cost on every overused node.
+//! * **Congestion pricing.** Node costs follow the PathFinder schedule: a
+//!   present-congestion factor plus an accumulated history cost on every
+//!   overused node. The factor reacts to the router's own overuse counts:
+//!   after the first iteration it grows ×1.2, after each later one ×2 as
+//!   long as overuse has fallen in every iteration since the first. That
+//!   halves the iterations on the large paper device, where congestion is
+//!   sparse. The first iteration whose overuse does not fall switches the
+//!   run to ×1.2 growth for good, the gentle schedule that tight devices
+//!   need to converge; a run whose overuse does not fall in iteration 2
+//!   never leaves it.
 
 use crate::lookahead::Lookahead;
 use crate::queue::OpenList;
@@ -29,6 +36,18 @@ use std::collections::HashMap;
 use std::time::Instant;
 use tmr_arch::{Device, NodeId, PipId, RouteNode};
 use tmr_netlist::{NetDriver, NetId, NetSink, Netlist};
+
+/// The router's semantics epoch: bump it in any change that can move a
+/// route, so every route-dependent cache key changes with it.
+///
+/// Stores outlive builds. A store filled by an older router would otherwise
+/// serve that router's routes, bitstreams and campaign results to a newer
+/// one. The flow layer mixes this constant into the key of every stage
+/// downstream of routing (place, route, analyze and campaign results), so
+/// bumping it invalidates exactly those entries; synthesis entries survive.
+///
+/// History: `1` is the overuse-reactive present-factor ramp.
+pub const ROUTE_EPOCH: u64 = 1;
 
 /// Router options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,10 +127,12 @@ struct NetTerminals {
 
 /// One negotiation iteration's congestion signals.
 ///
-/// These are the numbers that expose the divergence class fixed in the
-/// router's present-factor schedule: a healthy run
-/// shows `overused_nodes` trending to zero while `present_factor` grows
-/// gently; an oscillating run shows overuse flat or growing as the factor
+/// These are the numbers the router's present-factor schedule reads, and
+/// the ones that expose a diverging run. A healthy run shows
+/// `overused_nodes` trending to zero. While it falls in every iteration,
+/// `present_factor` doubles from iteration to iteration (capped at 32);
+/// after the first iteration that does not reduce overuse it grows ×1.2.
+/// An oscillating run shows overuse flat or growing as the factor
 /// explodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteIteration {
@@ -270,17 +291,25 @@ fn route_inner(
     telemetry: &mut RouteTelemetry,
 ) -> Result<HashMap<NetId, RouteTree>, PnrError> {
     // The PathFinder schedule. The present-congestion factor starts at
-    // `PRESENT_FACTOR` and grows by `PRESENT_FACTOR_GROWTH` per iteration.
-    // The growth must stay gentle: with an aggressive schedule (e.g. 1.8 per
-    // iteration) the penalty explodes after a few dozen iterations, the
-    // router degenerates into pure avoidance of any occupied node and
-    // negotiation oscillates instead of converging — overuse *increases*
-    // with more iterations. Past `PRESENT_FACTOR_MAX` the accumulated
-    // history cost (`HISTORY_INCREMENT` per extra occupant of an overused
-    // node, every iteration) does the arbitration; an uncapped factor makes
-    // every must-displace search explore a cost ball as wide as the penalty.
+    // `PRESENT_FACTOR` and never decreases. After iteration 1 it grows by
+    // `PRESENT_FACTOR_GROWTH`. After each later iteration it grows by
+    // `PRESENT_FACTOR_FAST_GROWTH` as long as overuse has fallen in every
+    // iteration since the first: sparse congestion, as on the paper device,
+    // then resolves in about half the iterations. The first iteration whose
+    // overuse does not fall puts the run back on the gentle growth for
+    // good, because tight devices need it: with a fast-growing factor (a
+    // flat 1.8 per iteration, say) the penalty explodes after a few dozen
+    // iterations, the router degenerates into pure avoidance of any
+    // occupied node and negotiation oscillates instead of converging —
+    // overuse *increases* with more iterations. A run whose overuse does
+    // not fall in iteration 2 never sees the fast growth. Past
+    // `PRESENT_FACTOR_MAX` the accumulated history cost (`HISTORY_INCREMENT`
+    // per extra occupant of an overused node, every iteration) does the
+    // arbitration; an uncapped factor makes every must-displace search
+    // explore a cost ball as wide as the penalty.
     const PRESENT_FACTOR: f64 = 0.6;
     const PRESENT_FACTOR_GROWTH: f64 = 1.2;
+    const PRESENT_FACTOR_FAST_GROWTH: f64 = 2.0;
     const PRESENT_FACTOR_MAX: f64 = 32.0;
     const HISTORY_INCREMENT: f64 = 1.5;
     // A* heuristic weight (1.0 = admissible, larger = faster but greedier).
@@ -328,6 +357,8 @@ fn route_inner(
     let mut rip_counts: Vec<u16> = vec![0; nets.len()];
     let mut present_factor = PRESENT_FACTOR;
     let mut overused = 0;
+    // Whether overuse has fallen in every iteration since the first.
+    let mut falling = true;
 
     for iteration in 1..=options.max_iterations {
         let iter_start = Instant::now();
@@ -375,6 +406,7 @@ fn route_inner(
             pending = next.filter(|&index| needs_reroute(trees[index].as_ref(), &states));
         }
 
+        let previous = overused;
         overused = states.iter().filter(|s| s.occupancy > 1).count();
         let nodes_expanded = std::mem::take(&mut scratch.nodes_expanded);
         telemetry.iterations.push(RouteIteration {
@@ -417,7 +449,13 @@ fn route_inner(
             }
             states[node].cost_static = base[node] + history[node];
         }
-        present_factor = (present_factor * PRESENT_FACTOR_GROWTH).min(PRESENT_FACTOR_MAX);
+        falling &= iteration == 1 || overused < previous;
+        let growth = if iteration > 1 && falling {
+            PRESENT_FACTOR_FAST_GROWTH
+        } else {
+            PRESENT_FACTOR_GROWTH
+        };
+        present_factor = (present_factor * growth).min(PRESENT_FACTOR_MAX);
     }
     // The budget is spent (a zero budget routes nothing).
     Err(PnrError::Unroutable {
@@ -800,7 +838,7 @@ fn route_net(
 mod tests {
     use super::*;
     use crate::place::{place, PlacerOptions};
-    use tmr_designs::counter;
+    use tmr_designs::{counter, moving_sum};
     use tmr_synth::{lower, optimize, techmap};
 
     fn routed_counter() -> (Device, Netlist, Placement, HashMap<NetId, RouteTree>) {
@@ -904,6 +942,25 @@ mod tests {
             route(&device, &netlist, &placement, &options),
             Err(unroutable)
         );
+    }
+
+    #[test]
+    fn sparse_congestion_takes_the_fast_ramp() {
+        // A 4-tap moving sum on a 5x5 device leaves 8 nodes overused after
+        // iteration 1 and 1 after iteration 2. Overuse fell, so the factor
+        // doubles for iteration 3 instead of growing ×1.2.
+        let device = Device::small(5, 5);
+        let netlist = techmap(&optimize(&lower(&moving_sum(4, 4, 8)).unwrap())).unwrap();
+        let placement = place(&device, &netlist, &PlacerOptions { seed: 1 }).unwrap();
+        let (result, telemetry) =
+            route_with_telemetry(&device, &netlist, &placement, &RouterOptions::default());
+        assert!(result.is_ok());
+        let steps: Vec<(usize, f64)> = telemetry
+            .iterations
+            .iter()
+            .map(|it| (it.overused_nodes, it.present_factor))
+            .collect();
+        assert_eq!(steps, [(8, 0.6), (1, 0.6 * 1.2), (0, 0.6 * 1.2 * 2.0)]);
     }
 
     #[test]

@@ -715,18 +715,12 @@ impl CompiledNetlist {
                 if pass_change.is_empty() {
                     break;
                 }
-                if short_delta.is_empty() {
-                    // Every change this pass landed on an un-shorted net (or
-                    // an un-shorted lane of one), so no backwards raw read
-                    // can have missed it — the next pass provably changes
-                    // nothing, and the full-netlist walk would only run it
-                    // to confirm that. Stop without the confirmation pass.
-                    break;
-                }
-                settle_window = short_delta;
                 if pass + 1 == max_passes {
                     // Oscillation through a short: poison the shorted nets
-                    // of the lanes that were still changing.
+                    // of every lane that changed anything on the final
+                    // pass. The full-netlist walk poisons on any change,
+                    // not only on a change of a shorted net, so this runs
+                    // before the early stop below.
                     for &(a, b, mask) in &word.short_pairs {
                         let poison = mask & pass_change;
                         if poison.any() {
@@ -741,7 +735,17 @@ impl CompiledNetlist {
                             }
                         }
                     }
+                    break;
                 }
+                if short_delta.is_empty() {
+                    // Every change this pass landed on an un-shorted net (or
+                    // an un-shorted lane of one), so no backwards raw read
+                    // can have missed it — the next pass provably changes
+                    // nothing, and the full-netlist walk would only run it
+                    // to confirm that. Stop without the confirmation pass.
+                    break;
+                }
+                settle_window = short_delta;
             }
             let mut mismatch = LaneMask::EMPTY;
             for &g in &affected_groups {

@@ -9,7 +9,9 @@ use tmr_arch::Device;
 use tmr_core::pipeline::{fingerprint, ArtifactCache, CacheKey, Fingerprint};
 use tmr_core::TmrConfig;
 use tmr_faultsim::{CampaignBuilder, CampaignResult, CampaignSession, SimBackend};
-use tmr_pnr::{place, route_with_telemetry, PlacerOptions, RoutedDesign, RouterOptions};
+use tmr_pnr::{
+    place, route_with_telemetry, PlacerOptions, RoutedDesign, RouterOptions, ROUTE_EPOCH,
+};
 use tmr_sim::GoldenRun;
 use tmr_store::{PersistentCache, Store};
 use tmr_synth::Design;
@@ -364,25 +366,19 @@ impl Flow {
     /// configuration — the key the result is memoized and persisted under.
     ///
     /// The fingerprint covers exactly what can change the outcomes: the
-    /// implemented design (identity × device × seed) plus the campaign
-    /// options (fault count, seeds, the fault model — single-bit, MBU
-    /// cluster shape or upsets per scrub — and any static restriction),
-    /// batch size and early-stop rule (an early stop lands on a batch
-    /// boundary). Shard count, the simulation backend and any attached
-    /// golden run or compiled netlist are deliberately absent — they never
-    /// change results, only how (fast) they are computed.
+    /// implemented design (identity × device × seed under the router's
+    /// [`ROUTE_EPOCH`]) plus the campaign options (fault count, seeds, the
+    /// fault model — single-bit, MBU cluster shape or upsets per scrub —
+    /// and any static restriction), batch size and early-stop rule (an
+    /// early stop lands on a batch boundary). Shard count, the simulation
+    /// backend and any attached golden run or compiled netlist are
+    /// deliberately absent — they never change results, only how (fast)
+    /// they are computed.
     ///
     /// The campaign daemon (`tmr-serve`) keys its resumable outcome
     /// prefixes under the same fingerprint (stage `campaign.partial`).
     pub fn campaign_fingerprint(&self, campaign: &CampaignBuilder) -> u64 {
-        fingerprint(&[
-            &self.identity,
-            &self.device_fp,
-            &self.seed,
-            campaign.options(),
-            &campaign.batch_size_hint(),
-            &campaign.early_stop_rule(),
-        ])
+        campaign_key(self.implementation_fp(), campaign)
     }
 
     /// Builds a streaming [`CampaignSession`] over the routed design for
@@ -426,12 +422,58 @@ impl Flow {
         Ok(configured.session(&self.device, routed.design())?)
     }
 
-    /// Fingerprint of the implemented design: identity × device × seed.
+    /// Fingerprint of the implemented design: identity × device × seed,
+    /// under the router's [`ROUTE_EPOCH`]. It keys every stage that reads
+    /// the placement or the routes.
     fn implementation_fp(&self) -> u64 {
+        self.implementation_fp_at(ROUTE_EPOCH)
+    }
+
+    fn implementation_fp_at(&self, route_epoch: u64) -> u64 {
         let mut fp = Fingerprint::new();
         fp.write_u64(self.identity)
             .write_u64(self.device_fp)
-            .write_u64(self.seed);
+            .write_u64(self.seed)
+            .write_u64(route_epoch);
         fp.finish()
+    }
+}
+
+/// The campaign key over an implementation fingerprint: see
+/// [`Flow::campaign_fingerprint`].
+fn campaign_key(implementation_fp: u64, campaign: &CampaignBuilder) -> u64 {
+    fingerprint(&[
+        &implementation_fp,
+        campaign.options(),
+        &campaign.batch_size_hint(),
+        &campaign.early_stop_rule(),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_new_route_epoch_changes_the_route_and_campaign_keys() {
+        let device = Device::small(8, 8);
+        let flow = FlowBuilder::new(&device, &tmr_designs::counter(4))
+            .tmr(TmrConfig::paper_p2())
+            .seed(1)
+            .build();
+        // `place`, `route` and `analyze` are keyed by the implementation
+        // fingerprint itself.
+        let current = flow.implementation_fp();
+        let next = flow.implementation_fp_at(ROUTE_EPOCH + 1);
+        assert_ne!(current, next);
+        let campaign = CampaignBuilder::new().faults(60).cycles(8);
+        assert_eq!(
+            flow.campaign_fingerprint(&campaign),
+            campaign_key(current, &campaign)
+        );
+        assert_ne!(
+            campaign_key(current, &campaign),
+            campaign_key(next, &campaign)
+        );
     }
 }

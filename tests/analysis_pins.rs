@@ -26,7 +26,7 @@ use tmr_fpga::tmr::par_map;
 
 /// `(variant, analysis digest)` of the small FIR on the 24x24 device.
 const PINS: [(&str, u64); 5] = [
-    ("standard", 0x6160_eff7_9287_6e71),
+    ("standard", 0x0f9c_6e7f_f5a3_a104),
     ("tmr_p1", 0x6ed9_4b86_368e_83a7),
     ("tmr_p2", 0x9f78_f271_3a89_a328),
     ("tmr_p3", 0xecf1_ca68_1789_b7e7),

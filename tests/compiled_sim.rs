@@ -29,7 +29,9 @@ use tmr_fpga::arch::{Device, MbuPattern};
 use tmr_fpga::designs::counter;
 use tmr_fpga::faultsim::{CampaignBuilder, CampaignResult, FaultModel, SimBackend};
 use tmr_fpga::flow::{FlowBuilder, Sweep};
+use tmr_fpga::fuzz::{variant_config, RegressionCase};
 use tmr_fpga::pnr::RoutedDesign;
+use tmr_fpga::sim::{CompiledNetlist, FaultOverlay, GoldenRun, SimStats, Simulator};
 use tmr_fpga::tmr::TmrConfig;
 use tmr_fpga::ArtifactCache;
 
@@ -330,5 +332,75 @@ proptest! {
             device, routed, model, faults, shards, SimBackend::Compiled, sampling_seed,
         );
         prop_assert_eq!(compiled, oracle);
+    }
+}
+
+/// Fuzz seed 98's bridge, rebuilt by hand on the synthesized netlist so it
+/// does not depend on any route: a 2x2 MBU cluster that shorts three net
+/// pairs at once. One short closes a loop (net 107's driver reads net 105),
+/// so settling runs all four passes, and in one cycle the last pass changes
+/// only unbridged nets. The interpreter poisons the bridged nets after any
+/// change on the last pass, so the compiled engine must too. It must match
+/// the interpreter's first error cycle for every non-empty subset of the
+/// three shorts, each alone and all in one word.
+#[test]
+fn multi_short_feedback_bridge_settles_like_the_interpreter() {
+    let text = include_str!("fuzz_regressions/seed0098-compiled-divergence.case");
+    let case = RegressionCase::parse(text).expect("the case parses");
+    let tmr = variant_config(&case.variant).expect("known variant");
+    let design = case.spec.to_design().expect("the design rebuilds");
+    let device = Device::small(6, 6);
+    let mut builder = FlowBuilder::new(&device, &design);
+    if let Some(tmr) = tmr {
+        builder = builder.tmr(tmr);
+    }
+    let synthesized = builder.build().synthesized().expect("synthesis");
+    let netlist = synthesized.netlist();
+    let net = |name: &str| {
+        netlist
+            .nets()
+            .find(|(_, net)| net.name == name)
+            .unwrap_or_else(|| panic!("net `{name}` exists"))
+            .0
+    };
+    let shorts = [
+        (net("x0_tr0_0_ibuf"), net("m10_tr2_3")),
+        (net("m10_tr2_t1_carry2_145"), net("m10_tr2_t1_carry3_148")),
+        (net("m10_tr2_neg_o3_119"), net("m10_tr2_neg_o5_121")),
+    ];
+    let stimulus_seed = CampaignBuilder::new().options().stimulus_seed();
+    let golden = GoldenRun::compute(netlist, case.cycles, stimulus_seed).expect("golden run");
+    let simulator = Simulator::new(netlist).expect("levelizes");
+    let compiled = CompiledNetlist::compile(netlist).expect("compiles");
+    let packed = compiled.pack_golden(&golden);
+    let overlays: Vec<FaultOverlay> = (1u32..8)
+        .map(|subset| FaultOverlay {
+            shorted_nets: shorts
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| subset >> i & 1 == 1)
+                .map(|(_, &pair)| pair)
+                .collect(),
+            ..FaultOverlay::none()
+        })
+        .collect();
+    let expected: Vec<Option<usize>> = overlays
+        .iter()
+        .map(|overlay| {
+            let trace = simulator.run_stimulus(golden.stimulus(), overlay);
+            golden.groups().first_voted_mismatch(golden.trace(), &trace)
+        })
+        .collect();
+    assert_eq!(
+        expected.last(),
+        Some(&Some(1)),
+        "the whole cluster is a wrong answer from cycle 1 on the interpreter"
+    );
+    let lanes: Vec<&FaultOverlay> = overlays.iter().collect();
+    let together = compiled.run_lanes(&packed, &lanes, &mut SimStats::default());
+    assert_eq!(together, expected, "all subsets in one word");
+    for (overlay, &expected) in overlays.iter().zip(&expected) {
+        let alone = compiled.run_lanes(&packed, &[overlay], &mut SimStats::default());
+        assert_eq!(alone, [expected], "{:?}", overlay.shorted_nets);
     }
 }
