@@ -1,5 +1,18 @@
 //! Wirelength-driven simulated-annealing placement.
 //!
+//! The annealer attempts 48 moves per cell, spread evenly over 64
+//! temperature steps. A move swaps a random cell onto a random compatible
+//! site, and that site's occupant, if any, onto the cell's old one. LUT and
+//! FF moves are range-limited as in VPR: the target tile is drawn from a
+//! square window around the cell's own tile, and redrawn while it holds no
+//! site of the cell's kind. The window's half-width starts at the grid span
+//! (the largest coordinate distance on the device). After each temperature
+//! step it is scaled by `1 - 0.44 + acceptance rate` and clamped to
+//! `[1, span]`. So it shrinks while fewer than 44 % of the moves are
+//! accepted, and late moves refine locally instead of being proposed, and
+//! rejected, across the device. IOB cells sit only on perimeter tiles and
+//! draw from every IOB site.
+//!
 //! The annealer's cost function is the classic half-perimeter wirelength
 //! (HPWL), maintained *incrementally*: every routable net carries a
 //! [`NetBox`] — its bounding box plus the number of member pins sitting on
@@ -15,7 +28,6 @@
 use crate::PnrError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use tmr_arch::{Device, SiteId, SiteKind, TileCoord};
 use tmr_netlist::{CellId, CellKind, NetDriver, NetId, NetSink, Netlist};
 
@@ -103,6 +115,57 @@ pub(crate) fn required_site_kind(kind: CellKind) -> Option<SiteKind> {
         CellKind::Dff { .. } => Some(SiteKind::Ff),
         CellKind::Ibuf | CellKind::Obuf => Some(SiteKind::Iob),
         _ => None,
+    }
+}
+
+/// Every site kind, in the fixed order [`place`] checks and fills them.
+const SITE_KINDS: [SiteKind; 3] = [SiteKind::Lut, SiteKind::Ff, SiteKind::Iob];
+
+/// One site kind's sites grouped by tile: the tile at raster index
+/// `t = y * cols + x` holds `sites[first[t]..first[t + 1]]`.
+struct TileSites {
+    cols: u16,
+    rows: u16,
+    first: Vec<u32>,
+    sites: Vec<SiteId>,
+}
+
+impl TileSites {
+    fn new(device: &Device, kind: SiteKind) -> Self {
+        let (cols, rows) = (device.cols(), device.rows());
+        let raster = |site: SiteId| {
+            usize::from(device.site(site).tile.y) * usize::from(cols)
+                + usize::from(device.site(site).tile.x)
+        };
+        let mut sites = device.sites_of_kind(kind).to_vec();
+        sites.sort_by_key(|&site| raster(site));
+        let first = (0..=usize::from(cols) * usize::from(rows))
+            .map(|t| sites.partition_point(|&site| raster(site) < t) as u32)
+            .collect();
+        Self {
+            cols,
+            rows,
+            first,
+            sites,
+        }
+    }
+
+    /// Draws a tile uniformly from the square window of half-width `reach`
+    /// around `center` (clipped to the grid), redrawing while the tile has
+    /// no site, then one of its sites uniformly. `center` must hold a site,
+    /// so the loop ends.
+    fn draw(&self, rng: &mut StdRng, center: TileCoord, reach: u16) -> SiteId {
+        let xs = center.x.saturating_sub(reach)..=center.x.saturating_add(reach).min(self.cols - 1);
+        let ys = center.y.saturating_sub(reach)..=center.y.saturating_add(reach).min(self.rows - 1);
+        loop {
+            let x = rng.gen_range(xs.clone());
+            let y = rng.gen_range(ys.clone());
+            let tile = usize::from(y) * usize::from(self.cols) + usize::from(x);
+            let (start, end) = (self.first[tile] as usize, self.first[tile + 1] as usize);
+            if start < end {
+                return self.sites[rng.gen_range(start..end)];
+            }
+        }
     }
 }
 
@@ -277,17 +340,20 @@ pub fn place(
     netlist: &Netlist,
     options: &PlacerOptions,
 ) -> Result<Placement, PnrError> {
-    // Partition cells by required site kind.
-    let mut cells_by_kind: HashMap<SiteKind, Vec<CellId>> = HashMap::new();
+    // Partition cells by required site kind, in `SITE_KINDS` order.
+    let mut cells_by_kind: [Vec<CellId>; 3] = Default::default();
     for (id, cell) in netlist.cells() {
         let kind = required_site_kind(cell.kind).ok_or_else(|| PnrError::UnplaceableCell {
             cell: cell.name.clone(),
             kind: cell.kind.to_string(),
         })?;
-        cells_by_kind.entry(kind).or_default().push(id);
+        let slot = SITE_KINDS.iter().position(|&k| k == kind);
+        cells_by_kind[slot.expect("every site kind is listed")].push(id);
     }
 
-    for (&kind, cells) in &cells_by_kind {
+    // A fixed order, so a design that overflows several kinds reports the
+    // same one on every run.
+    for (&kind, cells) in SITE_KINDS.iter().zip(&cells_by_kind) {
         let available = device.sites_of_kind(kind).len();
         if cells.len() > available {
             return Err(PnrError::NotEnoughSites {
@@ -302,12 +368,11 @@ pub fn place(
     // created together by the lowering pass (e.g. the bits of one adder) are
     // adjacent in the netlist, so this is already a reasonable start.
     let mut site_of_cell = vec![SiteId::from_index(0); netlist.cell_count()];
-    let mut cell_at_site: HashMap<SiteId, CellId> = HashMap::new();
-    for (kind, cells) in &cells_by_kind {
-        let pool = device.sites_of_kind(*kind);
-        for (cell, &site) in cells.iter().zip(pool.iter()) {
+    let mut cell_at_site = vec![NO_CELL; device.site_count()];
+    for (&kind, cells) in SITE_KINDS.iter().zip(&cells_by_kind) {
+        for (cell, &site) in cells.iter().zip(device.sites_of_kind(kind)) {
             site_of_cell[cell.index()] = site;
-            cell_at_site.insert(site, *cell);
+            cell_at_site[site.index()] = cell.index() as u32;
         }
     }
 
@@ -342,8 +407,11 @@ pub fn place(
         .collect();
     let mut total_cost: u64 = boxes.iter().map(NetBox::hpwl).sum();
 
-    // Simulated annealing: `MOVES_PER_CELL` attempted moves per movable cell.
-    const MOVES_PER_CELL: usize = 24;
+    // Simulated annealing: `MOVES_PER_CELL` attempted moves per movable
+    // cell, LUT and FF targets drawn within the range-limit window.
+    const MOVES_PER_CELL: usize = 48;
+    // The acceptance rate the range limiter steers toward (VPR's 0.44).
+    const TARGET_ACCEPTANCE: f64 = 0.44;
     let movable: Vec<CellId> = netlist.cells().map(|(id, _)| id).collect();
     let mut rng = StdRng::seed_from_u64(options.seed);
     let total_moves = MOVES_PER_CELL * movable.len().max(1);
@@ -351,23 +419,36 @@ pub fn place(
     let temperature_steps = 64usize;
     let moves_per_step = (total_moves / temperature_steps).max(1);
     let alpha = 0.92f64;
+    let lut_tiles = TileSites::new(device, SiteKind::Lut);
+    let ff_tiles = TileSites::new(device, SiteKind::Ff);
+    let span = f64::from((device.cols().max(device.rows()) - 1).max(1));
+    let mut window = span;
 
     // Reused per-move buffers: no allocation on the annealing hot path.
     let mut affected: Vec<u32> = Vec::new();
     let mut saved: Vec<(u32, NetBox)> = Vec::new();
 
     for _step in 0..temperature_steps {
+        let reach = window as u16;
+        let mut accepted = 0usize;
         for _ in 0..moves_per_step {
             let cell = movable[rng.gen_range(0..movable.len())];
-            let kind = required_site_kind(netlist.cell(cell).kind).expect("checked above");
-            let pool = device.sites_of_kind(kind);
-            let target = pool[rng.gen_range(0..pool.len())];
             let current = site_of_cell[cell.index()];
+            let current_tile = device.site(current).tile;
+            let target = match required_site_kind(netlist.cell(cell).kind) {
+                Some(SiteKind::Lut) => lut_tiles.draw(&mut rng, current_tile, reach),
+                Some(SiteKind::Ff) => ff_tiles.draw(&mut rng, current_tile, reach),
+                _ => {
+                    let pool = device.iob_sites();
+                    pool[rng.gen_range(0..pool.len())]
+                }
+            };
             if target == current {
                 continue;
             }
-            let occupant = cell_at_site.get(&target).copied();
-            let current_tile = device.site(current).tile;
+            let occupant_slot = cell_at_site[target.index()];
+            let occupant =
+                (occupant_slot != NO_CELL).then(|| CellId::from_index(occupant_slot as usize));
             let target_tile = device.site(target).tile;
 
             if current_tile == target_tile {
@@ -375,13 +456,12 @@ pub fn place(
                 // delta is zero, the move is always accepted, and no RNG is
                 // consumed — exactly as a full cost evaluation would decide.
                 site_of_cell[cell.index()] = target;
-                cell_at_site.insert(target, cell);
                 if let Some(other) = occupant {
                     site_of_cell[other.index()] = current;
-                    cell_at_site.insert(current, other);
-                } else {
-                    cell_at_site.remove(&current);
                 }
+                cell_at_site[target.index()] = cell.index() as u32;
+                cell_at_site[current.index()] = occupant_slot;
+                accepted += 1;
                 continue;
             }
 
@@ -441,13 +521,10 @@ pub fn place(
                 rng.gen::<f64>() < p
             };
             if accept {
-                cell_at_site.insert(target, cell);
-                if let Some(other) = occupant {
-                    cell_at_site.insert(current, other);
-                } else {
-                    cell_at_site.remove(&current);
-                }
+                cell_at_site[target.index()] = cell.index() as u32;
+                cell_at_site[current.index()] = occupant_slot;
                 total_cost = (total_cost as i64 + delta) as u64;
+                accepted += 1;
             } else {
                 // Revert the assignment and the touched boxes.
                 site_of_cell[cell.index()] = current;
@@ -460,6 +537,8 @@ pub fn place(
             }
         }
         temperature *= alpha;
+        let acceptance = accepted as f64 / moves_per_step as f64;
+        window = (window * (1.0 - TARGET_ACCEPTANCE + acceptance)).clamp(1.0, span);
     }
 
     debug_assert_eq!(
@@ -544,7 +623,19 @@ mod tests {
         let device = Device::small(2, 2);
         let fir = tmr_designs::FirFilter::paper_filter().to_design();
         let netlist = techmap(&optimize(&lower(&fir).unwrap())).unwrap();
-        let err = place(&device, &netlist, &PlacerOptions::default()).unwrap_err();
-        assert!(matches!(err, PnrError::NotEnoughSites { .. }));
+        // The FIR overflows the LUT, FF and IOB sites alike; kinds are
+        // checked in a fixed order, so every call reports the LUT shortfall.
+        let lut_sites = device.sites_of_kind(SiteKind::Lut).len();
+        for _ in 0..8 {
+            let err = place(&device, &netlist, &PlacerOptions::default()).unwrap_err();
+            assert_eq!(
+                err,
+                PnrError::NotEnoughSites {
+                    kind: "LUT".to_string(),
+                    needed: 948,
+                    available: lut_sites,
+                }
+            );
+        }
     }
 }

@@ -37,17 +37,20 @@ use std::time::Instant;
 use tmr_arch::{Device, NodeId, PipId, RouteNode};
 use tmr_netlist::{NetDriver, NetId, NetSink, Netlist};
 
-/// The router's semantics epoch: bump it in any change that can move a
-/// route, so every route-dependent cache key changes with it.
+/// The place-and-route semantics epoch: bump it in any change that can move
+/// a route, a placer change included, so every route-dependent cache key
+/// changes with it.
 ///
-/// Stores outlive builds. A store filled by an older router would otherwise
-/// serve that router's routes, bitstreams and campaign results to a newer
-/// one. The flow layer mixes this constant into the key of every stage
-/// downstream of routing (place, route, analyze and campaign results), so
-/// bumping it invalidates exactly those entries; synthesis entries survive.
+/// Stores outlive builds. A store filled by an older placer or router would
+/// otherwise serve its placements, routes, bitstreams and campaign results
+/// to a newer one. The flow layer mixes this constant into the key of every
+/// stage downstream of synthesis (place, route, analyze and campaign
+/// results), so bumping it invalidates exactly those entries; synthesis
+/// entries survive.
 ///
-/// History: `1` is the overuse-reactive present-factor ramp.
-pub const ROUTE_EPOCH: u64 = 1;
+/// History: `1` is the overuse-reactive present-factor ramp; `2` is
+/// range-limited placement.
+pub const ROUTE_EPOCH: u64 = 2;
 
 /// Router options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -946,12 +949,12 @@ mod tests {
 
     #[test]
     fn sparse_congestion_takes_the_fast_ramp() {
-        // A 4-tap moving sum on a 5x5 device leaves 8 nodes overused after
-        // iteration 1 and 1 after iteration 2. Overuse fell, so the factor
-        // doubles for iteration 3 instead of growing ×1.2.
+        // A 4-tap moving sum on a 5x5 device (placement seed 3) leaves 5
+        // nodes overused after iteration 1 and 2 after iteration 2. Overuse
+        // fell, so the factor doubles for iteration 3 instead of growing ×1.2.
         let device = Device::small(5, 5);
         let netlist = techmap(&optimize(&lower(&moving_sum(4, 4, 8)).unwrap())).unwrap();
-        let placement = place(&device, &netlist, &PlacerOptions { seed: 1 }).unwrap();
+        let placement = place(&device, &netlist, &PlacerOptions { seed: 3 }).unwrap();
         let (result, telemetry) =
             route_with_telemetry(&device, &netlist, &placement, &RouterOptions::default());
         assert!(result.is_ok());
@@ -960,7 +963,7 @@ mod tests {
             .iter()
             .map(|it| (it.overused_nodes, it.present_factor))
             .collect();
-        assert_eq!(steps, [(8, 0.6), (1, 0.6 * 1.2), (0, 0.6 * 1.2 * 2.0)]);
+        assert_eq!(steps, [(5, 0.6), (2, 0.6 * 1.2), (0, 0.6 * 1.2 * 2.0)]);
     }
 
     #[test]

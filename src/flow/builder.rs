@@ -366,14 +366,14 @@ impl Flow {
     /// configuration — the key the result is memoized and persisted under.
     ///
     /// The fingerprint covers exactly what can change the outcomes: the
-    /// implemented design (identity × device × seed under the router's
-    /// [`ROUTE_EPOCH`]) plus the campaign options (fault count, seeds, the
-    /// fault model — single-bit, MBU cluster shape or upsets per scrub —
-    /// and any static restriction), batch size and early-stop rule (an
-    /// early stop lands on a batch boundary). Shard count, the simulation
-    /// backend and any attached golden run or compiled netlist are
-    /// deliberately absent — they never change results, only how (fast)
-    /// they are computed.
+    /// implemented design (identity × device × seed under the
+    /// place-and-route [`ROUTE_EPOCH`]) plus the campaign options (fault
+    /// count, seeds, the fault model — single-bit, MBU cluster shape or
+    /// upsets per scrub — and any static restriction), batch size and
+    /// early-stop rule (an early stop lands on a batch boundary). Shard
+    /// count, the simulation backend and any attached golden run or
+    /// compiled netlist are deliberately absent — they never change
+    /// results, only how (fast) they are computed.
     ///
     /// The campaign daemon (`tmr-serve`) keys its resumable outcome
     /// prefixes under the same fingerprint (stage `campaign.partial`).
@@ -423,8 +423,8 @@ impl Flow {
     }
 
     /// Fingerprint of the implemented design: identity × device × seed,
-    /// under the router's [`ROUTE_EPOCH`]. It keys every stage that reads
-    /// the placement or the routes.
+    /// under the place-and-route [`ROUTE_EPOCH`]. It keys every stage that
+    /// reads the placement or the routes.
     fn implementation_fp(&self) -> u64 {
         self.implementation_fp_at(ROUTE_EPOCH)
     }

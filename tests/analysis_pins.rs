@@ -26,11 +26,11 @@ use tmr_fpga::tmr::par_map;
 
 /// `(variant, analysis digest)` of the small FIR on the 24x24 device.
 const PINS: [(&str, u64); 5] = [
-    ("standard", 0x0f9c_6e7f_f5a3_a104),
-    ("tmr_p1", 0x6ed9_4b86_368e_83a7),
-    ("tmr_p2", 0x9f78_f271_3a89_a328),
-    ("tmr_p3", 0xecf1_ca68_1789_b7e7),
-    ("tmr_p3_nv", 0x5b78_ac5a_9991_1973),
+    ("standard", 0x04b7_fea0_d85f_ca9e),
+    ("tmr_p1", 0x0035_2035_d015_e352),
+    ("tmr_p2", 0xbba0_f5c6_116d_cfe5),
+    ("tmr_p3", 0x3f45_534d_318b_0e0b),
+    ("tmr_p3_nv", 0x18b0_406c_d973_b642),
 ];
 
 /// Representative bits kept per distinct verdict, evenly spread over the

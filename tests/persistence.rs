@@ -64,7 +64,8 @@ fn warm_flow_skips_every_stage_and_matches() {
 /// The campaign fingerprint is the store key of every persisted campaign
 /// result and resumable prefix: a refactor that changes it silently orphans
 /// them all, so the keys of two representative campaigns are pinned. A bump
-/// of `tmr_pnr::ROUTE_EPOCH` changes both on purpose and re-pins them.
+/// of `tmr_pnr::ROUTE_EPOCH` (a placer or router change that moves routes)
+/// changes both on purpose and re-pins them.
 #[test]
 fn campaign_fingerprints_are_pinned() {
     let device = Device::small(8, 8);
@@ -73,13 +74,13 @@ fn campaign_fingerprints_are_pinned() {
         .seed(1)
         .build();
     let plain = CampaignBuilder::new().faults(60).cycles(8);
-    assert_eq!(flow.campaign_fingerprint(&plain), 0xd984_a746_8d59_1e0c);
+    assert_eq!(flow.campaign_fingerprint(&plain), 0xf207_f418_0559_2bb4);
     let streaming = CampaignBuilder::new()
         .faults(200)
         .cycles(8)
         .batch_size(64)
         .early_stop(EarlyStop::at_half_width(0.01));
-    assert_eq!(flow.campaign_fingerprint(&streaming), 0xb79c_c9d3_dad3_027f);
+    assert_eq!(flow.campaign_fingerprint(&streaming), 0xaf81_6113_3203_1397);
 }
 
 #[test]
