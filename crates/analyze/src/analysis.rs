@@ -211,16 +211,6 @@ impl StaticAnalysis {
         &self.observable
     }
 
-    /// Iterates over the TMR-defeating bits: every bit whose verdict is
-    /// [`Verdict::DomainCrossing`], in configuration-memory order.
-    pub fn critical_bits(&self) -> impl Iterator<Item = usize> + '_ {
-        self.verdicts
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.may_defeat_tmr())
-            .map(|(bit, _)| bit)
-    }
-
     /// Aggregates the verdict map into a [`CriticalityReport`].
     pub fn report(&self) -> CriticalityReport {
         let mut benign = 0;
@@ -389,7 +379,7 @@ mod tests {
         // The observable set is a strict subset of the design-related bits:
         // single-redundant-domain faults are voted out.
         assert!(analysis.observable_bits().len() < analysis.design_related());
-        assert!(analysis.critical_bits().count() > 0);
+        assert!(!analysis.report().defeating_bits.is_empty());
         assert!(analysis.design().contains("counter"));
     }
 
@@ -401,7 +391,7 @@ mod tests {
         assert!(!analysis.voted_tmr());
         // Without the preconditions every non-benign bit stays observable and
         // no bit crosses domains (there is only one domain).
-        assert_eq!(analysis.critical_bits().count(), 0);
+        assert!(analysis.report().defeating_bits.is_empty());
         for &bit in analysis.observable_bits() {
             assert_ne!(analysis.verdict(bit), Verdict::Benign);
         }
@@ -496,23 +486,19 @@ mod tests {
     }
 
     #[test]
-    fn critical_bits_are_exactly_the_domain_crossing_verdicts() {
+    fn defeating_bits_are_exactly_the_domain_crossing_verdicts() {
         let device = Device::small(8, 8);
         let design = apply_tmr(&counter(4), &TmrConfig::paper_p3()).unwrap();
         let routed = implement(&design, &device, 5);
         let analysis = StaticAnalysis::run(&device, &routed);
-        for bit in analysis.critical_bits() {
+        let report = analysis.report();
+        for &bit in &report.defeating_bits {
             assert!(analysis.verdict(bit).may_defeat_tmr());
             assert!(
                 analysis.observable_bits().binary_search(&bit).is_ok(),
                 "critical bits are always observable"
             );
         }
-        let report = analysis.report();
-        assert_eq!(
-            report.defeating_bits.len(),
-            analysis.critical_bits().count()
-        );
         assert_eq!(
             report.benign
                 + report.single_domain.values().sum::<usize>()

@@ -161,11 +161,6 @@ impl ConfigLayout {
         self.frame_bits
     }
 
-    /// Number of frames (the last frame may be partially used).
-    pub fn frame_count(&self) -> usize {
-        self.bit_count().div_ceil(self.frame_bits as usize)
-    }
-
     /// The resource controlled by linear bit `bit`, if in range.
     pub fn resource_at(&self, bit: usize) -> Option<ConfigResource> {
         self.resources.get(bit).copied()
@@ -261,7 +256,6 @@ mod tests {
             assert_eq!(layout.bit_at(addr), bit);
             assert!(addr.offset < layout.frame_bits());
         }
-        assert!(layout.frame_count() * layout.frame_bits() as usize >= layout.bit_count());
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl RouteNode {
     pub fn is_in_pin(self) -> bool {
         matches!(self, RouteNode::InPin { .. })
     }
-
-    /// Returns `true` for site output pins.
-    pub fn is_out_pin(self) -> bool {
-        matches!(self, RouteNode::OutPin { .. })
-    }
 }
 
 /// The architectural category of a PIP, used to assign its configuration bit
@@ -172,9 +167,9 @@ mod tests {
         let outp = RouteNode::OutPin {
             site: SiteId::from_index(0),
         };
-        assert!(wire.is_wire() && !wire.is_in_pin() && !wire.is_out_pin());
+        assert!(wire.is_wire() && !wire.is_in_pin());
         assert!(inp.is_in_pin());
-        assert!(outp.is_out_pin());
+        assert!(!outp.is_wire() && !outp.is_in_pin());
     }
 
     #[test]

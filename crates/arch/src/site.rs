@@ -29,14 +29,6 @@ impl SiteKind {
             SiteKind::Iob => 1,
         }
     }
-
-    /// Returns `true` if the site has a fabric-facing output pin.
-    ///
-    /// Every site kind does: LUT and FF outputs drive the fabric, and an IOB
-    /// used as an input pad drives the fabric with the pad value.
-    pub fn has_output_pin(self) -> bool {
-        true
-    }
 }
 
 impl fmt::Display for SiteKind {
@@ -108,7 +100,6 @@ mod tests {
         assert_eq!(SiteKind::Lut.input_pins(), 4);
         assert_eq!(SiteKind::Ff.input_pins(), 1);
         assert_eq!(SiteKind::Iob.input_pins(), 1);
-        assert!(SiteKind::Lut.has_output_pin());
     }
 
     #[test]

@@ -31,13 +31,6 @@ pub struct ResourceEstimate {
     pub fmax_mhz: f64,
 }
 
-impl ResourceEstimate {
-    /// Estimated critical-path delay in nanoseconds.
-    pub fn critical_path_ns(&self) -> f64 {
-        CLOCK_OVERHEAD_NS + self.logic_depth as f64 * LUT_DELAY_NS
-    }
-}
-
 /// Estimates the resources and performance of a technology-mapped netlist.
 ///
 /// # Panics
@@ -92,7 +85,6 @@ mod tests {
         assert_eq!(estimate.slices, 1);
         assert_eq!(estimate.logic_depth, 2);
         assert!(estimate.fmax_mhz > 0.0);
-        assert!(estimate.critical_path_ns() > 2.0 * LUT_DELAY_NS);
     }
 
     #[test]

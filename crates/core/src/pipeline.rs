@@ -378,7 +378,7 @@ mod tests {
         assert_eq!(tree.count("stage.demo"), 1, "one miss span");
         fn demo_hits(node: &tmr_trace::TraceNode) -> usize {
             let own = node.name == "cache.hit"
-                && node.attr("stage").map(|v| v.to_string()) == Some("demo".to_string());
+                && node.attr("stage").and_then(|v| v.as_str()) == Some("demo");
             usize::from(own) + node.children.iter().map(demo_hits).sum::<usize>()
         }
         assert_eq!(tree.roots.iter().map(demo_hits).sum::<usize>(), 1);

@@ -3,7 +3,7 @@
 use crate::FaultModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tmr_arch::{BitCategory, Device};
+use tmr_arch::Device;
 use tmr_pnr::RoutedDesign;
 
 /// The list of configuration bits eligible for fault injection.
@@ -43,38 +43,6 @@ impl FaultList {
     /// Returns `true` if no bit is eligible (empty design).
     pub fn is_empty(&self) -> bool {
         self.bits.is_empty()
-    }
-
-    /// Number of eligible bits per configuration category.
-    pub fn counts_by_category(
-        &self,
-        device: &Device,
-    ) -> std::collections::BTreeMap<BitCategory, usize> {
-        let layout = device.config_layout();
-        let mut counts = std::collections::BTreeMap::new();
-        for &bit in &self.bits {
-            *counts.entry(layout.category_at(bit)).or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// Returns the fault list restricted to the bits contained in `allowed`
-    /// (a sorted slice, e.g. the statically-possibly-observable set of
-    /// `tmr-analyze`). The relative configuration-memory order is preserved.
-    #[must_use]
-    pub fn restricted(&self, allowed: &[usize]) -> Self {
-        debug_assert!(
-            allowed.windows(2).all(|pair| pair[0] < pair[1]),
-            "`allowed` must be sorted and deduplicated for the binary search"
-        );
-        Self {
-            bits: self
-                .bits
-                .iter()
-                .copied()
-                .filter(|bit| allowed.binary_search(bit).is_ok())
-                .collect(),
-        }
     }
 
     /// Draws `count` distinct bits uniformly at random (or every bit if
@@ -301,7 +269,7 @@ mod tests {
         // samples all 10 bits — 2 full intervals plus a 2-bit partial one,
         // never dropping sampled bits.
         let ten: Vec<usize> = full.bits().iter().copied().take(10).collect();
-        let list = full.restricted(&ten);
+        let list = FaultList { bits: ten.clone() };
         let model = FaultModel::Accumulate {
             upsets_per_scrub: 4,
         };
@@ -316,30 +284,11 @@ mod tests {
         assert!(faults.windows(2).all(|pair| pair[0][0] < pair[1][0]));
         // Fewer eligible bits than one interval: everything accumulates into
         // a single experiment.
-        let tiny = full.restricted(&ten[..3]);
+        let tiny = FaultList {
+            bits: ten[..3].to_vec(),
+        };
         let faults = tiny.sample_faults(&device, &model, 5, 7);
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].len(), 3);
-    }
-
-    #[test]
-    fn restricted_keeps_only_allowed_bits_in_order() {
-        let (device, routed) = routed_counter();
-        let list = FaultList::build(&device, &routed);
-        let allowed: Vec<usize> = list.bits().iter().copied().step_by(3).collect();
-        let restricted = list.restricted(&allowed);
-        assert_eq!(restricted.bits(), allowed.as_slice());
-        assert!(list.restricted(&[]).is_empty());
-        assert_eq!(list.restricted(list.bits()), list);
-    }
-
-    #[test]
-    fn category_counts_cover_the_list() {
-        let (device, routed) = routed_counter();
-        let list = FaultList::build(&device, &routed);
-        let counts = list.counts_by_category(&device);
-        assert_eq!(counts.values().sum::<usize>(), list.len());
-        assert!(counts[&BitCategory::GeneralRouting] > 0);
-        assert!(counts[&BitCategory::LutContents] > 0);
     }
 }

@@ -201,14 +201,6 @@ impl FanoutIndex {
     }
 }
 
-impl Netlist {
-    /// Builds the [`FanoutIndex`] of this netlist. Convenience wrapper around
-    /// [`FanoutIndex::new`].
-    pub fn fanout_index(&self) -> FanoutIndex {
-        FanoutIndex::new(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,7 +234,7 @@ mod tests {
     #[test]
     fn cone_from_a_net_reaches_through_registers() {
         let nl = sample();
-        let index = nl.fanout_index();
+        let index = FanoutIndex::new(&nl);
         assert_eq!(index.cell_count(), nl.cell_count());
         assert_eq!(index.net_count(), nl.net_count());
         let a = nl.find_port("a", PortDir::Input).unwrap().1.net;
@@ -266,7 +258,7 @@ mod tests {
     #[test]
     fn cone_from_a_cell_excludes_the_cell_inputs() {
         let nl = sample();
-        let index = nl.fanout_index();
+        let index = FanoutIndex::new(&nl);
         let xor = nl.find_cell("u_xor").unwrap().0;
         let cone = index.cone([xor], []);
         let names: Vec<&str> = cone
@@ -281,7 +273,7 @@ mod tests {
     #[test]
     fn seed_net_readers_enter_but_driver_does_not() {
         let nl = sample();
-        let index = nl.fanout_index();
+        let index = FanoutIndex::new(&nl);
         let ab = nl.find_cell("u_and").unwrap().1.output;
         let cone = index.cone([], [ab]);
         let names: Vec<&str> = cone
@@ -296,7 +288,7 @@ mod tests {
     #[test]
     fn empty_seeds_give_an_empty_cone() {
         let nl = sample();
-        let cone = nl.fanout_index().cone([], []);
+        let cone = FanoutIndex::new(&nl).cone([], []);
         assert!(cone.is_empty());
     }
 
@@ -313,7 +305,7 @@ mod tests {
         nl.add_cell("u_reg", CellKind::Dff { init: false }, vec![sum], q)
             .unwrap();
         nl.add_output("q", q);
-        let cone = nl.fanout_index().cone([], [a]);
+        let cone = FanoutIndex::new(&nl).cone([], [a]);
         assert_eq!(cone.cells.len(), 2);
         assert_eq!(cone.ports.len(), 1);
     }

@@ -1,6 +1,6 @@
 //! Error type for netlist construction and validation.
 
-use crate::{CellId, NetId};
+use crate::NetId;
 use std::error::Error;
 use std::fmt;
 
@@ -18,8 +18,6 @@ pub enum NetlistError {
     },
     /// A net id did not refer to an existing net.
     UnknownNet(NetId),
-    /// A cell id did not refer to an existing cell.
-    UnknownCell(CellId),
     /// A net already has a driver and a second driver was attached.
     MultipleDrivers {
         /// The multiply-driven net.
@@ -43,7 +41,6 @@ impl fmt::Display for NetlistError {
                 "cell `{cell}` expects {expected} input nets but {actual} were provided"
             ),
             NetlistError::UnknownNet(net) => write!(f, "unknown net id {net}"),
-            NetlistError::UnknownCell(cell) => write!(f, "unknown cell id {cell}"),
             NetlistError::MultipleDrivers { net, name } => {
                 write!(f, "net {net} (`{name}`) already has a driver")
             }

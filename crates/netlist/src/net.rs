@@ -48,16 +48,6 @@ impl Net {
         }
     }
 
-    /// Returns `true` if this net has no sinks.
-    pub fn is_dangling(&self) -> bool {
-        self.sinks.is_empty()
-    }
-
-    /// Returns `true` if this net has no driver.
-    pub fn is_undriven(&self) -> bool {
-        self.driver.is_none()
-    }
-
     /// Fanout (number of sinks).
     pub fn fanout(&self) -> usize {
         self.sinks.len()
@@ -83,8 +73,7 @@ mod tests {
     #[test]
     fn new_net_is_unconnected() {
         let net = Net::new("foo");
-        assert!(net.is_undriven());
-        assert!(net.is_dangling());
+        assert!(net.driver.is_none());
         assert_eq!(net.fanout(), 0);
         assert_eq!(net.domain, Domain::None);
     }
@@ -98,6 +87,5 @@ mod tests {
             pin: 0,
         });
         assert_eq!(net.fanout(), 2);
-        assert!(!net.is_dangling());
     }
 }

@@ -199,43 +199,6 @@ impl Netlist {
         Ok(id)
     }
 
-    /// Reconnects input pin `pin` of `cell` to `new_net`, updating sink lists.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownCell`]/[`NetlistError::UnknownNet`] for
-    /// out-of-range ids and [`NetlistError::ArityMismatch`] if `pin` is not a
-    /// valid input pin of the cell.
-    pub fn rewire_input(&mut self, cell: CellId, pin: usize, new_net: NetId) -> Result<()> {
-        if cell.index() >= self.cells.len() {
-            return Err(NetlistError::UnknownCell(cell));
-        }
-        if new_net.index() >= self.nets.len() {
-            return Err(NetlistError::UnknownNet(new_net));
-        }
-        let old_net = {
-            let c = &self.cells[cell.index()];
-            match c.inputs.get(pin) {
-                Some(&net) => net,
-                None => {
-                    return Err(NetlistError::ArityMismatch {
-                        cell: c.name.clone(),
-                        expected: c.kind.input_count(),
-                        actual: pin + 1,
-                    })
-                }
-            }
-        };
-        self.nets[old_net.index()].sinks.retain(
-            |s| !matches!(s, NetSink::CellPin { cell: c, pin: p } if *c == cell && *p == pin),
-        );
-        self.nets[new_net.index()]
-            .sinks
-            .push(NetSink::CellPin { cell, pin });
-        self.cells[cell.index()].inputs[pin] = new_net;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -465,34 +428,6 @@ mod tests {
         let bogus = NetId::from_index(99);
         let err = nl.add_cell("u", CellKind::Buf, vec![a], bogus).unwrap_err();
         assert_eq!(err, NetlistError::UnknownNet(bogus));
-    }
-
-    #[test]
-    fn rewire_input_moves_sink() {
-        let mut nl = xor_netlist();
-        let (cell_id, _) = nl.find_cell("u_xor").unwrap();
-        let c = nl.add_input("c");
-        let old = nl.cell(cell_id).inputs[1];
-        nl.rewire_input(cell_id, 1, c).unwrap();
-        assert_eq!(nl.cell(cell_id).inputs[1], c);
-        assert!(nl
-            .net(old)
-            .sinks
-            .iter()
-            .all(|s| !matches!(s, NetSink::CellPin { cell, pin: 1 } if *cell == cell_id)));
-        assert!(nl
-            .net(c)
-            .sinks
-            .iter()
-            .any(|s| matches!(s, NetSink::CellPin { cell, pin: 1 } if *cell == cell_id)));
-    }
-
-    #[test]
-    fn rewire_input_rejects_bad_pin() {
-        let mut nl = xor_netlist();
-        let (cell_id, _) = nl.find_cell("u_xor").unwrap();
-        let c = nl.add_input("c");
-        assert!(nl.rewire_input(cell_id, 5, c).is_err());
     }
 
     #[test]

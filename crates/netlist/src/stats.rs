@@ -36,13 +36,6 @@ pub struct NetlistStats {
     pub kind_histogram: BTreeMap<&'static str, usize>,
 }
 
-impl NetlistStats {
-    /// Total sequential + combinational "logic" cells (excludes I/O, constants).
-    pub fn logic_cells(&self) -> usize {
-        self.cells - self.io_buffers - self.constants
-    }
-}
-
 impl fmt::Display for NetlistStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -128,7 +121,6 @@ mod tests {
         assert_eq!(stats.voter_cells, 1);
         assert_eq!(stats.cells_per_domain[&Domain::Voter], 1);
         assert_eq!(stats.kind_histogram["MAJ3"], 1);
-        assert_eq!(stats.logic_cells(), 2);
         assert_eq!(stats.inputs, 3);
         assert_eq!(stats.outputs, 1);
         let text = stats.to_string();

@@ -113,16 +113,6 @@ impl RoutedDesign {
         self.net_of_node(node).map(|net| self.net_domain(net))
     }
 
-    /// The TMR domains at the two endpoints of a PIP: `(source, destination)`.
-    /// Each endpoint is `None` when no routed net uses that node. This is the
-    /// domain view of the wires a new PIP would connect — a
-    /// `(Some(a), Some(b))` pair with `a.crosses(b)` is a domain-crossing
-    /// bridge candidate.
-    pub fn pip_domains(&self, device: &Device, pip: PipId) -> (Option<Domain>, Option<Domain>) {
-        let pip = device.pip(pip);
-        (self.node_domain(pip.src), self.node_domain(pip.dst))
-    }
-
     /// Counts the design-related configuration bits per category: every PIP
     /// touching a node used by the design, the truth-table bits of every used
     /// LUT and the configuration bit of every used flip-flop. These are the
@@ -425,11 +415,6 @@ mod tests {
             }
             for &node in &tree.nodes {
                 assert_eq!(routed.node_domain(node), Some(domain));
-            }
-            for &pip in &tree.pips {
-                let (src, dst) = routed.pip_domains(&device, pip);
-                assert_eq!(src, Some(domain));
-                assert_eq!(dst, Some(domain));
             }
         }
         assert!(

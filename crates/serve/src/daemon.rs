@@ -8,7 +8,7 @@
 //! pre-assigns `conn<N>-job<M>` ids when the client does not pick one, so
 //! routing is established *before* the job can emit anything.
 
-use crate::protocol::{Event, Request};
+use crate::protocol::{Event, JobSpec, Request};
 use crate::service::{CampaignService, ServiceConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -54,39 +54,12 @@ pub fn serve_stdio(config: ServiceConfig) {
         if line.is_empty() {
             continue;
         }
-        match Request::parse(line) {
-            Ok(Request::Submit { id, spec }) => {
-                // Success and failure both surface as events.
-                let _ = service.submit(id, spec);
-            }
-            Ok(Request::Pause { id }) => {
-                if let Err(message) = service.pause(&id) {
-                    let _ = out_tx.send(Event::Error {
-                        id: Some(id),
-                        message,
-                    });
-                }
-            }
-            Ok(Request::Resume { id }) => {
-                if let Err(message) = service.resume(&id) {
-                    let _ = out_tx.send(Event::Error {
-                        id: Some(id),
-                        message,
-                    });
-                }
-            }
-            Ok(Request::Status) => {
-                let _ = out_tx.send(Event::Status {
-                    jobs: service.status(),
-                });
-            }
-            Ok(Request::Shutdown) => {
-                shutdown_requested = true;
-                break;
-            }
-            Err(message) => {
-                let _ = out_tx.send(Event::Error { id: None, message });
-            }
+        shutdown_requested = handle_request(line, &service, &out_tx, |id, spec| {
+            // Success and failure both surface as events.
+            let _ = service.submit(id, spec);
+        });
+        if shutdown_requested {
+            break;
         }
     }
     if !shutdown_requested {
@@ -97,6 +70,41 @@ pub fn serve_stdio(config: ServiceConfig) {
     let _ = out_tx.send(Event::Shutdown);
     drop(out_tx);
     let _ = writer.join();
+}
+
+/// Handles one request line for either transport: a submit goes to the
+/// transport's `submit`, and the replies to pause, resume, status and an
+/// unparseable line go to `replies`. Returns `true` on a `shutdown` request,
+/// which the caller carries out.
+fn handle_request(
+    line: &str,
+    service: &CampaignService,
+    replies: &Sender<Event>,
+    mut submit: impl FnMut(Option<String>, JobSpec),
+) -> bool {
+    let reply = match Request::parse(line) {
+        Ok(Request::Submit { id, spec }) => {
+            submit(id, spec);
+            None
+        }
+        Ok(Request::Pause { id }) => service.pause(&id).err().map(|message| Event::Error {
+            id: Some(id),
+            message,
+        }),
+        Ok(Request::Resume { id }) => service.resume(&id).err().map(|message| Event::Error {
+            id: Some(id),
+            message,
+        }),
+        Ok(Request::Status) => Some(Event::Status {
+            jobs: service.status(),
+        }),
+        Ok(Request::Shutdown) => return true,
+        Err(message) => Some(Event::Error { id: None, message }),
+    };
+    if let Some(event) = reply {
+        let _ = replies.send(event);
+    }
+    false
 }
 
 /// Binds `path` (replacing any stale socket file) and serves connections
@@ -217,8 +225,8 @@ fn handle_connection(
                 if request.is_empty() {
                     continue;
                 }
-                match Request::parse(&request) {
-                    Ok(Request::Submit { id, spec }) => {
+                let shutdown_requested =
+                    handle_request(&request, service, &event_tx, |id, spec| {
                         submitted += 1;
                         let id = id.unwrap_or_else(|| format!("conn{conn}-job{submitted}"));
                         // Register the route first so no event can be missed;
@@ -229,7 +237,7 @@ fn handle_connection(
                                     id: Some(id),
                                     message: "duplicate job id".to_string(),
                                 });
-                                continue;
+                                return;
                             }
                             Entry::Vacant(route) => {
                                 route.insert(event_tx.clone());
@@ -238,36 +246,11 @@ fn handle_connection(
                         // A rejected submit emits an error event, which the
                         // router forwards here and retires.
                         let _ = service.submit(Some(id), spec);
-                    }
-                    Ok(Request::Pause { id }) => {
-                        if let Err(message) = service.pause(&id) {
-                            let _ = event_tx.send(Event::Error {
-                                id: Some(id),
-                                message,
-                            });
-                        }
-                    }
-                    Ok(Request::Resume { id }) => {
-                        if let Err(message) = service.resume(&id) {
-                            let _ = event_tx.send(Event::Error {
-                                id: Some(id),
-                                message,
-                            });
-                        }
-                    }
-                    Ok(Request::Status) => {
-                        let _ = event_tx.send(Event::Status {
-                            jobs: service.status(),
-                        });
-                    }
-                    Ok(Request::Shutdown) => {
-                        let _ = event_tx.send(Event::Shutdown);
-                        shutdown.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    Err(message) => {
-                        let _ = event_tx.send(Event::Error { id: None, message });
-                    }
+                    });
+                if shutdown_requested {
+                    let _ = event_tx.send(Event::Shutdown);
+                    shutdown.store(true, Ordering::SeqCst);
+                    break;
                 }
             }
             Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {

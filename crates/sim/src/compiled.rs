@@ -255,11 +255,6 @@ impl CompiledNetlist {
         self.ops.len()
     }
 
-    /// Number of flip-flops.
-    pub fn ff_count(&self) -> usize {
-        self.ffs.len()
-    }
-
     /// The operand nets of `op`.
     fn op_inputs(&self, op: &Op) -> &[u32] {
         let start = op.operand_start as usize;
@@ -1133,7 +1128,7 @@ mod tests {
         let nl = sample();
         let compiled = CompiledNetlist::compile(&nl).unwrap();
         assert_eq!(compiled.op_count(), 2);
-        assert_eq!(compiled.ff_count(), 1);
+        assert_eq!(compiled.ffs.len(), 1);
         assert_eq!(compiled.net_count(), nl.net_count());
     }
 

@@ -175,18 +175,6 @@ impl TritWord {
         }
     }
 
-    /// Replaces the trit in `lane` (0..64).
-    pub fn set_lane(&mut self, lane: usize, value: Trit) {
-        let bit = LaneMask::bit(lane);
-        self.val &= !bit;
-        self.unk &= !bit;
-        match value {
-            Trit::Zero => {}
-            Trit::One => self.val |= bit,
-            Trit::X => self.unk |= bit,
-        }
-    }
-
     /// Lane mask of the positions where the two words carry *different*
     /// trits (`X` equals `X`). Requires both words to be canonical.
     #[inline]
@@ -338,20 +326,16 @@ mod tests {
 
     #[test]
     fn lane_round_trip_and_broadcast() {
-        let mut word = TritWord::broadcast(Trit::Zero);
-        word.set_lane(3, Trit::One);
-        word.set_lane(7, Trit::X);
-        word.set_lane(63, Trit::X);
+        let word = TritWord {
+            val: LaneMask::bit(3),
+            unk: LaneMask::bit(7) | LaneMask::bit(63),
+        };
         assert_eq!(word.lane(3), Trit::One);
         assert_eq!(word.lane(7), Trit::X);
         assert_eq!(word.lane(63), Trit::X);
         assert_eq!(word.lane(0), Trit::Zero);
         assert_eq!(TritWord::broadcast(Trit::X).lane(63), Trit::X);
         assert_eq!(TritWord::broadcast(Trit::One).lane(63), Trit::One);
-        // Overwriting X with a known value restores the canonical form.
-        word.set_lane(7, Trit::One);
-        assert_eq!(word.lane(7), Trit::One);
-        assert!(!word.unk.get(7));
     }
 
     #[test]
@@ -433,11 +417,10 @@ mod tests {
 
     #[test]
     fn majority_votes_lanes_independently() {
-        let mut a = TritWord::broadcast(Trit::One);
-        let mut b = TritWord::broadcast(Trit::One);
+        let lane_61 = LaneMask::bit(61);
+        let a = TritWord::ZERO.select_lanes(TritWord::ONE, lane_61);
+        let b = TritWord::X.select_lanes(TritWord::ONE, lane_61);
         let c = TritWord::broadcast(Trit::Zero);
-        a.set_lane(61, Trit::Zero);
-        b.set_lane(61, Trit::X);
         let voted = majority_word(&[a, b, c]);
         assert_eq!(voted.lane(0), Trit::One, "2-of-3 ones");
         assert_eq!(voted.lane(61), Trit::Zero, "0, X, 0 votes zero");

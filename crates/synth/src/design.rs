@@ -266,11 +266,6 @@ impl Design {
         &self.name
     }
 
-    /// Renames the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     // ------------------------------------------------------------------
     // General construction (used by the TMR transformation)
     // ------------------------------------------------------------------
@@ -663,13 +658,6 @@ impl Design {
             .collect()
     }
 
-    /// Finds a signal by name.
-    pub fn find_signal(&self, name: &str) -> Option<SignalId> {
-        self.signals()
-            .find(|(_, s)| s.name == name)
-            .map(|(id, _)| id)
-    }
-
     /// Computes aggregate statistics.
     pub fn stats(&self) -> DesignStats {
         let mut stats = DesignStats {
@@ -988,7 +976,5 @@ mod tests {
         let outs = d.outputs();
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].1, "y");
-        assert_eq!(d.find_signal("a"), Some(a));
-        assert_eq!(d.find_signal("zzz"), None);
     }
 }

@@ -10,8 +10,6 @@ pub enum Sink {
     Off,
     /// Indented span tree plus counters on stderr.
     Human,
-    /// One JSON object per record, to a `.jsonl` file.
-    Jsonl,
     /// Chrome `trace_event` JSON, loadable in Perfetto / `chrome://tracing`.
     Chrome,
     /// Records retained in memory for [`drain_tree`](crate::drain_tree);
@@ -45,14 +43,6 @@ impl TraceConfig {
         }
     }
 
-    /// JSONL event-log output.
-    pub fn jsonl() -> Self {
-        TraceConfig {
-            sink: Sink::Jsonl,
-            file: None,
-        }
-    }
-
     /// Chrome `trace_event` output.
     pub fn chrome() -> Self {
         TraceConfig {
@@ -69,12 +59,11 @@ impl TraceConfig {
         }
     }
 
-    /// Reads `TMR_TRACE` (`off|human|jsonl|chrome|memory`; unset, empty or
+    /// Reads `TMR_TRACE` (`off|human|chrome|memory`; unset, empty or
     /// unknown values mean off) and `TMR_TRACE_FILE`.
     pub fn from_env() -> Self {
         let sink = match std::env::var("TMR_TRACE").as_deref() {
             Ok("human") => Sink::Human,
-            Ok("jsonl") => Sink::Jsonl,
             Ok("chrome") => Sink::Chrome,
             Ok("memory") => Sink::Memory,
             _ => Sink::Off,
@@ -85,7 +74,7 @@ impl TraceConfig {
         TraceConfig { sink, file }
     }
 
-    /// Overrides the output path of the file sinks.
+    /// Overrides the output path of the Chrome sink.
     pub fn with_file(mut self, path: impl Into<PathBuf>) -> Self {
         self.file = Some(path.into());
         self
@@ -96,16 +85,12 @@ impl TraceConfig {
         self.sink
     }
 
-    /// The output path for file sinks: the configured one, or the sink's
-    /// default (`tmr_trace.json` for Chrome, `tmr_trace.jsonl` for JSONL).
+    /// The output path of the Chrome sink: the configured one, or
+    /// `tmr_trace.json`.
     pub fn file_or_default(&self) -> PathBuf {
-        if let Some(path) = &self.file {
-            return path.clone();
-        }
-        match self.sink {
-            Sink::Jsonl => PathBuf::from("tmr_trace.jsonl"),
-            _ => PathBuf::from("tmr_trace.json"),
-        }
+        self.file
+            .clone()
+            .unwrap_or_else(|| PathBuf::from("tmr_trace.json"))
     }
 }
 
@@ -120,15 +105,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_off_with_sinkwise_file_names() {
+    fn defaults_are_off_with_a_chrome_file_name() {
         assert_eq!(TraceConfig::default().sink(), Sink::Off);
         assert_eq!(
             TraceConfig::chrome().file_or_default(),
             PathBuf::from("tmr_trace.json")
-        );
-        assert_eq!(
-            TraceConfig::jsonl().file_or_default(),
-            PathBuf::from("tmr_trace.jsonl")
         );
         assert_eq!(
             TraceConfig::chrome()

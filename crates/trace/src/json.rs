@@ -1,16 +1,17 @@
 //! The workspace's one dependency-free JSON module: a document builder
-//! ([`Json`]), a recursive-descent parser ([`parse`]) and validator
-//! ([`validate`]), and string escaping ([`escape`]).
+//! ([`Json`]) and a recursive-descent parser ([`parse`], with [`validate`]
+//! for callers that only need the verdict).
 //!
 //! The workspace builds fully offline, so everything that speaks JSON — the
-//! trace sinks in this crate, the criticality and campaign reports in
-//! `tmr-analyze`/`tmr-bench`, the artifact-store metadata in `tmr-store` and
-//! the campaign-service wire protocol in `tmr-serve` — shares this module
-//! instead of pulling in `serde`. It lives in `tmr-trace`, the bottom of the
-//! dependency order, and `tmr-core` re-exports it as `tmr_core::json`. Only
-//! what those layers need is implemented: objects with insertion-ordered
-//! keys, arrays, escaped strings, integers, floats, booleans and null,
-//! rendered compactly and parsed back with byte-offset errors.
+//! trace attributes and Chrome sink in this crate, the criticality and
+//! campaign reports in `tmr-analyze`/`tmr-bench`, the artifact-store metadata
+//! in `tmr-store` and the campaign-service wire protocol in `tmr-serve` —
+//! shares this module instead of pulling in `serde`. It lives in
+//! `tmr-trace`, the bottom of the dependency order, and `tmr-core` re-exports
+//! it as `tmr_core::json`. Only what those layers need is implemented:
+//! objects with insertion-ordered keys, arrays, escaped strings, integers,
+//! floats, booleans and null, rendered compactly and parsed back with
+//! byte-offset errors.
 
 use std::fmt;
 
@@ -133,6 +134,12 @@ impl From<u64> for Json {
     }
 }
 
+impl From<u32> for Json {
+    fn from(value: u32) -> Self {
+        Json::Int(i64::from(value))
+    }
+}
+
 impl From<bool> for Json {
     fn from(value: bool) -> Self {
         Json::Bool(value)
@@ -148,6 +155,12 @@ impl From<f64> for Json {
 impl From<&str> for Json {
     fn from(value: &str) -> Self {
         Json::Str(value.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(value: String) -> Self {
+        Json::Str(value)
     }
 }
 
@@ -202,42 +215,10 @@ impl fmt::Display for Json {
     }
 }
 
-/// Escapes `text` as a JSON string literal, including the surrounding
-/// quotes.
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            ch if (ch as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", ch as u32)),
-            ch => out.push(ch),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Validates that `text` is one complete, well-formed JSON value. Returns
 /// the byte offset and a message on the first error.
-///
-/// This is the cheap structural check (no tree is built) used by tests, the
-/// `trace_check` CI gate and the campaign-service smoke run; use [`parse`]
-/// when the document's content is needed.
 pub fn validate(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos, None)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse(text).map(|_| ())
 }
 
 /// Parses `text` into a [`Json`] tree. Returns the byte offset and a message
@@ -245,14 +226,13 @@ pub fn validate(text: &str) -> Result<(), String> {
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let mut out = Json::Null;
     skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos, Some(&mut out))?;
+    let parsed = value(bytes, &mut pos)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
-    Ok(out)
+    Ok(parsed)
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -265,60 +245,37 @@ fn fail(pos: usize, what: &str) -> String {
     format!("{what} at byte {pos}")
 }
 
-/// One recursive-descent step. With `out = None` this only validates; with
-/// `Some` it also builds the tree — one grammar, so the validator and the
-/// parser can never drift apart.
-fn value(bytes: &[u8], pos: &mut usize, out: Option<&mut Json>) -> Result<(), String> {
+/// One recursive-descent step: the value starting at `pos`.
+fn value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     match bytes.get(*pos) {
-        Some(b'{') => object(bytes, pos, out),
-        Some(b'[') => array(bytes, pos, out),
-        Some(b'"') => {
-            let text = string(bytes, pos)?;
-            if let Some(out) = out {
-                *out = Json::Str(text);
-            }
-            Ok(())
-        }
-        Some(b'-' | b'0'..=b'9') => number(bytes, pos, out),
-        Some(b't') => literal(bytes, pos, b"true", out, Json::Bool(true)),
-        Some(b'f') => literal(bytes, pos, b"false", out, Json::Bool(false)),
-        Some(b'n') => literal(bytes, pos, b"null", out, Json::Null),
+        Some(b'{') => object(bytes, pos),
+        Some(b'[') => array(bytes, pos),
+        Some(b'"') => string(bytes, pos).map(Json::Str),
+        Some(b'-' | b'0'..=b'9') => number(bytes, pos),
+        Some(b't') => literal(bytes, pos, b"true", Json::Bool(true)),
+        Some(b'f') => literal(bytes, pos, b"false", Json::Bool(false)),
+        Some(b'n') => literal(bytes, pos, b"null", Json::Null),
         Some(_) => Err(fail(*pos, "unexpected character")),
         None => Err(fail(*pos, "unexpected end of input")),
     }
 }
 
-fn literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    expected: &[u8],
-    out: Option<&mut Json>,
-    parsed: Json,
-) -> Result<(), String> {
+fn literal(bytes: &[u8], pos: &mut usize, expected: &[u8], parsed: Json) -> Result<Json, String> {
     if bytes[*pos..].starts_with(expected) {
         *pos += expected.len();
-        if let Some(out) = out {
-            *out = parsed;
-        }
-        Ok(())
+        Ok(parsed)
     } else {
         Err(fail(*pos, "malformed literal"))
     }
 }
 
-fn object(bytes: &[u8], pos: &mut usize, out: Option<&mut Json>) -> Result<(), String> {
+fn object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     *pos += 1; // consume '{'
-    let mut pairs = out.map(|out| {
-        *out = Json::Object(Vec::new());
-        match out {
-            Json::Object(pairs) => pairs,
-            _ => unreachable!(),
-        }
-    });
+    let mut pairs = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(());
+        return Ok(Json::Object(pairs));
     }
     loop {
         skip_ws(bytes, pos);
@@ -332,56 +289,36 @@ fn object(bytes: &[u8], pos: &mut usize, out: Option<&mut Json>) -> Result<(), S
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        match pairs.as_mut() {
-            Some(pairs) => {
-                let mut member = Json::Null;
-                value(bytes, pos, Some(&mut member))?;
-                pairs.push((key, member));
-            }
-            None => value(bytes, pos, None)?,
-        }
+        pairs.push((key, value(bytes, pos)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(());
+                return Ok(Json::Object(pairs));
             }
             _ => return Err(fail(*pos, "expected ',' or '}'")),
         }
     }
 }
 
-fn array(bytes: &[u8], pos: &mut usize, out: Option<&mut Json>) -> Result<(), String> {
+fn array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     *pos += 1; // consume '['
-    let mut values = out.map(|out| {
-        *out = Json::Array(Vec::new());
-        match out {
-            Json::Array(values) => values,
-            _ => unreachable!(),
-        }
-    });
+    let mut values = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b']') {
         *pos += 1;
-        return Ok(());
+        return Ok(Json::Array(values));
     }
     loop {
         skip_ws(bytes, pos);
-        match values.as_mut() {
-            Some(values) => {
-                let mut element = Json::Null;
-                value(bytes, pos, Some(&mut element))?;
-                values.push(element);
-            }
-            None => value(bytes, pos, None)?,
-        }
+        values.push(value(bytes, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
-                return Ok(());
+                return Ok(Json::Array(values));
             }
             _ => return Err(fail(*pos, "expected ',' or ']'")),
         }
@@ -412,14 +349,16 @@ fn string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            *pos += 1;
-                            let digit = bytes
-                                .get(*pos)
-                                .and_then(|byte| (*byte as char).to_digit(16))
-                                .ok_or_else(|| fail(*pos, "bad \\u escape"))?;
-                            code = code * 16 + digit;
+                        let mut code = hex4(bytes, pos)?;
+                        // A non-BMP character is an escaped UTF-16
+                        // surrogate pair (RFC 8259 §7).
+                        if (0xd800..0xdc00).contains(&code) && bytes[*pos + 1..].starts_with(b"\\u")
+                        {
+                            let mut next = *pos + 2;
+                            if let Ok(low @ 0xdc00..=0xdfff) = hex4(bytes, &mut next) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos = next;
+                            }
                         }
                         // Unpaired surrogates degrade to the replacement
                         // character rather than rejecting the document.
@@ -437,13 +376,28 @@ fn string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     Err(fail(*pos, "unterminated string"))
 }
 
+/// The four hex digits after the `u` of a `\u` escape at `pos`; leaves `pos`
+/// on the last digit.
+fn hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let mut code = 0;
+    for _ in 0..4 {
+        *pos += 1;
+        let digit = bytes
+            .get(*pos)
+            .and_then(|byte| (*byte as char).to_digit(16))
+            .ok_or_else(|| fail(*pos, "bad \\u escape"))?;
+        code = code * 16 + digit;
+    }
+    Ok(code)
+}
+
 /// The escape-free byte run `[from, to)` as UTF-8 (the input may be any byte
 /// slice, so the run is checked).
 fn str_run(bytes: &[u8], from: usize, to: usize) -> Result<&str, String> {
     std::str::from_utf8(&bytes[from..to]).map_err(|_| fail(from, "invalid UTF-8 in string"))
 }
 
-fn number(bytes: &[u8], pos: &mut usize, out: Option<&mut Json>) -> Result<(), String> {
+fn number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -455,8 +409,13 @@ fn number(bytes: &[u8], pos: &mut usize, out: Option<&mut Json>) -> Result<(), S
         }
         *pos > from
     };
+    let int_start = *pos;
     if !digits(bytes, pos) {
         return Err(fail(start, "malformed number"));
+    }
+    // RFC 8259 §6: no leading zeros.
+    if bytes[int_start] == b'0' && *pos - int_start > 1 {
+        return Err(fail(int_start, "leading zero in number"));
     }
     let mut integral = true;
     if bytes.get(*pos) == Some(&b'.') {
@@ -476,18 +435,15 @@ fn number(bytes: &[u8], pos: &mut usize, out: Option<&mut Json>) -> Result<(), S
             return Err(fail(*pos, "malformed exponent"));
         }
     }
-    if let Some(out) = out {
-        // The run is ASCII digits/sign/dot/exponent, so from_utf8 cannot fail.
-        let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII number run");
-        *out = match text.parse::<i64>() {
-            Ok(i) if integral => Json::Int(i),
-            _ => Json::Float(
-                text.parse::<f64>()
-                    .map_err(|_| fail(start, "number out of range"))?,
-            ),
-        };
+    // The run is ASCII digits/sign/dot/exponent, so from_utf8 cannot fail.
+    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII number run");
+    match text.parse::<i64>() {
+        Ok(i) if integral => Ok(Json::Int(i)),
+        _ => text
+            .parse::<f64>()
+            .map(Json::Float)
+            .map_err(|_| fail(start, "number out of range")),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -515,12 +471,6 @@ mod tests {
             assert!(validate(text).is_err(), "{text}");
             assert!(parse(text).is_err(), "{text}");
         }
-    }
-
-    #[test]
-    fn escape_handles_controls_and_quotes() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), r#""a\"b\\c\nd\u0001""#);
-        assert_eq!(validate(&escape("any\ntext\u{7}")), Ok(()));
     }
 
     #[test]
@@ -592,6 +542,37 @@ mod tests {
             parse(r#""a\"b\\c\ndA☺""#),
             Ok(Json::Str("a\"b\\c\ndA\u{263a}".to_string()))
         );
+    }
+
+    #[test]
+    fn parse_decodes_surrogate_pairs() {
+        assert_eq!(
+            parse(r#""job-\ud83d\ude00""#),
+            Ok(Json::str("job-\u{1f600}"))
+        );
+        // Lone or reversed surrogates degrade to U+FFFD; the escape after a
+        // lone high surrogate still decodes.
+        assert_eq!(parse(r#""\ud83d""#), Ok(Json::str("\u{fffd}")));
+        assert_eq!(parse(r#""\ude00x""#), Ok(Json::str("\u{fffd}x")));
+        assert_eq!(parse(r#""\ud83d\u0041""#), Ok(Json::str("\u{fffd}A")));
+        assert_eq!(
+            parse(r#""\ude00\ud83d""#),
+            Ok(Json::str("\u{fffd}\u{fffd}"))
+        );
+        assert!(parse(r#""\ud83d\u12""#).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_leading_zeros_only() {
+        for text in ["01", "-012", "00", "[1,007]"] {
+            assert!(parse(text).is_err(), "{text}");
+            assert!(validate(text).is_err(), "{text}");
+        }
+        assert_eq!(parse("0"), Ok(Json::Int(0)));
+        assert_eq!(parse("-0"), Ok(Json::Int(0)));
+        assert_eq!(parse("0.5"), Ok(Json::Float(0.5)));
+        assert_eq!(parse("-0.5e1"), Ok(Json::Float(-5.0)));
+        assert_eq!(parse("10"), Ok(Json::Int(10)));
     }
 
     #[test]

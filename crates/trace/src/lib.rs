@@ -3,8 +3,8 @@
 //! Dependency-free structured instrumentation for the `tmr-fpga` workspace:
 //! hierarchical spans with monotonic timings, counters and events, recorded
 //! into per-thread buffers and merged deterministically, with sinks for
-//! human-readable stderr, JSONL event logs and Chrome `trace_event` JSON
-//! (loadable in Perfetto / `chrome://tracing`).
+//! human-readable stderr and Chrome `trace_event` JSON (loadable in
+//! Perfetto / `chrome://tracing`). Attribute values are [`json::Json`].
 //!
 //! The container this workspace builds in is offline, so this crate stands in
 //! for the usual `tracing` ecosystem with only `std`.
@@ -21,7 +21,7 @@
 //! ## Configuration
 //!
 //! The tracer is process-global. It initializes lazily from the environment
-//! (`TMR_TRACE=off|human|jsonl|chrome` plus `TMR_TRACE_FILE=<path>`) on the
+//! (`TMR_TRACE=off|human|chrome|memory` plus `TMR_TRACE_FILE=<path>`) on the
 //! first instrumentation call, or explicitly through
 //! [`configure`] / [`TraceConfig`] (the facade's `FlowBuilder::trace` and
 //! `CampaignBuilder::trace` forward here).
@@ -53,18 +53,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod attr;
 mod config;
 pub mod json;
 mod record;
 mod sink;
 mod tree;
 
-pub use attr::AttrValue;
 pub use config::{Sink, TraceConfig};
 pub use record::{current_span, task, Event, SpanGuard, SpanId, TaskGuard};
 pub use tree::{TraceNode, TraceTree};
 
+use json::Json;
 use record::Record;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -185,7 +184,7 @@ pub fn event(name: impl Into<std::borrow::Cow<'static, str>>) -> Event {
 /// thread (a no-op when tracing is disabled or no span is open). This lets
 /// code deep inside a traced computation annotate the span that wraps it —
 /// e.g. a pipeline stage attaching artifact sizes to the cache span.
-pub fn attr_current(key: impl Into<std::borrow::Cow<'static, str>>, value: impl Into<AttrValue>) {
+pub fn attr_current(key: impl Into<std::borrow::Cow<'static, str>>, value: impl Into<Json>) {
     if !enabled() {
         return;
     }
@@ -233,47 +232,37 @@ pub fn drain_tree() -> TraceTree {
 ///
 /// * [`Sink::Human`] — an indented span tree plus the counter registry, on
 ///   stderr;
-/// * [`Sink::Jsonl`] — one JSON object per record (plus a final `metrics`
-///   line), written to `TMR_TRACE_FILE` or `tmr_trace.jsonl`;
 /// * [`Sink::Chrome`] — a Chrome `trace_event` document loadable in
 ///   Perfetto, written to `TMR_TRACE_FILE` or `tmr_trace.json`;
 /// * [`Sink::Memory`] — records are retained for [`drain_tree`];
 /// * [`Sink::Off`] — records are discarded.
 ///
-/// Returns the path written, for the file sinks. I/O errors are reported on
+/// Returns the path written, for the Chrome sink. I/O errors are reported on
 /// stderr and swallowed — tracing must never fail the traced program.
 pub fn flush() -> Option<PathBuf> {
     let config = config();
     match config.sink() {
-        Sink::Memory => return None,
+        Sink::Memory => None,
         Sink::Off => {
             let _ = take_records();
-            return None;
+            None
         }
-        _ => {}
-    }
-    let (records, counters) = take_records();
-    let (rendered, path) = match config.sink() {
         Sink::Human => {
+            let (records, counters) = take_records();
             let tree = TraceTree::build(records, counters);
             eprint!("{}", sink::render_human(&tree));
-            return None;
-        }
-        Sink::Jsonl => (
-            sink::render_jsonl(&records, &counters),
-            config.file_or_default(),
-        ),
-        Sink::Chrome => (
-            sink::render_chrome(&records, &counters),
-            config.file_or_default(),
-        ),
-        Sink::Off | Sink::Memory => unreachable!("handled above"),
-    };
-    match std::fs::write(&path, rendered) {
-        Ok(()) => Some(path),
-        Err(error) => {
-            eprintln!("tmr-trace: cannot write {}: {error}", path.display());
             None
+        }
+        Sink::Chrome => {
+            let (records, counters) = take_records();
+            let path = config.file_or_default();
+            match std::fs::write(&path, sink::render_chrome(records, &counters)) {
+                Ok(()) => Some(path),
+                Err(error) => {
+                    eprintln!("tmr-trace: cannot write {}: {error}", path.display());
+                    None
+                }
+            }
         }
     }
 }
@@ -329,12 +318,12 @@ mod tests {
         assert_eq!(tree.roots.len(), 1);
         let outer = &tree.roots[0];
         assert_eq!(outer.name, "outer");
-        assert_eq!(outer.attr("design").unwrap().to_string(), "fir");
-        assert_eq!(outer.attr("late").unwrap().to_string(), "true");
+        assert_eq!(outer.attr("design").and_then(Json::as_str), Some("fir"));
+        assert_eq!(outer.attr("late").and_then(Json::as_bool), Some(true));
         assert!(outer.dur_ns.is_some());
         let inner = &outer.children[0];
         assert_eq!(inner.name, "inner");
-        assert_eq!(inner.attr("count").unwrap().to_string(), "7");
+        assert_eq!(inner.attr("count").and_then(Json::as_u64), Some(7));
         assert_eq!(inner.children[0].name, "tick");
         assert!(inner.children[0].dur_ns.is_none(), "events are instants");
         assert_eq!(tree.counters, vec![("widgets".to_string(), 5)]);

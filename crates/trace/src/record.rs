@@ -15,7 +15,7 @@
 //! on the owning thread, which makes the merged tree a pure function of what
 //! was traced.
 
-use crate::attr::AttrValue;
+use crate::json::Json;
 use crate::{now_ns, publish_records};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -35,7 +35,7 @@ pub(crate) struct Record {
     pub start_ns: u64,
     /// `None` marks an instant event.
     pub dur_ns: Option<u64>,
-    pub attrs: Vec<(Cow<'static, str>, AttrValue)>,
+    pub attrs: Vec<(Cow<'static, str>, Json)>,
 }
 
 struct OpenSpan {
@@ -44,7 +44,7 @@ struct OpenSpan {
     name: Cow<'static, str>,
     seq: u64,
     start_ns: u64,
-    attrs: Vec<(Cow<'static, str>, AttrValue)>,
+    attrs: Vec<(Cow<'static, str>, Json)>,
 }
 
 struct ThreadBuffer {
@@ -176,7 +176,7 @@ fn close_span(id: u64) {
     });
 }
 
-pub(crate) fn attr_innermost(key: Cow<'static, str>, value: AttrValue) {
+pub(crate) fn attr_innermost(key: Cow<'static, str>, value: Json) {
     let _ = BUFFER.try_with(|cell| {
         if let Some(open) = cell.borrow_mut().open.last_mut() {
             open.attrs.push((key, value));
@@ -205,7 +205,7 @@ impl SpanGuard {
     }
 
     /// Attaches an attribute to this span (no-op on an inert guard).
-    pub fn attr(&mut self, key: impl Into<Cow<'static, str>>, value: impl Into<AttrValue>) {
+    pub fn attr(&mut self, key: impl Into<Cow<'static, str>>, value: impl Into<Json>) {
         if self.id == 0 {
             return;
         }
@@ -248,7 +248,7 @@ impl Event {
     }
 
     /// Attaches an attribute to the pending event.
-    pub fn attr(mut self, key: impl Into<Cow<'static, str>>, value: impl Into<AttrValue>) -> Self {
+    pub fn attr(mut self, key: impl Into<Cow<'static, str>>, value: impl Into<Json>) -> Self {
         if let Some(record) = &mut self.pending {
             record.attrs.push((key.into(), value.into()));
         }

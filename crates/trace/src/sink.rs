@@ -1,11 +1,11 @@
-//! Renderers for the three output sinks: human-readable stderr, JSONL event
-//! logs, and Chrome `trace_event` JSON (Perfetto / `chrome://tracing`).
+//! Renderers for the two output sinks: human-readable stderr and Chrome
+//! `trace_event` JSON (Perfetto / `chrome://tracing`).
 
-use crate::attr::AttrValue;
-use crate::json::escape;
+use crate::json::Json;
 use crate::record::Record;
 use crate::tree::{TraceNode, TraceTree};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 fn fmt_dur(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -19,10 +19,16 @@ fn fmt_dur(ns: u64) -> String {
     }
 }
 
-fn fmt_attrs(attrs: &[(String, AttrValue)]) -> String {
+/// ` key=value` per attribute; strings print bare, floats with 3 decimals,
+/// other values as JSON.
+fn fmt_attrs(attrs: &[(String, Json)]) -> String {
     let mut out = String::new();
     for (key, value) in attrs {
-        let _ = write!(out, " {key}={value}");
+        let _ = match value {
+            Json::Str(text) => write!(out, " {key}={text}"),
+            Json::Float(x) => write!(out, " {key}={x:.3}"),
+            value => write!(out, " {key}={value}"),
+        };
     }
     out
 }
@@ -66,176 +72,169 @@ pub(crate) fn render_human(tree: &TraceTree) -> String {
     out
 }
 
-fn attrs_json(attrs: &[(std::borrow::Cow<'static, str>, AttrValue)]) -> String {
-    let mut out = String::from("{");
-    for (index, (key, value)) in attrs.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{}", escape(key), value.to_json());
-    }
-    out.push('}');
-    out
-}
-
-/// The `Sink::Jsonl` rendering: one JSON object per record (spans carry
-/// `dur_ns`, events don't), terminated by a `metrics` line with the counter
-/// registry. Every line is independently parseable.
-pub(crate) fn render_jsonl(records: &[Record], counters: &[(String, u64)]) -> String {
-    let mut out = String::new();
-    for record in records {
-        let kind = if record.dur_ns.is_some() {
-            "span"
-        } else {
-            "event"
-        };
-        let _ = write!(
-            out,
-            "{{\"type\":{},\"name\":{},\"task\":{},\"seq\":{},\"start_ns\":{}",
-            escape(kind),
-            escape(&record.name),
-            escape(&record.task),
-            record.seq,
-            record.start_ns,
-        );
-        if let Some(dur) = record.dur_ns {
-            let _ = write!(out, ",\"dur_ns\":{dur}");
-        }
-        let _ = writeln!(out, ",\"attrs\":{}}}", attrs_json(&record.attrs));
-    }
-    let mut metrics = String::from("{");
-    for (index, (name, value)) in counters.iter().enumerate() {
-        if index > 0 {
-            metrics.push(',');
-        }
-        let _ = write!(metrics, "{}:{}", escape(name), value);
-    }
-    metrics.push('}');
-    let _ = writeln!(out, "{{\"type\":\"metrics\",\"counters\":{metrics}}}");
-    out
+/// Microseconds, the `ts`/`dur` unit of the `trace_event` format.
+fn micros(ns: u64) -> Json {
+    Json::Float(ns as f64 / 1e3)
 }
 
 /// The `Sink::Chrome` rendering: a `trace_event` document. Spans become
 /// complete (`"ph":"X"`) events, instants become `"ph":"i"`, each task label
 /// becomes a named `tid` row, and counters are appended as `"ph":"C"`
 /// samples — drop the file on <https://ui.perfetto.dev> to browse it.
-pub(crate) fn render_chrome(records: &[Record], counters: &[(String, u64)]) -> String {
+pub(crate) fn render_chrome(records: Vec<Record>, counters: &[(String, u64)]) -> String {
     // Stable tid per task label, in first-appearance order of the sorted
     // record stream (so numbering is deterministic too).
-    let mut tids: Vec<&str> = Vec::new();
-    for record in records {
-        if !tids.iter().any(|task| *task == &*record.task) {
-            tids.push(&record.task);
+    let mut tids: Vec<Arc<str>> = Vec::new();
+    for record in &records {
+        if !tids.contains(&record.task) {
+            tids.push(record.task.clone());
         }
     }
-    let tid_of = |task: &str| tids.iter().position(|t| *t == task).unwrap_or(0);
-    let mut events: Vec<String> = Vec::new();
-    for (tid, task) in tids.iter().enumerate() {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
-            escape(task)
-        ));
-    }
-    let mut last_ts = 0u64;
+    let mut events: Vec<Json> = tids
+        .iter()
+        .enumerate()
+        .map(|(tid, task)| {
+            Json::object([
+                ("name", Json::str("thread_name")),
+                ("ph", Json::str("M")),
+                ("pid", Json::Int(1)),
+                ("tid", Json::from(tid)),
+                ("args", Json::object([("name", Json::str(&**task))])),
+            ])
+        })
+        .collect();
+    let mut last_ns = 0u64;
     for record in records {
-        last_ts = last_ts.max(record.start_ns + record.dur_ns.unwrap_or(0));
-        let ts = record.start_ns as f64 / 1e3;
-        let tid = tid_of(&record.task);
-        let args = attrs_json(&record.attrs);
-        let event = match record.dur_ns {
-            Some(dur) => format!(
-                "{{\"name\":{},\"cat\":\"tmr\",\"ph\":\"X\",\"ts\":{ts:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{tid},\"args\":{args}}}",
-                escape(&record.name),
-                dur as f64 / 1e3,
-            ),
-            None => format!(
-                "{{\"name\":{},\"cat\":\"tmr\",\"ph\":\"i\",\"ts\":{ts:.3},\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"args\":{args}}}",
-                escape(&record.name),
-            ),
+        last_ns = last_ns.max(record.start_ns + record.dur_ns.unwrap_or(0));
+        let tid = tids
+            .iter()
+            .position(|task| *task == record.task)
+            .unwrap_or(0);
+        let (ph, extent) = match record.dur_ns {
+            Some(dur) => ("X", ("dur", micros(dur))),
+            None => ("i", ("s", Json::str("t"))),
         };
-        events.push(event);
+        events.push(Json::object([
+            ("name", Json::str(record.name)),
+            ("cat", Json::str("tmr")),
+            ("ph", Json::str(ph)),
+            ("ts", micros(record.start_ns)),
+            extent,
+            ("pid", Json::Int(1)),
+            ("tid", Json::from(tid)),
+            ("args", Json::object(record.attrs)),
+        ]));
     }
-    for (name, value) in counters {
-        events.push(format!(
-            "{{\"name\":{},\"ph\":\"C\",\"ts\":{:.3},\"pid\":1,\"args\":{{\"value\":{value}}}}}",
-            escape(name),
-            last_ts as f64 / 1e3,
-        ));
-    }
-    let mut out = String::from("{\"traceEvents\":[");
-    for (index, event) in events.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(event);
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    events.extend(counters.iter().map(|(name, value)| {
+        Json::object([
+            ("name", Json::str(name)),
+            ("ph", Json::str("C")),
+            ("ts", micros(last_ns)),
+            ("pid", Json::Int(1)),
+            ("args", Json::object([("value", Json::from(*value))])),
+        ])
+    }));
+    let doc = Json::object([
+        ("traceEvents", Json::Array(events)),
+        ("displayTimeUnit", Json::str("ms")),
+    ]);
+    doc.render() + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
+    use crate::json::parse;
     use std::borrow::Cow;
-    use std::sync::Arc;
 
     fn sample() -> Vec<Record> {
-        let task: Arc<str> = Arc::from("main");
         vec![
             Record {
                 name: Cow::Borrowed("flow"),
-                task: task.clone(),
+                task: Arc::from("main"),
                 seq: 0,
                 id: 1,
                 parent: 0,
                 start_ns: 100,
                 dur_ns: Some(5_000),
-                attrs: vec![(Cow::Borrowed("design"), AttrValue::from("fir \"8\""))],
+                attrs: vec![(Cow::Borrowed("design"), Json::str("fir \"8\""))],
             },
             Record {
                 name: Cow::Borrowed("cache.hit"),
-                task,
-                seq: 1,
+                task: Arc::from("shard-00"),
+                seq: 0,
                 id: 0,
                 parent: 1,
                 start_ns: 400,
                 dur_ns: None,
-                attrs: vec![(Cow::Borrowed("stage"), AttrValue::from("route"))],
+                attrs: vec![(Cow::Borrowed("stage"), Json::str("route"))],
             },
         ]
     }
 
-    #[test]
-    fn chrome_sink_is_valid_json_with_complete_and_instant_events() {
-        let rendered = render_chrome(&sample(), &[("faults".to_string(), 7)]);
-        validate(&rendered).expect("chrome trace must be well-formed JSON");
-        assert!(rendered.contains("\"traceEvents\""));
-        assert!(rendered.contains("\"ph\":\"X\""));
-        assert!(rendered.contains("\"ph\":\"i\""));
-        assert!(rendered.contains("\"ph\":\"C\""));
-        assert!(rendered.contains("\"thread_name\""));
+    fn field<'a>(event: &'a Json, key: &str) -> &'a str {
+        event.get(key).and_then(Json::as_str).unwrap_or_default()
     }
 
     #[test]
-    fn jsonl_sink_emits_one_valid_object_per_line() {
-        let rendered = render_jsonl(&sample(), &[("faults".to_string(), 7)]);
-        let lines: Vec<&str> = rendered.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            validate(line).expect("every JSONL line must be valid JSON");
+    fn chrome_sink_round_trips_every_attribute_kind() {
+        let attrs = vec![
+            (Cow::Borrowed("ok"), Json::from(true)),
+            (Cow::Borrowed("count"), Json::from(42u64)),
+            (Cow::Borrowed("delta"), Json::Int(-3)),
+            (Cow::Borrowed("rate"), Json::from(0.125)),
+            (Cow::Borrowed("whole"), Json::from(2.0)),
+            (Cow::Borrowed("nan"), Json::from(f64::NAN)),
+            (Cow::Borrowed("text"), Json::str("q\"n\nc\u{1}e\u{1f600}")),
+        ];
+        let mut records = sample();
+        for record in &mut records {
+            record.attrs = attrs.clone();
         }
-        assert!(lines[0].contains("\"dur_ns\":5000"));
-        assert!(!lines[1].contains("dur_ns"), "events have no duration");
-        assert!(lines[2].contains("\"type\":\"metrics\""));
+        let rendered = render_chrome(records, &[("faults".to_string(), 7)]);
+        let doc = parse(&rendered).expect("chrome trace must be well-formed JSON");
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms")
+        );
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        let phases: Vec<&str> = events.iter().map(|event| field(event, "ph")).collect();
+        assert_eq!(phases, ["M", "M", "X", "i", "C"]);
+
+        // NaN renders as `null`, and a whole-number float as an integer.
+        let args = Json::object(attrs.into_iter().map(|(key, value)| match value {
+            Json::Float(x) if x.is_nan() => (key, Json::Null),
+            Json::Float(x) if x.fract() == 0.0 => (key, Json::Int(x as i64)),
+            value => (key, value),
+        }));
+        for (event, tid) in events[2..4].iter().zip([0, 1]) {
+            assert_eq!(event.get("args"), Some(&args));
+            let whole = event.get("args").and_then(|args| args.get("whole"));
+            assert_eq!(whole.and_then(Json::as_f64), Some(2.0));
+            assert_eq!(event.get("tid").and_then(Json::as_u64), Some(tid));
+        }
+        assert_eq!(events[2].get("dur").and_then(Json::as_f64), Some(5.0));
+        assert_eq!(field(&events[3], "s"), "t");
+        assert_eq!(field(events[1].get("args").unwrap(), "name"), "shard-00");
+        assert_eq!(field(&events[4], "name"), "faults");
+        assert_eq!(
+            events[4].get("args"),
+            Some(&Json::object([("value", Json::Int(7))]))
+        );
+        assert_eq!(events[4].get("ts").and_then(Json::as_f64), Some(5.1));
     }
 
     #[test]
     fn human_sink_indents_children_and_lists_counters() {
-        let tree = TraceTree::build(sample(), vec![("faults".to_string(), 7)]);
+        let mut records = sample();
+        records[0].attrs.extend([
+            (Cow::Borrowed("rate"), Json::from(2.0)),
+            (Cow::Borrowed("per_sec"), Json::from(f64::INFINITY)),
+        ]);
+        let tree = TraceTree::build(records, vec![("faults".to_string(), 7)]);
         let rendered = render_human(&tree);
         assert!(rendered.contains("  flow (5.0"));
+        assert!(rendered.contains("design=fir \"8\" rate=2.000 per_sec=inf"));
         assert!(rendered.contains("    · cache.hit stage=route"));
         assert!(rendered.contains("  faults = 7"));
     }

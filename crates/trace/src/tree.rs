@@ -1,6 +1,6 @@
 //! Deterministic reconstruction of the span tree from merged records.
 
-use crate::attr::AttrValue;
+use crate::json::Json;
 use crate::record::Record;
 use std::collections::HashMap;
 
@@ -15,14 +15,14 @@ pub struct TraceNode {
     /// Wall-clock duration; `None` for instant events.
     pub dur_ns: Option<u64>,
     /// Attributes in the order they were attached.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Vec<(String, Json)>,
     /// Child spans and events, in deterministic `(task, seq)` order.
     pub children: Vec<TraceNode>,
 }
 
 impl TraceNode {
     /// The value of the named attribute, if attached.
-    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+    pub fn attr(&self, key: &str) -> Option<&Json> {
         self.attrs
             .iter()
             .find(|(name, _)| name == key)

@@ -87,7 +87,7 @@ fn main() -> Result<(), tmr_fpga::Error> {
         streamed.wrong_answer_percent()
     );
 
-    // With TMR_TRACE=human|jsonl|chrome set, write out everything recorded
+    // With TMR_TRACE=human|chrome set, write out everything recorded
     // above; a no-op (returning `None`) when tracing is off.
     if let Some(path) = tmr_fpga::trace::flush() {
         eprintln!("trace written to {}", path.display());
