@@ -70,14 +70,10 @@ fn main() -> ExitCode {
     let (device, _) = jobs.first().expect("at least one seed");
     let grid = format!("{}x{}", device.cols(), device.rows());
     let census = par_map(jobs, |(device, flow)| {
-        let synthesized = flow.synthesized().expect("synthesis succeeds");
-        let placed = flow.placed().expect("placement succeeds");
-        let (routes, telemetry) = route_with_telemetry(
-            &device,
-            synthesized.netlist(),
-            placed.placement(),
-            &RouterOptions::default(),
-        );
+        let netlist = flow.synthesized().expect("synthesis succeeds");
+        let placement = flow.placed().expect("placement succeeds");
+        let (routes, telemetry) =
+            route_with_telemetry(&device, &netlist, &placement, &RouterOptions::default());
         Census {
             iterations: telemetry.iteration_count(),
             expansions: telemetry.total_nodes_expanded(),

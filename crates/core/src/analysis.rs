@@ -198,20 +198,6 @@ pub fn partition_report(design: &Design) -> PartitionReport {
     }
 }
 
-/// Returns the fraction of word-level signals whose domain is one of the
-/// three redundant domains — a sanity metric used in reports.
-pub fn redundant_signal_fraction(design: &Design) -> f64 {
-    let total = design.signal_count();
-    if total == 0 {
-        return 0.0;
-    }
-    let redundant = design
-        .signals()
-        .filter(|(_, s)| s.domain.is_redundant())
-        .count();
-    redundant as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,13 +262,5 @@ mod tests {
         };
         assert_eq!(info.total_nodes(), 9);
         assert_eq!(info.cross_domain_pairs(), 2 * 3 + 2 * 4 + 3 * 4);
-    }
-
-    #[test]
-    fn redundant_fraction_rises_after_tmr() {
-        let base = small_fir();
-        let tmr = apply_tmr(&base, &TmrConfig::paper_p2()).unwrap();
-        assert_eq!(redundant_signal_fraction(&base), 0.0);
-        assert!(redundant_signal_fraction(&tmr) > 0.5);
     }
 }

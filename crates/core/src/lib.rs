@@ -63,7 +63,7 @@ mod par;
 pub mod pipeline;
 mod transform;
 
-pub use analysis::{partition_report, redundant_signal_fraction, PartitionInfo, PartitionReport};
+pub use analysis::{partition_report, PartitionInfo, PartitionReport};
 pub use area::{estimate_resources, ResourceEstimate};
 pub use error::TmrError;
 pub use par::par_map;

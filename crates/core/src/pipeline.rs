@@ -26,7 +26,6 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A streaming FNV-1a 64-bit hasher over the `Debug` rendering of values.
@@ -172,8 +171,6 @@ impl fmt::Display for CacheStats {
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
     map: Mutex<HashMap<CacheKey, Arc<dyn Any + Send + Sync>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     /// Per-stage `(hits, misses)` counters, keyed by the stage label.
     stage_counters: Mutex<HashMap<&'static str, (u64, u64)>>,
 }
@@ -204,7 +201,7 @@ impl ArtifactCache {
     where
         T: Send + Sync + 'static,
     {
-        if let Some(found) = self.lookup::<T>(key) {
+        if let Some(found) = self.get::<T>(key) {
             if tmr_trace::enabled() {
                 tmr_trace::event("cache.hit")
                     .attr("stage", key.stage)
@@ -229,7 +226,6 @@ impl ArtifactCache {
         // wins and the loser's work is discarded — wasteful but correct,
         // since stages are pure functions of the key.
         let computed = Arc::new(compute()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
         self.bump_stage(key.stage, false);
         if let Some(span) = &mut stage_span {
             span.attr("cache", "miss");
@@ -245,10 +241,16 @@ impl ArtifactCache {
             .unwrap_or_else(|_| panic!("artifact type mismatch for stage `{}`", key.stage)))
     }
 
-    fn lookup<T: Send + Sync + 'static>(&self, key: CacheKey) -> Option<Arc<T>> {
+    /// Returns the artifact stored under `key`, counting a hit, or `None`
+    /// (which counts nothing: a miss is counted when an artifact is
+    /// computed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the artifact stored under `key` has a different type.
+    pub fn get<T: Send + Sync + 'static>(&self, key: CacheKey) -> Option<Arc<T>> {
         let map = self.map.lock().expect("artifact cache poisoned");
         let entry = map.get(&key)?.clone();
-        self.hits.fetch_add(1, Ordering::Relaxed);
         self.bump_stage(key.stage, true);
         Some(
             entry
@@ -297,11 +299,17 @@ impl ArtifactCache {
         stages
     }
 
-    /// Current effectiveness counters.
+    /// Current effectiveness counters: the per-stage ones summed.
     pub fn stats(&self) -> CacheStats {
+        let (hits, misses) = self
+            .stage_counters
+            .lock()
+            .expect("artifact cache poisoned")
+            .values()
+            .fold((0, 0), |(hits, misses), &(h, m)| (hits + h, misses + m));
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits,
+            misses,
             entries: self.map.lock().expect("artifact cache poisoned").len(),
         }
     }

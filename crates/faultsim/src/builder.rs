@@ -205,9 +205,7 @@ impl CampaignBuilder {
     /// Reuses a precomputed golden run (stimulus, fault-free trace, output
     /// voting) instead of recomputing it. The run must belong to this
     /// design's netlist and match the options' `cycles` and `stimulus_seed`
-    /// — both are asserted when the session is built (the seed only for runs
-    /// built by [`GoldenRun::compute`], which records it; a
-    /// [`GoldenRun::from_parts`] stimulus has no seed to check).
+    /// — both are asserted when the session is built.
     #[must_use]
     pub fn golden(mut self, golden: Arc<GoldenRun>) -> Self {
         self.golden = Some(golden);
@@ -295,12 +293,11 @@ impl CampaignBuilder {
                     options.cycles,
                     "injected golden run was computed for a different stimulus length"
                 );
-                if let Some(seed) = golden.stimulus_seed() {
-                    assert_eq!(
-                        seed, options.stimulus_seed,
-                        "injected golden run was computed for a different stimulus seed"
-                    );
-                }
+                assert_eq!(
+                    golden.stimulus_seed(),
+                    options.stimulus_seed,
+                    "injected golden run was computed for a different stimulus seed"
+                );
                 golden.clone()
             }
             None => Arc::new(GoldenRun::compute(

@@ -107,12 +107,6 @@ impl RoutedDesign {
         self.netlist.net(net).domain
     }
 
-    /// The TMR domain of the net occupying a routing node, if the node is
-    /// used by the design.
-    pub fn node_domain(&self, node: NodeId) -> Option<Domain> {
-        self.net_of_node(node).map(|net| self.net_domain(net))
-    }
-
     /// Counts the design-related configuration bits per category: every PIP
     /// touching a node used by the design, the truth-table bits of every used
     /// LUT and the configuration bit of every used flip-flop. These are the
@@ -414,7 +408,7 @@ mod tests {
                 redundant_nets += 1;
             }
             for &node in &tree.nodes {
-                assert_eq!(routed.node_domain(node), Some(domain));
+                assert_eq!(routed.net_of_node(node), Some(net));
             }
         }
         assert!(
@@ -422,7 +416,7 @@ mod tests {
             "TMR designs route redundant-domain nets"
         );
         assert_eq!(
-            routed.node_domain(NodeId::from_index(usize::MAX as u32 as usize - 1)),
+            routed.net_of_node(NodeId::from_index(usize::MAX as u32 as usize - 1)),
             None
         );
     }

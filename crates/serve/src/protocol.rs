@@ -9,7 +9,6 @@
 //! what `tmr-submit --validate` checks received lines with.
 
 use tmr_core::json::Json;
-use tmr_core::pipeline::ArtifactCache;
 use tmr_core::TmrConfig;
 use tmr_fpga::arch::{Device, DeviceParams, MbuPattern};
 use tmr_fpga::faultsim::{CampaignBuilder, EarlyStop, FaultModel};
@@ -358,8 +357,7 @@ impl JobSpec {
     /// [`CampaignService`](crate::CampaignService) instead takes its devices
     /// from the `device` stage of its shared cache.
     pub fn device_instance(&self) -> Option<Device> {
-        self.device_params()
-            .map(|params| crate::service::device(&ArtifactCache::new(), params))
+        self.device_params().map(Device::new)
     }
 
     /// Builds the campaign configuration of this spec (batch size included,

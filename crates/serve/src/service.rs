@@ -16,27 +16,28 @@
 //! [`CampaignSession`](tmr_fpga::faultsim::CampaignSession) from its flow
 //! artifacts (all memoized, so only the first turn pays) and seeds it with
 //! the persisted prefix via `with_prefix`. Devices are artifacts too: the
-//! `device` stage of the service's cache builds each distinct
-//! [`DeviceParams`] once and hands every later turn a shared handle.
+//! [`device`] stage of the service's cache builds each distinct device once
+//! and hands every later turn a shared handle.
 //! Because session outcomes are bit-identical to the matching prefix of an
 //! uninterrupted run (the exact-prefix guarantee), a job interrupted by a
 //! crash or shutdown and resumed in a fresh process produces a
 //! **byte-identical** [`CampaignResult`]. Prefixes live in the store under
 //! stage `campaign.partial`, keyed by the same campaign fingerprint as the
-//! final result; completed results are stored under stage `campaign`, so a
-//! re-submitted job — or a [`Flow::campaign`](tmr_fpga::flow::Flow) call
-//! over the same configuration — is served without a single simulation.
+//! final result; completed results live under stage `campaign`, in the
+//! service's memory cache and in the store, so a re-submitted job — or a
+//! [`Flow::campaign`](tmr_fpga::flow::Flow) call over the same
+//! configuration — is served without a single simulation.
 
 use crate::protocol::{Event, JobSpec, JobStatus, ResultSource};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use tmr_core::pipeline::{fingerprint, ArtifactCache, CacheKey};
-use tmr_fpga::arch::{Device, DeviceParams};
+use tmr_core::pipeline::{ArtifactCache, CacheKey};
+use tmr_fpga::arch::DeviceParams;
 use tmr_fpga::faultsim::CampaignResult;
-use tmr_fpga::flow::{device_params_for, Flow, FlowBuilder};
+use tmr_fpga::flow::{device, device_params_for, synthesize, Flow, FlowBuilder};
 use tmr_fpga::store::CampaignPrefix;
 use tmr_fpga::Store;
 
@@ -113,9 +114,10 @@ struct State {
 }
 
 struct Inner {
+    /// Every artifact of every job's flow, finished campaign results
+    /// included (stage `campaign`).
     mem: Arc<ArtifactCache>,
     store: Option<Arc<Store>>,
-    completed: Mutex<HashMap<u64, Arc<CampaignResult>>>,
     events: Mutex<Sender<Event>>,
     state: Mutex<State>,
     wake: Condvar,
@@ -143,7 +145,6 @@ impl CampaignService {
         let inner = Arc::new(Inner {
             mem: ArtifactCache::shared(),
             store: config.store,
-            completed: Mutex::new(HashMap::new()),
             events: Mutex::new(sender),
             state: Mutex::new(State::default()),
             wake: Condvar::new(),
@@ -416,27 +417,19 @@ fn run_turn(inner: &Inner, index: usize) -> Result<Turn, String> {
     let result_key = CacheKey::new("campaign", fingerprint);
     let prefix_key = CacheKey::new("campaign.partial", fingerprint);
 
-    // First turn: a finished result in the in-process table or the store
-    // answers the whole job with zero simulations.
+    // First turn: a finished result in memory or in the store answers the
+    // whole job with zero simulations. A stored one is kept in memory too.
     if batches == 0 && prefix.is_none() {
-        let memory_hit = inner.completed.lock().unwrap().get(&fingerprint).cloned();
-        let (hit, source) = match memory_hit {
-            Some(result) => (Some(result), ResultSource::Memory),
-            None => match inner
-                .store
-                .as_ref()
-                .and_then(|store| store.load_as::<CampaignResult>(result_key))
-            {
-                Some(result) => (Some(Arc::new(result)), ResultSource::Store),
-                None => (None, ResultSource::Run),
-            },
+        let hit = match inner.mem.get::<CampaignResult>(result_key) {
+            Some(result) => Some((result, ResultSource::Memory)),
+            None => inner.store.as_ref().and_then(|store| {
+                let stored = inner
+                    .mem
+                    .get_or_try_insert(result_key, || store.load_as(result_key).ok_or(()));
+                stored.ok().map(|result| (result, ResultSource::Store))
+            }),
         };
-        if let Some(result) = hit {
-            inner
-                .completed
-                .lock()
-                .unwrap()
-                .insert(fingerprint, result.clone());
+        if let Some((result, source)) = hit {
             emit_started(inner, index, &id, fingerprint, spec.faults, 0);
             finish(inner, index, &id, &result, source, 0, false);
             return Ok(Turn::Finished(JobState::Done));
@@ -485,16 +478,15 @@ fn run_turn(inner: &Inner, index: usize) -> Result<Turn, String> {
     }
 
     if done {
-        let result = Arc::new(session.into_result());
+        let result = session.into_result();
         if let Some(store) = &inner.store {
-            store.save_value(result_key, result.as_ref());
+            store.save_value(result_key, &result);
             store.remove(prefix_key);
         }
-        inner
-            .completed
-            .lock()
-            .unwrap()
-            .insert(fingerprint, result.clone());
+        let result = inner
+            .mem
+            .get_or_try_insert(result_key, || Ok::<_, Infallible>(result))
+            .unwrap_or_else(|never| match never {});
         finish(
             inner,
             index,
@@ -601,24 +593,10 @@ fn describe(error: &dyn std::error::Error) -> String {
     message
 }
 
-/// The `device` stage: the device built from `params`, memoized in `cache`
-/// under the parameters' fingerprint. Every device a service turn needs —
-/// a pinned grid, the auto-sizer's probe and the auto-sized device — comes
-/// from here, so each is built once per service; a clone is a handle on the
-/// same graph.
-pub(crate) fn device(cache: &ArtifactCache, params: DeviceParams) -> Device {
-    let key = CacheKey::new("device", fingerprint(&[&params]));
-    match cache.get_or_try_insert(key, || Ok::<_, Infallible>(Device::new(params))) {
-        Ok(device) => Device::clone(&device),
-        Err(never) => match never {},
-    }
-}
-
 /// Builds the job's flow: shared memory cache, shared store, single-shard
 /// batches (fairness comes from turn scheduling, not intra-batch threads).
 /// Auto-sizes the device from the synthesized netlist when the spec pins
-/// none — the synthesis stage is keyed by design identity only, so the
-/// probe work is shared with the real flow.
+/// none; the flow then finds that netlist in the cache.
 fn build_flow(inner: &Inner, spec: &JobSpec) -> Result<Flow, tmr_fpga::Error> {
     let design = spec
         .design_instance()
@@ -627,36 +605,22 @@ fn build_flow(inner: &Inner, spec: &JobSpec) -> Result<Flow, tmr_fpga::Error> {
     let params = match spec.device_params() {
         Some(params) => params,
         None => {
-            let base = DeviceParams::xc2s200e_like();
-            let probe = configure(
-                FlowBuilder::new(&device(&inner.mem, base), &design),
-                inner,
-                spec,
-                tmr.clone(),
-            )
-            .build();
-            let synthesized = probe.synthesized()?;
-            device_params_for(base, &[synthesized.netlist()], 0.50)
+            let store = inner.store.as_deref();
+            let netlist = synthesize(&inner.mem, store, &design, tmr.as_ref())?;
+            device_params_for(DeviceParams::xc2s200e_like(), &[&netlist], 0.50)
         }
     };
-    let device = device(&inner.mem, params);
-    Ok(configure(FlowBuilder::new(&device, &design), inner, spec, tmr).build())
-}
-
-fn configure(
-    builder: FlowBuilder,
-    inner: &Inner,
-    spec: &JobSpec,
-    tmr: Option<tmr_core::TmrConfig>,
-) -> FlowBuilder {
-    let mut builder = builder.seed(spec.seed).shards(1).cache(inner.mem.clone());
+    let mut builder = FlowBuilder::new(&device(&inner.mem, params), &design)
+        .seed(spec.seed)
+        .shards(1)
+        .cache(inner.mem.clone());
     if let Some(config) = tmr {
         builder = builder.tmr(config);
     }
     if let Some(store) = &inner.store {
         builder = builder.store(store.clone());
     }
-    builder
+    Ok(builder.build())
 }
 
 #[cfg(test)]
@@ -698,12 +662,11 @@ mod tests {
             status.unwrap().batches as u64
         };
         assert!(pinned.iter().all(|id| turns(id) == 3), "multi-turn jobs");
-        // A pinned turn looks one device up; an auto-sized turn two: the
-        // probe, then the sized device.
-        let lookups = pinned.iter().map(turns).sum::<u64>() + 2 * turns(&auto);
+        // Every turn looks one device up.
+        let lookups = pinned.iter().map(turns).sum::<u64>() + turns(&auto);
         let stats = service.inner.mem.stage_stats();
         let (_, device) = stats.iter().find(|(stage, _)| *stage == "device").unwrap();
-        assert!(device.entries >= 2, "the 8x8 grid and the probe");
+        assert!(device.entries >= 2, "the 8x8 grid and the auto-sized one");
         assert_eq!(device.misses, device.entries as u64);
         assert_eq!(device.hits + device.misses, lookups);
         service.shutdown();

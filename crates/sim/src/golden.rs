@@ -24,8 +24,8 @@ pub struct GoldenRun {
     groups: OutputGroups,
     /// The seed [`GoldenRun::compute`] derived the stimulus from, recorded
     /// so campaign engines can verify an injected golden run matches their
-    /// options (`None` for explicit [`GoldenRun::from_parts`] stimuli).
-    stimulus_seed: Option<u64>,
+    /// options.
+    stimulus_seed: u64,
 }
 
 impl GoldenRun {
@@ -45,31 +45,18 @@ impl GoldenRun {
             stimulus,
             trace,
             groups,
-            stimulus_seed: Some(seed),
+            stimulus_seed: seed,
         })
     }
 
-    /// Bundles an explicit stimulus/trace/grouping triple (the trace must be
-    /// the fault-free response of the design to the stimulus).
-    pub fn from_parts(stimulus: Stimulus, trace: SimTrace, groups: OutputGroups) -> Self {
-        Self {
-            stimulus,
-            trace,
-            groups,
-            stimulus_seed: None,
-        }
-    }
-
-    /// Like [`GoldenRun::from_parts`], but preserving the recorded stimulus
-    /// seed — the codec in `tmr-store` uses this so a decoded golden run is
-    /// indistinguishable from the [`GoldenRun::compute`] call that produced
-    /// it (campaign engines verify an injected golden run's seed against
-    /// their options when one is recorded).
-    pub fn from_parts_with_seed(
+    /// Reassembles the run [`GoldenRun::compute`] made from stimulus `seed`
+    /// — the codec in `tmr-store` uses this so a decoded golden run is
+    /// indistinguishable from the call that produced it.
+    pub fn from_parts(
         stimulus: Stimulus,
         trace: SimTrace,
         groups: OutputGroups,
-        stimulus_seed: Option<u64>,
+        stimulus_seed: u64,
     ) -> Self {
         Self {
             stimulus,
@@ -99,9 +86,8 @@ impl GoldenRun {
         self.stimulus.cycles()
     }
 
-    /// The seed the stimulus was derived from, when this run came from
-    /// [`GoldenRun::compute`].
-    pub fn stimulus_seed(&self) -> Option<u64> {
+    /// The seed the stimulus was derived from.
+    pub fn stimulus_seed(&self) -> u64 {
         self.stimulus_seed
     }
 }

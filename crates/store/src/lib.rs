@@ -10,10 +10,12 @@
 //!   results and resumable campaign prefixes);
 //! * [`Store`] — one checksummed, atomically-written file per key under a
 //!   root directory (`TMR_CACHE_DIR` by convention), corrupt entries
-//!   detected and treated as misses;
-//! * [`PersistentCache`] — the memory cache layered over a store, so flows
-//!   warm-start across processes: a second run of the same design skips
-//!   synthesis, placement, routing and simulation entirely.
+//!   detected and treated as misses.
+//!
+//! The facade's flow layer (`tmr_fpga::flow`) looks a persisted stage up in
+//! memory, then in the store, and computes it only when both miss, so flows
+//! warm-start across processes: a second run of the same design skips
+//! synthesis, placement, routing and simulation entirely.
 //!
 //! ```
 //! use tmr_core::pipeline::CacheKey;
@@ -27,12 +29,10 @@
 //! std::fs::remove_dir_all(&root).unwrap();
 //! ```
 
-mod cache;
 mod codec;
 mod persist;
 mod store;
 
-pub use cache::PersistentCache;
 pub use codec::{ByteReader, ByteWriter, CodecError, Persist};
 pub use persist::CampaignPrefix;
 pub use store::{DiskStats, Store, CACHE_DIR_ENV, FORMAT_VERSION, MAGIC};

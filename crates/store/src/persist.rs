@@ -444,15 +444,22 @@ impl Persist for GoldenRun {
         self.stimulus().encode(w);
         self.trace().encode(w);
         self.groups().encode(w);
-        self.stimulus_seed().encode(w);
+        // Encoded as an `Option` that is always `Some`: the layout of a
+        // format that also held seedless runs.
+        Some(self.stimulus_seed()).encode(w);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(GoldenRun::from_parts_with_seed(
+        let (stimulus, trace, groups) = (
             Stimulus::decode(r)?,
             SimTrace::decode(r)?,
             OutputGroups::decode(r)?,
-            Option::decode(r)?,
-        ))
+        );
+        let at = r.position();
+        let seed = Option::decode(r)?.ok_or(CodecError::Invalid {
+            at,
+            what: "golden run seed",
+        })?;
+        Ok(GoldenRun::from_parts(stimulus, trace, groups, seed))
     }
 }
 
@@ -650,7 +657,13 @@ mod tests {
         let golden = GoldenRun::compute(&netlist, 8, 3).unwrap();
         round_trip(&golden);
         let decoded = GoldenRun::from_bytes(&golden.to_bytes()).unwrap();
-        assert_eq!(decoded.stimulus_seed(), Some(3));
+        assert_eq!(decoded.stimulus_seed(), 3);
+        // The trailing `Some(seed)` (tag byte, then 8 bytes) turned into a
+        // `None` is rejected.
+        let mut seedless = golden.to_bytes();
+        seedless.truncate(seedless.len() - 8);
+        *seedless.last_mut().unwrap() = 0;
+        assert!(GoldenRun::from_bytes(&seedless).is_err());
     }
 
     #[test]

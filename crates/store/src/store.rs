@@ -27,13 +27,12 @@
 //! under a racing writer is a duplicate computation, never a wrong artifact.
 
 use crate::codec::Persist;
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use tmr_core::json::Json;
-use tmr_core::pipeline::CacheKey;
+use tmr_core::pipeline::{CacheKey, Fingerprint};
 
 /// Magic bytes leading every artifact file.
 pub const MAGIC: [u8; 4] = *b"TMRS";
@@ -46,18 +45,13 @@ pub const CACHE_DIR_ENV: &str = "TMR_CACHE_DIR";
 
 const HEADER_LEN: usize = 4 + 2 + 8 + 8;
 
-/// FNV-1a 64-bit over a byte slice — the same hash the in-memory
-/// fingerprints use, applied to the payload for corruption detection.
+/// FNV-1a 64-bit over a byte slice — the hash of the in-memory
+/// fingerprints, applied to the payload for corruption detection.
 fn checksum(bytes: &[u8]) -> u64 {
-    let mut state: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        state ^= u64::from(byte);
-        state = state.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    state
+    Fingerprint::new().write_bytes(bytes).finish()
 }
 
-/// Point-in-time effectiveness counters of a [`Store`] (or one stage of it).
+/// Point-in-time effectiveness counters of a [`Store`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Reads answered from disk.
@@ -69,15 +63,6 @@ pub struct DiskStats {
     pub corrupt: u64,
     /// Entries written.
     pub writes: u64,
-}
-
-impl DiskStats {
-    fn merge(&mut self, other: &DiskStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.corrupt += other.corrupt;
-        self.writes += other.writes;
-    }
 }
 
 impl std::fmt::Display for DiskStats {
@@ -106,7 +91,7 @@ impl std::fmt::Display for DiskStats {
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    stages: Mutex<BTreeMap<&'static str, DiskStats>>,
+    stats: Mutex<DiskStats>,
 }
 
 impl Store {
@@ -130,7 +115,7 @@ impl Store {
         }
         Ok(Self {
             root,
-            stages: Mutex::new(BTreeMap::new()),
+            stats: Mutex::default(),
         })
     }
 
@@ -166,9 +151,8 @@ impl Store {
             .join(format!("{:016x}.bin", key.fingerprint))
     }
 
-    fn bump(&self, stage: &'static str, update: impl FnOnce(&mut DiskStats)) {
-        let mut stages = self.stages.lock().expect("store stats poisoned");
-        update(stages.entry(stage).or_default());
+    fn bump(&self, update: impl FnOnce(&mut DiskStats)) {
+        update(&mut self.stats.lock().expect("store stats poisoned"));
     }
 
     /// Loads the raw payload stored under `key`, verifying the header and
@@ -184,7 +168,7 @@ impl Store {
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
             Err(_) => {
-                self.bump(key.stage, |s| s.misses += 1);
+                self.bump(|s| s.misses += 1);
                 if let Some(span) = &mut span {
                     span.attr("outcome", "miss");
                 }
@@ -193,7 +177,7 @@ impl Store {
         };
         match Self::unwrap_payload(&bytes) {
             Some(payload) => {
-                self.bump(key.stage, |s| s.hits += 1);
+                self.bump(|s| s.hits += 1);
                 if let Some(span) = &mut span {
                     span.attr("outcome", "hit");
                     tmr_trace::event("store.hit")
@@ -203,7 +187,7 @@ impl Store {
                 Some(payload)
             }
             None => {
-                self.bump(key.stage, |s| {
+                self.bump(|s| {
                     s.misses += 1;
                     s.corrupt += 1;
                 });
@@ -243,7 +227,7 @@ impl Store {
         match T::from_bytes(&payload) {
             Ok(value) => Some(value),
             Err(_) => {
-                self.bump(key.stage, |s| {
+                self.bump(|s| {
                     s.corrupt += 1;
                     // The checksummed read above already counted a hit;
                     // reclassify it as a miss.
@@ -268,7 +252,7 @@ impl Store {
         });
         let ok = self.try_save(key, payload).is_ok();
         if ok {
-            self.bump(key.stage, |s| s.writes += 1);
+            self.bump(|s| s.writes += 1);
         }
         if let Some(span) = &mut span {
             span.attr("outcome", if ok { "written" } else { "failed" });
@@ -318,23 +302,9 @@ impl Store {
         self.path_of(key).exists()
     }
 
-    /// Aggregate counters across all stages.
+    /// The store's counters.
     pub fn stats(&self) -> DiskStats {
-        let stages = self.stages.lock().expect("store stats poisoned");
-        let mut total = DiskStats::default();
-        for stats in stages.values() {
-            total.merge(stats);
-        }
-        total
-    }
-
-    /// Per-stage counters, sorted by stage label.
-    pub fn stage_stats(&self) -> Vec<(&'static str, DiskStats)> {
-        let stages = self.stages.lock().expect("store stats poisoned");
-        stages
-            .iter()
-            .map(|(&stage, &stats)| (stage, stats))
-            .collect()
+        *self.stats.lock().expect("store stats poisoned")
     }
 }
 
@@ -363,7 +333,6 @@ mod tests {
             (stats.hits, stats.misses, stats.writes, stats.corrupt),
             (1, 1, 1, 0)
         );
-        assert_eq!(store.stage_stats()[0].0, "unit");
         // The format marker exists and is one JSON object.
         let meta = fs::read_to_string(root.join("meta.json")).unwrap();
         tmr_core::json::validate(&meta).unwrap();

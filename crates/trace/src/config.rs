@@ -74,12 +74,6 @@ impl TraceConfig {
         TraceConfig { sink, file }
     }
 
-    /// Overrides the output path of the Chrome sink.
-    pub fn with_file(mut self, path: impl Into<PathBuf>) -> Self {
-        self.file = Some(path.into());
-        self
-    }
-
     /// The configured sink.
     pub fn sink(&self) -> Sink {
         self.sink
@@ -110,12 +104,6 @@ mod tests {
         assert_eq!(
             TraceConfig::chrome().file_or_default(),
             PathBuf::from("tmr_trace.json")
-        );
-        assert_eq!(
-            TraceConfig::chrome()
-                .with_file("/tmp/t.json")
-                .file_or_default(),
-            PathBuf::from("/tmp/t.json")
         );
     }
 }

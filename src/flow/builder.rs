@@ -1,7 +1,7 @@
 //! [`FlowBuilder`] and the lazily evaluated, memoized [`Flow`].
 
-use super::stages::{stage_compiled, stage_protected, stage_synthesized};
-use super::{Analyzed, Compiled, Placed, Routed, Synthesized};
+use super::stages::{self, persisted};
+use super::{Analyzed, Compiled, Routed};
 use crate::Error;
 use std::sync::Arc;
 use tmr_analyze::StaticAnalysis;
@@ -9,11 +9,12 @@ use tmr_arch::Device;
 use tmr_core::pipeline::{fingerprint, ArtifactCache, CacheKey, Fingerprint};
 use tmr_core::TmrConfig;
 use tmr_faultsim::{CampaignBuilder, CampaignResult, CampaignSession, SimBackend};
+use tmr_netlist::Netlist;
 use tmr_pnr::{
-    place, route_with_telemetry, PlacerOptions, RoutedDesign, RouterOptions, ROUTE_EPOCH,
+    place, route_with_telemetry, Placement, PlacerOptions, RoutedDesign, RouterOptions, ROUTE_EPOCH,
 };
 use tmr_sim::GoldenRun;
-use tmr_store::{PersistentCache, Store};
+use tmr_store::Store;
 use tmr_synth::Design;
 
 /// Builder for a single staged implementation [`Flow`].
@@ -101,7 +102,7 @@ impl FlowBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> Flow {
-        let identity = fingerprint(&[&self.design, &self.tmr]);
+        let identity = stages::identity(&self.design, self.tmr.as_ref());
         let device_fp = fingerprint(&[self.device.params()]);
         Flow {
             device: self.device,
@@ -109,7 +110,8 @@ impl FlowBuilder {
             tmr: self.tmr,
             seed: self.seed,
             shards: self.shards,
-            cache: PersistentCache::new(self.cache.unwrap_or_default(), self.store),
+            cache: self.cache.unwrap_or_default(),
+            store: self.store,
             identity,
             device_fp,
         }
@@ -130,7 +132,8 @@ pub struct Flow {
     tmr: Option<TmrConfig>,
     seed: u64,
     shards: Option<usize>,
-    cache: PersistentCache,
+    cache: Arc<ArtifactCache>,
+    store: Option<Arc<Store>>,
     /// Fingerprint of `(design, tmr config)`: since every stage is a
     /// deterministic function, downstream keys derive from this instead of
     /// hashing the (much larger) intermediate artifacts.
@@ -156,13 +159,13 @@ impl Flow {
 
     /// The in-memory artifact cache backing this flow.
     pub fn cache(&self) -> &Arc<ArtifactCache> {
-        self.cache.mem()
+        &self.cache
     }
 
     /// The disk store behind the cache, when [`FlowBuilder::store`]
     /// attached one.
     pub fn store(&self) -> Option<&Arc<Store>> {
-        self.cache.disk()
+        self.store.as_ref()
     }
 
     /// The design entering synthesis: the TMR-transformed design when a
@@ -172,21 +175,28 @@ impl Flow {
     ///
     /// Propagates [`TmrError`](tmr_core::TmrError) from the transformation.
     pub fn protected(&self) -> Result<Arc<Design>, Error> {
-        stage_protected(&self.cache, self.identity, &self.design, self.tmr.as_ref())
+        stages::protected(&self.cache, self.identity, &self.design, self.tmr.as_ref())
     }
 
-    /// Stage 1, [`Synthesized`]: lowering → dead-logic elimination → LUT
-    /// mapping + I/O insertion. Persisted to disk when a store is attached;
-    /// a warm disk skips the TMR transformation too.
+    /// Stage 1, the synthesized [`Netlist`]: lowering → dead-logic
+    /// elimination → LUT mapping + I/O insertion (the device-free
+    /// [`synthesize`](super::synthesize) stage). Persisted to disk when a
+    /// store is attached; a warm disk skips the TMR transformation too.
     ///
     /// # Errors
     ///
     /// Propagates transformation, lowering and mapping errors.
-    pub fn synthesized(&self) -> Result<Arc<Synthesized>, Error> {
-        stage_synthesized(&self.cache, self.identity, || self.protected())
+    pub fn synthesized(&self) -> Result<Arc<Netlist>, Error> {
+        stages::synthesized(
+            &self.cache,
+            self.store.as_deref(),
+            self.identity,
+            &self.design,
+            self.tmr.as_ref(),
+        )
     }
 
-    /// Stage 2, [`Placed`]: seeded simulated-annealing placement.
+    /// Stage 2, the [`Placement`]: seeded simulated-annealing placement.
     /// Memory-only — a warm disk serves [`routed`](Self::routed) directly
     /// and never needs the placement.
     ///
@@ -194,26 +204,17 @@ impl Flow {
     ///
     /// Propagates earlier-stage errors and placement failures (device too
     /// small, unplaceable cells).
-    pub fn placed(&self) -> Result<Arc<Placed>, Error> {
-        let fp = self.implementation_fp();
-        self.cache
-            .mem()
-            .get_or_try_insert(CacheKey::new("place", fp), || {
-                let synthesized = self.synthesized()?;
-                let placement = place(
-                    &self.device,
-                    synthesized.netlist(),
-                    &PlacerOptions { seed: self.seed },
-                )?;
-                if tmr_trace::enabled() {
-                    tmr_trace::attr_current("cells", placement.iter().count());
-                    tmr_trace::attr_current("wirelength", placement.wirelength());
-                }
-                Ok::<_, Error>(Placed {
-                    placement,
-                    fingerprint: fp,
-                })
-            })
+    pub fn placed(&self) -> Result<Arc<Placement>, Error> {
+        let key = CacheKey::new("place", self.implementation_fp());
+        self.cache.get_or_try_insert(key, || {
+            let netlist = self.synthesized()?;
+            let placement = place(&self.device, &netlist, &PlacerOptions { seed: self.seed })?;
+            if tmr_trace::enabled() {
+                tmr_trace::attr_current("cells", placement.iter().count());
+                tmr_trace::attr_current("wirelength", placement.wirelength());
+            }
+            Ok::<_, Error>(placement)
+        })
     }
 
     /// Stage 3, [`Routed`]: negotiated-congestion routing plus bitstream
@@ -225,27 +226,31 @@ impl Flow {
     /// Propagates earlier-stage errors and routing failures (unroutable
     /// congestion, unreachable sinks).
     pub fn routed(&self) -> Result<Arc<Routed>, Error> {
-        let fp = self.implementation_fp();
-        self.cache.get_or_try_insert_persisted(
-            CacheKey::new("route", fp),
+        fn describe(design: &RoutedDesign) {
+            if tmr_trace::enabled() {
+                tmr_trace::attr_current("config_bits", design.bitstream().len());
+                tmr_trace::attr_current("bits_set", design.bitstream().count_ones());
+            }
+        }
+        persisted(
+            &self.cache,
+            self.store.as_deref(),
+            CacheKey::new("route", self.implementation_fp()),
             |design: RoutedDesign| {
-                if tmr_trace::enabled() {
-                    tmr_trace::attr_current("config_bits", design.bitstream().len());
-                    tmr_trace::attr_current("bits_set", design.bitstream().count_ones());
-                }
-                Ok(Routed {
+                describe(&design);
+                Routed {
                     design,
-                    fingerprint: fp,
                     telemetry: None,
-                })
+                }
             },
+            |routed| &routed.design,
             || {
-                let synthesized = self.synthesized()?;
-                let placed = self.placed()?;
+                let netlist = self.synthesized()?;
+                let placement = self.placed()?;
                 let (routes, telemetry) = route_with_telemetry(
                     &self.device,
-                    synthesized.netlist(),
-                    placed.placement(),
+                    &netlist,
+                    &placement,
                     &RouterOptions::default(),
                 );
                 let routes = routes?;
@@ -258,20 +263,15 @@ impl Flow {
                 }
                 let design = RoutedDesign::assemble(
                     &self.device,
-                    synthesized.netlist(),
-                    placed.placement().clone(),
+                    &netlist,
+                    Placement::clone(&placement),
                     routes,
                 );
-                if tmr_trace::enabled() {
-                    tmr_trace::attr_current("config_bits", design.bitstream().len());
-                    tmr_trace::attr_current("bits_set", design.bitstream().count_ones());
-                }
-                let artifact = Routed {
-                    design: design.clone(),
-                    fingerprint: fp,
+                describe(&design);
+                Ok::<_, Error>(Routed {
+                    design,
                     telemetry: Some(telemetry),
-                };
-                Ok::<_, Error>((artifact, design))
+                })
             },
         )
     }
@@ -288,7 +288,7 @@ impl Flow {
     ///
     /// Propagates earlier-stage errors; flow netlists are always compilable.
     pub fn compiled(&self) -> Result<Arc<Compiled>, Error> {
-        stage_compiled(&self.cache, self.identity, || self.synthesized())
+        stages::compiled(&self.cache, self.identity, || self.synthesized())
     }
 
     /// Stage 4, [`Analyzed`]: exhaustive static criticality classification
@@ -298,20 +298,15 @@ impl Flow {
     ///
     /// Propagates earlier-stage errors; the analysis itself is infallible.
     pub fn analyzed(&self) -> Result<Arc<Analyzed>, Error> {
-        let fp = self.implementation_fp();
-        self.cache
-            .mem()
-            .get_or_try_insert(CacheKey::new("analyze", fp), || {
-                let routed = self.routed()?;
-                let analysis = StaticAnalysis::run(&self.device, routed.design());
-                if tmr_trace::enabled() {
-                    tmr_trace::attr_current("bits", analysis.bit_count());
-                }
-                Ok::<_, Error>(Analyzed {
-                    analysis,
-                    fingerprint: fp,
-                })
-            })
+        let key = CacheKey::new("analyze", self.implementation_fp());
+        self.cache.get_or_try_insert(key, || {
+            let routed = self.routed()?;
+            let analysis = StaticAnalysis::run(&self.device, routed.design());
+            if tmr_trace::enabled() {
+                tmr_trace::attr_current("bits", analysis.bit_count());
+            }
+            Ok::<_, Error>(Analyzed { analysis })
+        })
     }
 
     /// The golden (fault-free) reference run for campaigns of `cycles`
@@ -329,14 +324,12 @@ impl Flow {
             .write_u64(cycles as u64)
             .write_u64(stimulus_seed);
         self.cache
-            .mem()
             .get_or_try_insert(CacheKey::new("golden", fp.finish()), || {
                 if tmr_trace::enabled() {
                     tmr_trace::attr_current("cycles", cycles);
                 }
-                let synthesized = self.synthesized()?;
-                GoldenRun::compute(synthesized.netlist(), cycles, stimulus_seed)
-                    .map_err(Error::from)
+                let netlist = self.synthesized()?;
+                GoldenRun::compute(&netlist, cycles, stimulus_seed).map_err(Error::from)
             })
     }
 
@@ -349,9 +342,13 @@ impl Flow {
     ///
     /// Propagates earlier-stage errors; flow netlists are always simulable.
     pub fn campaign(&self, campaign: &CampaignBuilder) -> Result<Arc<CampaignResult>, Error> {
-        let fp = self.campaign_fingerprint(campaign);
-        self.cache
-            .get_or_try_insert_self(CacheKey::new("campaign", fp), || {
+        persisted(
+            &self.cache,
+            self.store.as_deref(),
+            CacheKey::new("campaign", self.campaign_fingerprint(campaign)),
+            |result| result,
+            |result| result,
+            || {
                 let routed = self.routed()?;
                 let result = self.campaign_session(&routed, campaign)?.run();
                 if tmr_trace::enabled() {
@@ -359,7 +356,8 @@ impl Flow {
                     tmr_trace::attr_current("wrong_answers", result.wrong_answers());
                 }
                 Ok(result)
-            })
+            },
+        )
     }
 
     /// The cache fingerprint of [`campaign`](Self::campaign) for this

@@ -8,12 +8,18 @@
 //! * [`FlowBuilder`] captures the inputs of one implementation flow (device,
 //!   design, optional [`TmrConfig`](tmr_core::TmrConfig), seed, shard count)
 //!   and builds a [`Flow`];
-//! * a [`Flow`] exposes **typed stage artifacts** — [`Synthesized`] →
-//!   [`Placed`] → [`Routed`] (plus the placement-independent [`Compiled`]
+//! * a [`Flow`] exposes its **stages** — the synthesized netlist → the
+//!   placement → [`Routed`] (plus the placement-independent [`Compiled`]
 //!   simulator stage and the exhaustive [`Analyzed`] criticality stage) —
 //!   computed lazily and memoized in a shared
 //!   [`ArtifactCache`](tmr_core::pipeline::ArtifactCache) keyed by content
 //!   fingerprints, so two flows over the same inputs share every stage;
+//! * the persisted stages (`synth`, `route`, `campaign`) also read and fill
+//!   a disk [`Store`](tmr_store::Store) when one is attached: memory, then
+//!   disk, then compute, decided in one place for all three;
+//! * [`synthesize`] and [`device`] are stages callers use without a flow:
+//!   a device is sized from synthesized netlists before any flow exists,
+//!   and every sweep or service sharing a cache builds each device once;
 //! * [`Flow::campaign`] runs fault-injection campaigns configured through
 //!   [`CampaignBuilder`](tmr_faultsim::CampaignBuilder), reusing the cached
 //!   golden run ([`tmr_sim::GoldenRun`]) **and** the cached compiled
@@ -27,16 +33,11 @@
 //!   (optionally auto-sized) device, producing a [`SweepReport`] that holds
 //!   everything Tables 2, 3 and 4 need plus the cache effectiveness
 //!   counters, aggregate and per stage.
-//!
-//! The deprecated one-call helpers of the pre-0.2 API (`implement`,
-//! `synthesize`, `run_campaign_parallel`, `analyze`, `FlowError`) have been
-//! removed; the README's migration table maps each onto its builder
-//! replacement.
 
 mod builder;
 mod stages;
 mod sweep;
 
 pub use builder::{Flow, FlowBuilder};
-pub use stages::{Analyzed, Compiled, Placed, Routed, Synthesized};
+pub use stages::{device, synthesize, Analyzed, Compiled, Routed};
 pub use sweep::{device_for, device_params_for, RouteStats, Sweep, SweepReport, VariantReport};

@@ -1,17 +1,16 @@
 //! Device auto-sizing and configuration [`Sweep`]s over design variants.
 
 use super::builder::{Flow, FlowBuilder};
-use super::stages::{stage_protected, stage_synthesized};
-use super::{Analyzed, Routed};
+use super::{device, synthesize, Analyzed, Routed};
 use crate::Error;
 use std::sync::Arc;
 use tmr_arch::{Device, DeviceParams};
-use tmr_core::pipeline::{fingerprint, ArtifactCache, CacheStats};
+use tmr_core::pipeline::{ArtifactCache, CacheStats};
 use tmr_core::{estimate_resources, par_map, ResourceEstimate, TmrConfig};
 use tmr_faultsim::{CampaignBuilder, CampaignResult};
 use tmr_netlist::Netlist;
 use tmr_pnr::BitReport;
-use tmr_store::{DiskStats, PersistentCache, Store};
+use tmr_store::{DiskStats, Store};
 use tmr_synth::Design;
 
 /// Chooses an evaluation device for a set of netlists and builds it: the
@@ -198,7 +197,7 @@ impl Sweep {
 
     /// Shares an [`ArtifactCache`] with other sweeps/flows (default: a fresh
     /// cache per sweep). Repeated runs against a shared cache reuse every
-    /// artifact.
+    /// artifact, the auto-sized device included.
     #[must_use]
     pub fn cache(mut self, cache: Arc<ArtifactCache>) -> Self {
         self.cache = cache;
@@ -220,7 +219,9 @@ impl Sweep {
     }
 
     /// Synthesizes every variant (filling the cache), resolves the device,
-    /// and returns the per-variant flows without implementing them.
+    /// and returns the per-variant flows without implementing them. An
+    /// auto-sized device comes from the cache's `device` stage, so sweeps
+    /// sharing a cache share it.
     ///
     /// # Errors
     ///
@@ -230,24 +231,19 @@ impl Sweep {
         // auto-sizing can see the netlists. The per-variant flows below then
         // hit the cache for their transformation and synthesis stages. Every
         // variant shares the one store, so its counters aggregate.
-        let cache = PersistentCache::new(self.cache.clone(), self.store.clone());
-        let mut synthesized = Vec::new();
-        for (name, config) in &self.variants {
-            let identity = fingerprint(&[&self.base, config]);
-            synthesized.push((
-                name.clone(),
-                stage_synthesized(&cache, identity, || {
-                    stage_protected(&cache, identity, &self.base, config.as_ref())
-                })?,
-            ));
-        }
+        let store = self.store.as_deref();
+        let netlists = self
+            .variants
+            .iter()
+            .map(|(_, config)| synthesize(&self.cache, store, &self.base, config.as_ref()))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let device = match &self.device {
             Some(device) => device.clone(),
             None => {
-                let netlists: Vec<&Netlist> =
-                    synthesized.iter().map(|(_, s)| s.netlist()).collect();
-                device_for(DeviceParams::xc2s200e_like(), &netlists, 0.50)
+                let netlists: Vec<&Netlist> = netlists.iter().map(|n| &**n).collect();
+                let params = device_params_for(DeviceParams::xc2s200e_like(), &netlists, 0.50);
+                device(&self.cache, params)
             }
         };
 
@@ -293,14 +289,12 @@ impl Sweep {
         for result in results {
             variants.push(result?);
         }
-        let disk = self.store.as_ref();
         Ok(SweepReport {
             device,
             variants,
             cache: self.cache.stats(),
             stage_cache: self.cache.stage_stats(),
-            disk: disk.map(|store| store.stats()),
-            disk_stage: disk.map(|store| store.stage_stats()).unwrap_or_default(),
+            disk: self.store.as_ref().map(|store| store.stats()),
         })
     }
 }
@@ -390,12 +384,9 @@ pub struct SweepReport {
     /// sorted by stage name — the table binaries log these so reuse of the
     /// compiled-simulator stage is visible in every run.
     pub stage_cache: Vec<(&'static str, CacheStats)>,
-    /// Aggregate disk-store counters, when the sweep ran over the store of
+    /// Disk-store counters, when the sweep ran over the store of
     /// [`Sweep::store`]; `None` for memory-only sweeps.
     pub disk: Option<DiskStats>,
-    /// Per-stage disk-store counters, sorted by stage name; empty for
-    /// memory-only sweeps.
-    pub disk_stage: Vec<(&'static str, DiskStats)>,
 }
 
 impl SweepReport {
@@ -414,15 +405,6 @@ impl SweepReport {
     /// The cache counters of one stage (`"compiled"`, `"synth"`, …).
     pub fn stage_stats(&self, stage: &str) -> Option<CacheStats> {
         self.stage_cache
-            .iter()
-            .find(|(name, _)| *name == stage)
-            .map(|&(_, stats)| stats)
-    }
-
-    /// The disk-store counters of one stage; `None` for memory-only sweeps
-    /// or stages the store never saw.
-    pub fn disk_stage_stats(&self, stage: &str) -> Option<DiskStats> {
-        self.disk_stage
             .iter()
             .find(|(name, _)| *name == stage)
             .map(|&(_, stats)| stats)

@@ -20,8 +20,8 @@
 //! `tests/fuzz_regressions/`, which `tests/fuzz_flow.rs` replays forever
 //! after.
 
-use crate::flow::{device_for, FlowBuilder};
-use crate::Error;
+use crate::flow::{device_for, synthesize, FlowBuilder};
+use crate::{ArtifactCache, Error};
 use std::fmt;
 use std::sync::Arc;
 use tmr_analyze::{PruneWith, StaticAnalysis, Verdict};
@@ -437,25 +437,15 @@ fn implement(
     pnr_seed: u64,
     options: &FuzzOptions,
 ) -> Result<(Device, Arc<crate::flow::Routed>, Arc<StaticAnalysis>), Error> {
-    // Synthesize once on a throwaway flow to size the device, then rebuild
-    // the real flow against the chosen device. The artifact cache makes the
-    // second synthesis a lookup, not a recompute.
-    let probe = Device::new(options.params);
-    let mut builder = FlowBuilder::new(&probe, design).seed(pnr_seed);
-    if let Some(tmr) = tmr {
-        builder = builder.tmr(tmr.clone());
-    }
-    let probe_flow = builder.build();
-    let synthesized = probe_flow.synthesized()?;
-    let device = device_for(
-        options.params,
-        &[synthesized.netlist()],
-        options.max_utilisation,
-    );
+    // Synthesis needs no device: size the device from the netlist, then
+    // build the flow over the same cache, where its synthesis is a lookup.
+    let cache = ArtifactCache::shared();
+    let netlist = synthesize(&cache, None, design, tmr)?;
+    let device = device_for(options.params, &[&netlist], options.max_utilisation);
 
     let mut builder = FlowBuilder::new(&device, design)
         .seed(pnr_seed)
-        .cache(probe_flow.cache().clone());
+        .cache(cache);
     if let Some(tmr) = tmr {
         builder = builder.tmr(tmr.clone());
     }

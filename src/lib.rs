@@ -65,4 +65,4 @@ pub mod fuzz;
 pub use error::Error;
 pub use flow::{Flow, FlowBuilder, RouteStats, Sweep, SweepReport};
 pub use tmr_core::pipeline::{ArtifactCache, CacheStats};
-pub use tmr_store::{DiskStats, PersistentCache, Store};
+pub use tmr_store::{DiskStats, Store};

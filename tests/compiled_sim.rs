@@ -355,7 +355,7 @@ fn multi_short_feedback_bridge_settles_like_the_interpreter() {
         builder = builder.tmr(tmr);
     }
     let synthesized = builder.build().synthesized().expect("synthesis");
-    let netlist = synthesized.netlist();
+    let netlist = &*synthesized;
     let net = |name: &str| {
         netlist
             .nets()

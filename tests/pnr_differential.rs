@@ -22,10 +22,10 @@ fn incremental_placement_cost_matches_full_recompute() {
         .flows()
         .expect("the paper variants implement on the 24x24 device");
     for (name, flow) in flows {
-        let synthesized = flow.synthesized().expect("synthesis succeeds");
-        let placed = flow.placed().expect("placement succeeds");
-        let maintained = placed.placement().wirelength();
-        let recomputed = placement_wirelength(&device, synthesized.netlist(), placed.placement());
+        let netlist = flow.synthesized().expect("synthesis succeeds");
+        let placement = flow.placed().expect("placement succeeds");
+        let maintained = placement.wirelength();
+        let recomputed = placement_wirelength(&device, &netlist, &placement);
         assert_eq!(
             maintained, recomputed,
             "variant {name}: incremental wirelength diverged from the full recompute"

@@ -90,14 +90,10 @@ fn measure(sweep: Sweep) -> (Device, Vec<(String, usize, u64, u64)>) {
 /// Routes one flow's placement, checks its telemetry and returns its
 /// `(iterations, nodes expanded, route digest)`.
 fn route_checked(name: &str, device: &Device, flow: &Flow) -> (usize, u64, u64) {
-    let synthesized = flow.synthesized().expect("synthesis succeeds");
-    let placed = flow.placed().expect("placement succeeds");
-    let (routes, telemetry) = route_with_telemetry(
-        device,
-        synthesized.netlist(),
-        placed.placement(),
-        &RouterOptions::default(),
-    );
+    let netlist = flow.synthesized().expect("synthesis succeeds");
+    let placement = flow.placed().expect("placement succeeds");
+    let (routes, telemetry) =
+        route_with_telemetry(device, &netlist, &placement, &RouterOptions::default());
     let routes = routes.unwrap_or_else(|error| panic!("variant {name} failed to route: {error}"));
 
     assert!(

@@ -8,12 +8,12 @@ use std::path::PathBuf;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tmr_fpga::arch::{Device, DeviceParams};
+use tmr_fpga::arch::DeviceParams;
 use tmr_fpga::faultsim::CampaignResult;
-use tmr_fpga::flow::{device_for, FlowBuilder};
+use tmr_fpga::flow::{device_for, synthesize, FlowBuilder};
 use tmr_fpga::store::Persist;
 use tmr_fpga::tmr::pipeline::CacheKey;
-use tmr_fpga::Store;
+use tmr_fpga::{ArtifactCache, Store};
 use tmr_serve::{CampaignService, Event, JobSpec, ResultSource, ServiceConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -335,17 +335,13 @@ fn auto_sized_jobs_match_the_library_flow() {
 
     let design = spec.design_instance().unwrap();
     let tmr = spec.tmr_config().unwrap().unwrap();
-    let flow_on = |device: &Device| {
-        FlowBuilder::new(device, &design)
-            .seed(spec.seed)
-            .shards(1)
-            .tmr(tmr.clone())
-            .build()
-    };
-    let base = DeviceParams::xc2s200e_like();
-    let synthesized = flow_on(&Device::new(base)).synthesized().unwrap();
-    let device = device_for(base, &[synthesized.netlist()], 0.50);
-    let expected = flow_on(&device)
+    let netlist = synthesize(&ArtifactCache::new(), None, &design, Some(&tmr)).unwrap();
+    let device = device_for(DeviceParams::xc2s200e_like(), &[&netlist], 0.50);
+    let expected = FlowBuilder::new(&device, &design)
+        .seed(spec.seed)
+        .shards(1)
+        .tmr(tmr)
+        .build()
         .campaign(&spec.campaign().unwrap())
         .unwrap();
     assert_eq!(served.to_bytes(), expected.to_bytes());
