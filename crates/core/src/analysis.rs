@@ -183,7 +183,6 @@ pub fn partition_report(design: &Design) -> PartitionReport {
             .name
             .trim_end_matches(|c: char| c.is_ascii_digit())
             .trim_end_matches("_v")
-            .trim_end_matches("_vout")
             .to_string();
         partitions.push(PartitionInfo {
             voted_signal,

@@ -20,7 +20,9 @@
 //!   domain, so an upset inside a voter LUT is also masked);
 //! * registers are implemented as "TMR registers with voters and refresh"
 //!   (Fig. 2 of the paper) when [`TmrConfig::vote_registers`] is set; and
-//! * each output is reduced back to a single pin by a final output voter.
+//! * each output leaves the fabric on three pins (`y_tr0`, `y_tr1`, `y_tr2`),
+//!   one per domain, and is voted at the pads, outside the reach of
+//!   configuration upsets.
 //!
 //! The four TMR variants evaluated in the paper map to the presets
 //! [`TmrConfig::paper_p1`] (maximum partition), [`TmrConfig::paper_p2`]

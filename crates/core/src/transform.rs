@@ -48,16 +48,6 @@ pub struct TmrConfig {
     /// (Fig. 2 of the paper): a voter per domain on the register outputs, so
     /// an upset captured by one register copy is corrected on the next cycle.
     pub vote_registers: bool,
-    /// Where the final output majority voter lives.
-    ///
-    /// * `true` (the paper's scheme): the three domain copies of each output
-    ///   leave the fabric on separate triplicated pins (`y_tr0`, `y_tr1`,
-    ///   `y_tr2`) and are voted "inside the output logic block" — modelled as
-    ///   voting at the pads, outside the reach of configuration upsets.
-    /// * `false`: a single majority-voter LUT is instantiated in the fabric,
-    ///   which makes the output voter itself vulnerable to upsets (useful for
-    ///   ablation studies).
-    pub output_voter_in_iob: bool,
     /// Short label used to derive the transformed design's name
     /// (e.g. `"p2"` produces `fir11_tmr_p2`).
     pub label: String,
@@ -70,7 +60,6 @@ impl TmrConfig {
         Self {
             placement: VoterPlacement::EveryComponent,
             vote_registers: true,
-            output_voter_in_iob: true,
             label: "p1".to_string(),
         }
     }
@@ -81,7 +70,6 @@ impl TmrConfig {
         Self {
             placement: VoterPlacement::AfterAdders,
             vote_registers: true,
-            output_voter_in_iob: true,
             label: "p2".to_string(),
         }
     }
@@ -92,7 +80,6 @@ impl TmrConfig {
         Self {
             placement: VoterPlacement::OutputsOnly,
             vote_registers: true,
-            output_voter_in_iob: true,
             label: "p3".to_string(),
         }
     }
@@ -103,7 +90,6 @@ impl TmrConfig {
         Self {
             placement: VoterPlacement::OutputsOnly,
             vote_registers: false,
-            output_voter_in_iob: true,
             label: "p3_nv".to_string(),
         }
     }
@@ -228,29 +214,12 @@ pub fn apply_tmr(design: &Design, config: &TmrConfig) -> Result<Design, TmrError
             }
             WordOp::Output { port } => {
                 let sources = mapped_inputs(&map, node)?;
-                if config.output_voter_in_iob {
-                    // The paper's scheme: the three domain copies leave the
-                    // fabric on triplicated pins and are voted in the output
-                    // logic block (modelled as pad-level voting, immune to
-                    // configuration upsets).
-                    for (d, domain) in Domain::REDUNDANT.iter().enumerate() {
-                        out.add_output_in_domain(format!("{port}_tr{d}"), sources[0][d], *domain);
-                    }
-                } else {
-                    // Ablation variant: a single in-fabric voter LUT reduces
-                    // the three domains back to one external pin.
-                    let (_, voted) = out.add_node_in_domain(
-                        format!("{port}_vout"),
-                        WordOp::Voter,
-                        vec![sources[0][0], sources[0][1], sources[0][2]],
-                        None,
-                        Domain::Voter,
-                    )?;
-                    out.add_output_in_domain(
-                        port.clone(),
-                        voted.expect("voters produce a signal"),
-                        Domain::Voter,
-                    );
+                // The paper's scheme: the three domain copies leave the
+                // fabric on triplicated pins and are voted in the output
+                // logic block (modelled as pad-level voting, immune to
+                // configuration upsets).
+                for (d, domain) in Domain::REDUNDANT.iter().enumerate() {
+                    out.add_output_in_domain(format!("{port}_tr{d}"), sources[0][d], *domain);
                 }
             }
             WordOp::Add | WordOp::Sub | WordOp::MulConst { .. } => {
@@ -469,26 +438,22 @@ mod tests {
         let p1 = TmrConfig::paper_p1();
         assert_eq!(p1.placement, VoterPlacement::EveryComponent);
         assert!(p1.vote_registers);
-        assert!(p1.output_voter_in_iob);
         assert_eq!(p1.label, "p1");
 
         let p2 = TmrConfig::paper_p2();
         assert_eq!(p2.placement, VoterPlacement::AfterAdders);
         assert!(p2.vote_registers);
-        assert!(p2.output_voter_in_iob);
         assert_eq!(p2.label, "p2");
 
         let p3 = TmrConfig::paper_p3();
         assert_eq!(p3.placement, VoterPlacement::OutputsOnly);
         assert!(p3.vote_registers);
-        assert!(p3.output_voter_in_iob);
         assert_eq!(p3.label, "p3");
 
         // p3_nv is p3 with unvoted (merely triplicated) registers.
         let p3_nv = TmrConfig::paper_p3_nv();
         assert_eq!(p3_nv.placement, VoterPlacement::OutputsOnly);
         assert!(!p3_nv.vote_registers);
-        assert!(p3_nv.output_voter_in_iob);
         assert_eq!(p3_nv.label, "p3_nv");
 
         // The preset list is the paper's evaluation order.
@@ -697,17 +662,15 @@ mod tests {
     fn voted_signals_carry_consumer_domains() {
         let original = small_design();
         let tmr = apply_tmr(&original, &TmrConfig::paper_p2()).unwrap();
-        // Every voter node's output signal is tagged with a redundant domain
-        // (except the single final output voter, tagged Voter).
-        let mut redundant_voted = 0;
+        // Every voter node's output signal is tagged with a redundant domain.
+        let mut voters = 0;
         for (_, node) in tmr.nodes() {
             if matches!(node.op, WordOp::Voter) {
                 let sig = node.output.expect("voters produce a signal");
-                if tmr.signal(sig).domain.is_redundant() {
-                    redundant_voted += 1;
-                }
+                assert!(tmr.signal(sig).domain.is_redundant(), "{sig:?}");
+                voters += 1;
             }
         }
-        assert!(redundant_voted > 0);
+        assert!(voters > 0);
     }
 }

@@ -61,7 +61,6 @@ mod route;
 mod routed;
 
 pub use error::PnrError;
-pub use lookahead::Lookahead;
 pub use place::{place, placement_wirelength, Placement, PlacerOptions};
 pub use route::{
     route, route_with_telemetry, RouteIteration, RouteTelemetry, RouterOptions, ROUTE_EPOCH,

@@ -1,149 +1,66 @@
 //! Admissible distance lookahead for the A* router.
 //!
-//! The router's heuristic must never overestimate the remaining cost of
-//! reaching a sink, or the directed search stops being best-first and the
-//! negotiation outcome starts depending on expansion order. This module
-//! precomputes, once per [`Device`] geometry, a table mapping *tile Manhattan
-//! distance* to a provable lower bound on the cost of the cheapest node
-//! sequence that can still lie ahead:
+//! [`cost_floor`] maps the tile Manhattan distance between a node and the
+//! target sink to a lower bound on the cost of the node sequence that can
+//! still lie ahead:
 //!
 //! * every PIP moves at most one tile (the switchbox connects cardinal
 //!   neighbours only), so a node `d` tiles away needs at least `d` more
 //!   distance-reducing hops;
-//! * intermediate hops land on wires, each costing at least the cheapest
-//!   wire base cost;
-//! * the final hop enters the sink pin, costing at least the cheapest pin
-//!   base cost — and if the input muxes accept wires from a neighbouring
-//!   tile (the architecture's "long input" PIPs), that last hop already
-//!   covers one tile of distance, saving one wire from the bound.
+//! * intermediate hops land on wires, each costing at least the wire base
+//!   cost;
+//! * the final hop enters the sink pin, costing the pin base cost, and the
+//!   input muxes accept a wire from each neighbouring tile (the
+//!   architecture's "long input" PIPs), so that last hop already covers one
+//!   tile of distance and saves one wire from the bound.
 //!
-//! The table depends only on [`DeviceParams`] (device construction is
-//! deterministic), so it is cached process-wide and shared by every router
-//! instance.
+//! The bound holds on every device the builder makes: a device without
+//! long-input PIPs only has costlier paths.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use tmr_arch::{Device, DeviceParams, RouteNode};
+use crate::route::{PIN_COST, WIRE_COST};
 
-use crate::route::base_cost;
-
-/// Per-device admissible cost floors indexed by tile Manhattan distance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Lookahead {
-    table: Vec<f32>,
-}
-
-impl Lookahead {
-    /// Computes the lookahead table for `device` without consulting the
-    /// process-wide cache (used by the cache itself and by tests).
-    pub fn compute(device: &Device) -> Self {
-        let mut min_wire = f32::INFINITY;
-        let mut min_pin = f32::INFINITY;
-        for index in 0..device.node_count() {
-            let node = device.node(tmr_arch::NodeId::from_index(index));
-            let cost = base_cost(&node);
-            match node {
-                RouteNode::Wire { .. } => min_wire = min_wire.min(cost),
-                RouteNode::InPin { .. } => min_pin = min_pin.min(cost),
-                RouteNode::OutPin { .. } => {}
-            }
-        }
-        if !min_wire.is_finite() {
-            min_wire = 0.0;
-        }
-        if !min_pin.is_finite() {
-            min_pin = 0.0;
-        }
-
-        // How many tiles of distance can the final pin-entering hop cover?
-        // Scan the input-mux PIPs: a source wire in a neighbouring tile means
-        // the bound may drop one intermediate wire.
-        let mut pin_entry_reach = 0u32;
-        for index in 0..device.pip_count() {
-            let pip = device.pip(tmr_arch::PipId::from_index(index));
-            if device.node(pip.dst).is_in_pin() {
-                let reach = device
-                    .node_tile(pip.src)
-                    .manhattan(device.node_tile(pip.dst));
-                pin_entry_reach = pin_entry_reach.max(reach);
-                if pin_entry_reach >= 1 {
-                    break;
-                }
-            }
-        }
-
-        let params = device.params();
-        let max_distance = usize::from(params.cols) + usize::from(params.rows);
-        let mut table = Vec::with_capacity(max_distance + 1);
-        table.push(0.0f32);
-        for distance in 1..=max_distance {
-            let intermediate = if pin_entry_reach >= 1 {
-                distance - 1
-            } else {
-                distance
-            };
-            table.push(intermediate as f32 * min_wire + min_pin);
-        }
-        Self { table }
-    }
-
-    /// The process-wide cached table for `device`, keyed by its
-    /// [`DeviceParams`]; computed on first use.
-    pub fn for_device(device: &Device) -> Arc<Self> {
-        static CACHE: OnceLock<Mutex<HashMap<DeviceParams, Arc<Lookahead>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut cache = cache.lock().expect("lookahead cache poisoned");
-        Arc::clone(
-            cache
-                .entry(*device.params())
-                .or_insert_with(|| Arc::new(Self::compute(device))),
-        )
-    }
-
-    /// Lower bound on the remaining route cost from a node `distance` tiles
-    /// away from the target sink. Saturates at the table end (distances can
-    /// never exceed the grid perimeter).
-    #[inline]
-    pub fn cost_floor(&self, distance: u32) -> f32 {
-        let index = (distance as usize).min(self.table.len() - 1);
-        self.table[index]
-    }
-
-    /// Number of distance entries in the table.
-    pub fn entries(&self) -> usize {
-        self.table.len()
+/// Lower bound on the remaining route cost from a node `distance` tiles away
+/// from the target sink: 0 in the sink's own tile, and `distance − 1` wires
+/// plus the final pin entry beyond it.
+#[inline]
+pub(crate) fn cost_floor(distance: u32) -> f32 {
+    if distance == 0 {
+        0.0
+    } else {
+        (distance - 1) as f32 * WIRE_COST + PIN_COST
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tmr_arch::NodeId;
+    use crate::route::base_cost;
+    use tmr_arch::{Device, DeviceParams, NodeId};
+
+    /// Every distance a node can have from a sink on either preset.
+    fn preset_distances() -> impl Iterator<Item = u32> {
+        [DeviceParams::small(24, 24), DeviceParams::xc2s200e_like()]
+            .into_iter()
+            .flat_map(|params| 0..=u32::from(params.cols) + u32::from(params.rows))
+    }
 
     #[test]
     fn floors_are_monotone_and_start_at_zero() {
-        let device = Device::small(6, 6);
-        let lookahead = Lookahead::compute(&device);
-        assert_eq!(lookahead.cost_floor(0), 0.0);
-        let mut previous = 0.0f32;
-        for d in 0..lookahead.entries() as u32 {
-            let floor = lookahead.cost_floor(d);
-            assert!(floor >= previous);
-            previous = floor;
+        // Exactly 0 at the sink, so a sink's estimate equals its path cost.
+        assert_eq!(cost_floor(0), 0.0);
+        for d in preset_distances().filter(|&d| d > 0) {
+            assert!(cost_floor(d) >= cost_floor(d - 1), "floor falls at {d}");
         }
-        // Distances past the table end saturate instead of panicking.
-        assert_eq!(lookahead.cost_floor(u32::MAX), previous);
     }
 
     #[test]
     fn floors_never_exceed_unit_distance_cost() {
-        // Intermediate hops cost at least the cheapest wire (1.0) and the
-        // final pin entry is cheaper still, so the floor must stay at or
-        // below `distance` — the old router's raw-Manhattan heuristic.
-        let device = Device::small(8, 8);
-        let lookahead = Lookahead::compute(&device);
-        for d in 1..lookahead.entries() as u32 {
-            assert!(lookahead.cost_floor(d) <= d as f32);
+        // Intermediate hops cost at least a wire (1.0) and the final pin
+        // entry less, so the floor stays at or below the raw Manhattan
+        // distance.
+        for d in preset_distances() {
+            let floor = cost_floor(d);
+            assert!(floor <= d as f32, "floor {floor} exceeds distance {d}");
         }
     }
 
@@ -191,7 +108,6 @@ mod tests {
             .map(NodeId::from_index)
             .filter(|&node| device.node(node).is_in_pin())
             .collect();
-        let lookahead = Lookahead::compute(device);
         let mut pairs = 0;
         for &sink in pins.iter().step_by(pins.len().div_ceil(samples)) {
             let sink_tile = device.node_tile(sink);
@@ -201,7 +117,7 @@ mod tests {
             {
                 let Some(exact) = exact else { continue };
                 let node = NodeId::from_index(index);
-                let floor = lookahead.cost_floor(device.node_tile(node).manhattan(sink_tile));
+                let floor = cost_floor(device.node_tile(node).manhattan(sink_tile));
                 // The tolerance absorbs the f32 rounding of the floors; every
                 // cost step is at least 0.95.
                 assert!(
@@ -230,14 +146,5 @@ mod tests {
             small > 0 && lean > 0,
             "the oracle checked {small} / {lean} pairs"
         );
-    }
-
-    #[test]
-    fn cache_returns_shared_table() {
-        let device = Device::small(5, 5);
-        let a = Lookahead::for_device(&device);
-        let b = Lookahead::for_device(&device);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, Lookahead::compute(&device));
     }
 }

@@ -1,22 +1,20 @@
 //! Negotiated-congestion A* maze routing (PathFinder style).
 //!
-//! The router combines three mechanisms:
+//! The router combines four mechanisms:
 //!
 //! * **Directed search.** Every sink is found with A* over the device's
-//!   routing graph, guided by the admissible per-device
-//!   [`Lookahead`](crate::Lookahead) table and confined to the net's
-//!   bounding box (plus `BBOX_MARGIN` tiles of slack); a
-//!   sink that cannot be reached inside the box deterministically retries
-//!   unconfined. Expansions walk the device's own fanout rows
-//!   ([`Device::fanout`]); the open list is a 4-ary heap over packed keys
-//!   that the partial tree seeds with one heapify. All search state lives
-//!   in generation-stamped scratch arrays indexed by node id, so routing a
-//!   net allocates nothing.
+//!   routing graph, at heuristic weight `ASTAR_WEIGHT` (2.25) over the
+//!   admissible distance floor of `lookahead::cost_floor`. Expansions walk the
+//!   device's own fanout rows ([`Device::fanout`]); the open list is a 4-ary
+//!   heap over packed keys that the partial tree seeds with one heapify. All
+//!   search state lives in generation-stamped scratch arrays indexed by node
+//!   id, so routing a net allocates nothing.
 //! * **Net-by-net negotiation.** Each PathFinder iteration walks the nets
 //!   in order. A net whose tree is missing or touches an overused node is
-//!   ripped up, rerouted against the live occupancy and committed by the
-//!   time the walk examines the next congested net, so every later reroute
-//!   sees it.
+//!   ripped up, rerouted against the live occupancy and committed before the
+//!   walk moves on, so every later check and reroute sees it.
+//! * **Partial rip-up.** A congested net keeps the subtree serving the sinks
+//!   whose paths avoid every overused node and re-searches only the rest.
 //! * **Congestion pricing.** Node costs follow the PathFinder schedule: a
 //!   present-congestion factor plus an accumulated history cost on every
 //!   overused node. The factor reacts to the router's own overuse counts:
@@ -28,7 +26,7 @@
 //!   need to converge; a run whose overuse does not fall in iteration 2
 //!   never leaves it.
 
-use crate::lookahead::Lookahead;
+use crate::lookahead::cost_floor;
 use crate::queue::OpenList;
 use crate::routed::RouteTree;
 use crate::{Placement, PnrError};
@@ -49,8 +47,18 @@ use tmr_netlist::{NetDriver, NetId, NetSink, Netlist};
 /// entries survive.
 ///
 /// History: `1` is the overuse-reactive present-factor ramp; `2` is
-/// range-limited placement.
-pub const ROUTE_EPOCH: u64 = 2;
+/// range-limited placement; `3` routes every net at one heuristic weight,
+/// unconfined, in one in-order walk.
+pub const ROUTE_EPOCH: u64 = 3;
+
+/// A* heuristic weight (1.0 = admissible, larger = faster but greedier).
+const ASTAR_WEIGHT: f32 = 2.25;
+
+/// Congestion-free cost of occupying a wire.
+pub(crate) const WIRE_COST: f32 = 1.0;
+
+/// Congestion-free cost of occupying a cell pin.
+pub(crate) const PIN_COST: f32 = 0.95;
 
 /// Router options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,65 +75,13 @@ impl Default for RouterOptions {
     }
 }
 
-/// Inclusive tile-coordinate bounds confining one net's search.
-#[derive(Debug, Clone, Copy)]
-struct TileBounds {
-    min_x: u16,
-    min_y: u16,
-    max_x: u16,
-    max_y: u16,
-}
-
-impl TileBounds {
-    #[inline]
-    fn contains(&self, x: u16, y: u16) -> bool {
-        x >= self.min_x && x <= self.max_x && y >= self.min_y && y <= self.max_y
-    }
-
-    /// Whether the bounds cover the whole grid (confinement is a no-op).
-    fn covers_grid(&self, cols: u16, rows: u16) -> bool {
-        self.min_x == 0 && self.min_y == 0 && self.max_x + 1 >= cols && self.max_y + 1 >= rows
-    }
-}
-
-/// Search-confinement slack: tiles added around each net's terminal
-/// bounding box before the A* expansion is clipped to it.
-const BBOX_MARGIN: u16 = 3;
-
-/// The clipped search rectangle for one net attempt: the terminal bounding
-/// box, widened by the base margin plus one tile per rip-up the net has
-/// suffered (so congestion-locked nets progressively escape their
-/// neighbourhood).
-fn search_rect(terminals: &NetTerminals, rip_count: u16, cols: u16, rows: u16) -> TileBounds {
-    let margin = BBOX_MARGIN.saturating_add(rip_count);
-    TileBounds {
-        min_x: terminals.bbox.min_x.saturating_sub(margin),
-        min_y: terminals.bbox.min_y.saturating_sub(margin),
-        max_x: terminals
-            .bbox
-            .max_x
-            .saturating_add(margin)
-            .min(cols.saturating_sub(1)),
-        max_y: terminals
-            .bbox
-            .max_y
-            .saturating_add(margin)
-            .min(rows.saturating_sub(1)),
-    }
-}
-
-/// The terminals of one routable net, with its pre-sorted sinks and raw
-/// (margin-free) terminal bounding box.
+/// The terminals of one routable net, with its pre-sorted sinks.
 struct NetTerminals {
     net: NetId,
     source: NodeId,
     /// Sinks sorted by Manhattan distance from the source tile, so the
     /// closest sinks are routed first and later sinks reuse the growing tree.
     sinks: Vec<(NodeId, tmr_netlist::CellId, usize)>,
-    /// Tight bounds over the terminals; the search margin is added per
-    /// attempt (and grows with the net's rip-up count, so congestion-locked
-    /// nets can escape their neighbourhood).
-    bbox: TileBounds,
 }
 
 /// One negotiation iteration's congestion signals.
@@ -222,9 +178,6 @@ pub fn route_with_telemetry(
 struct RouteContext<'a> {
     device: &'a Device,
     netlist: &'a Netlist,
-    lookahead: &'a Lookahead,
-    cols: u16,
-    rows: u16,
 }
 
 /// Everything the expansion loop needs to price and locate one node, packed
@@ -315,10 +268,7 @@ fn route_inner(
     const PRESENT_FACTOR_FAST_GROWTH: f64 = 2.0;
     const PRESENT_FACTOR_MAX: f64 = 32.0;
     const HISTORY_INCREMENT: f64 = 1.5;
-    // A* heuristic weight (1.0 = admissible, larger = faster but greedier).
-    const ASTAR_WEIGHT: f64 = 2.25;
     let node_count = device.node_count();
-    let lookahead = Lookahead::for_device(device);
     let mut base = vec![0f32; node_count];
     let mut states = Vec::with_capacity(node_count);
     for (index, base_slot) in base.iter_mut().enumerate() {
@@ -334,30 +284,12 @@ fn route_inner(
             tile_y: tile.y,
         });
     }
-    let ctx = RouteContext {
-        device,
-        netlist,
-        lookahead: &lookahead,
-        cols: device.cols(),
-        rows: device.rows(),
-    };
-
+    let ctx = RouteContext { device, netlist };
     let nets = collect_terminals(device, netlist, placement);
-
-    if tmr_trace::enabled() {
-        tmr_trace::event("route.astar")
-            .attr("lookahead_entries", lookahead.entries())
-            .attr("astar_weight", ASTAR_WEIGHT)
-            .attr("bbox_margin", u32::from(BBOX_MARGIN));
-    }
 
     let mut history = vec![0f32; node_count];
     let mut scratch = RouterScratch::new(node_count);
     let mut trees: Vec<Option<RouteTree>> = (0..nets.len()).map(|_| None).collect();
-    // Per-net rip-up counts: each rip-up widens that net's search margin, so
-    // nets locked in a congestion fight progressively escape their bounding
-    // boxes.
-    let mut rip_counts: Vec<u16> = vec![0; nets.len()];
     let mut present_factor = PRESENT_FACTOR;
     let mut overused = 0;
     // Whether overuse has fallen in every iteration since the first.
@@ -366,47 +298,21 @@ fn route_inner(
     for iteration in 1..=options.max_iterations {
         let iter_start = Instant::now();
         let present_f32 = present_factor as f32;
-        // Late-negotiation safety net: past `WEIGHT_DECAY_START` iterations
-        // the per-iteration base weight decays geometrically toward the
-        // admissible 1.0, so a run that has not converged degenerates into
-        // the slower but robust best-first search instead of oscillating
-        // forever on beeline paths. Converging runs finish well before the
-        // decay starts and never see it.
-        const WEIGHT_DECAY_START: i32 = 60;
-        const WEIGHT_DECAY: f64 = 0.9;
-        let weight = (ASTAR_WEIGHT
-            * WEIGHT_DECAY.powi((iteration as i32 - WEIGHT_DECAY_START).max(0)))
-        .max(1.0) as f32;
         let mut rerouted = 0usize;
         let mut ripped_up = 0usize;
-
-        // The walk reroutes a congested net once it reaches the next
-        // congested one (or the end of the nets), then checks that next net
-        // again against the updated occupancy; the nets walked past in
-        // between were judged before the reroute. Checks read the live
-        // occupancy, so a net displaced by an earlier reroute of this walk
-        // is picked up in this walk too: the cascade negotiation relies on
-        // to converge.
-        let mut pending: Option<usize> = None;
-        for next in (0..nets.len()).map(Some).chain([None]) {
-            if next.is_some_and(|index| !needs_reroute(trees[index].as_ref(), &states)) {
-                continue;
-            }
-            if let Some(index) = pending.take() {
+        for (terminals, tree) in nets.iter().zip(&mut trees) {
+            if needs_reroute(tree.as_ref(), &states) {
                 reroute(
                     &ctx,
-                    &nets[index],
-                    &mut trees[index],
-                    &mut rip_counts[index],
+                    terminals,
+                    tree,
                     &mut states,
                     present_f32,
-                    weight,
                     &mut scratch,
                     &mut ripped_up,
                 )?;
                 rerouted += 1;
             }
-            pending = next.filter(|&index| needs_reroute(trees[index].as_ref(), &states));
         }
 
         let previous = overused;
@@ -479,22 +385,18 @@ fn needs_reroute(tree: Option<&RouteTree>, states: &[NodeState]) -> bool {
 /// net with one congested branch re-searches one branch, not all of them.
 /// Occupancy is still released for the whole old tree and re-acquired at
 /// commit; the kept subtree is a search seed, not a committed claim.
-#[allow(clippy::too_many_arguments)]
 fn reroute(
     ctx: &RouteContext<'_>,
     terminals: &NetTerminals,
     tree: &mut Option<RouteTree>,
-    rip_count: &mut u16,
     states: &mut [NodeState],
     present_factor: f32,
-    weight: f32,
     scratch: &mut RouterScratch,
     ripped_up: &mut usize,
 ) -> Result<(), PnrError> {
     let start = match tree.take() {
         Some(old) => {
             *ripped_up += 1;
-            *rip_count = rip_count.saturating_add(1);
             let start = prune_tree(ctx.device, &old, states);
             for node in &old.nodes {
                 states[node.index()].occupancy -= 1;
@@ -508,16 +410,7 @@ fn reroute(
             sinks: Vec::new(),
         },
     };
-    let new_tree = route_net(
-        ctx,
-        terminals,
-        start,
-        *rip_count,
-        states,
-        present_factor,
-        weight,
-        scratch,
-    )?;
+    let new_tree = route_net(ctx, terminals, start, states, present_factor, scratch)?;
     for node in &new_tree.nodes {
         states[node.index()].occupancy += 1;
     }
@@ -624,25 +517,10 @@ fn collect_terminals(
         // Route the closest sinks first so later sinks reuse the growing
         // tree (stable sort: equal distances keep netlist pin order).
         sinks.sort_by_key(|(node, _, _)| device.node_tile(*node).manhattan(source_tile));
-
-        let mut bbox = TileBounds {
-            min_x: source_tile.x,
-            min_y: source_tile.y,
-            max_x: source_tile.x,
-            max_y: source_tile.y,
-        };
-        for (node, _, _) in &sinks {
-            let tile = device.node_tile(*node);
-            bbox.min_x = bbox.min_x.min(tile.x);
-            bbox.min_y = bbox.min_y.min(tile.y);
-            bbox.max_x = bbox.max_x.max(tile.x);
-            bbox.max_y = bbox.max_y.max(tile.y);
-        }
         nets.push(NetTerminals {
             net: net_id,
             source,
             sinks,
-            bbox,
         });
     }
     // Route high-fanout nets first: they are the hardest to place well.
@@ -650,45 +528,23 @@ fn collect_terminals(
     nets
 }
 
-/// Congestion-free base cost of occupying `node` (shared with the lookahead
-/// table, which needs the same floors).
+/// Congestion-free base cost of occupying `node`.
 pub(crate) fn base_cost(node: &RouteNode) -> f32 {
     match node {
-        RouteNode::Wire { .. } => 1.0f32,
-        RouteNode::InPin { .. } | RouteNode::OutPin { .. } => 0.95,
+        RouteNode::Wire { .. } => WIRE_COST,
+        RouteNode::InPin { .. } | RouteNode::OutPin { .. } => PIN_COST,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn route_net(
     ctx: &RouteContext<'_>,
     terminals: &NetTerminals,
     start: RouteTree,
-    rip_count: u16,
     states: &[NodeState],
     present_factor: f32,
-    weight: f32,
     scratch: &mut RouterScratch,
 ) -> Result<RouteTree, PnrError> {
     let device = ctx.device;
-    // Contention-adaptive heuristic weight: fresh nets search with the full
-    // (inadmissible) weight — fast, and slightly sloppy paths are fine while
-    // congestion is still being discovered. After `WEIGHT_GRACE` rip-ups the
-    // weight walks back by `WEIGHT_SLOPE` per additional rip toward the
-    // near-admissible floor, because a net locked in a congestion fight needs
-    // the true cheapest detour, not a beeline — sloppy paths there feed the
-    // very oscillation PathFinder is trying to price away.
-    const WEIGHT_GRACE: f32 = 4.0;
-    const WEIGHT_SLOPE: f32 = 0.25;
-    const WEIGHT_FLOOR: f32 = 1.25;
-    // The per-net floor never rises above the iteration's base weight, so
-    // the late-negotiation global decay (see `route_inner`) can take every
-    // net all the way down to the admissible weight.
-    let floor = WEIGHT_FLOOR.min(weight);
-    let weight =
-        (weight - WEIGHT_SLOPE * (f32::from(rip_count) - WEIGHT_GRACE).max(0.0)).max(floor);
-    let bounds = search_rect(terminals, rip_count, ctx.cols, ctx.rows);
-    let net_confined = !bounds.covers_grid(ctx.cols, ctx.rows);
     // `start` is either a fresh source-only tree or the clean subtree a
     // partial rip-up preserved; either way its sinks are re-collected below.
     let mut tree = start;
@@ -705,97 +561,76 @@ fn route_net(
         }
         let target_x = states[sink_node.index()].tile_x;
         let target_y = states[sink_node.index()].tile_y;
-        let mut confined = net_confined;
 
-        let reached = loop {
-            scratch.current_generation += 1;
-            let generation_id = scratch.current_generation;
-            // Seed the search with every in-bounds tree node: distinct nodes,
-            // so distinct keys, and one heapify pops them in the same order
-            // as pushing them one by one.
-            scratch.queue.clear();
-            for &node in &tree.nodes {
-                let index = node.index();
-                let state = states[index];
-                if confined && !bounds.contains(state.tile_x, state.tile_y) {
-                    continue;
-                }
-                scratch.search[index] = SearchRec {
-                    best_cost: 0.0,
-                    generation: generation_id,
-                    prev_pip: u32::MAX,
-                };
-                let distance = u32::from(state.tile_x.abs_diff(target_x))
-                    + u32::from(state.tile_y.abs_diff(target_y));
-                let estimate = ctx.lookahead.cost_floor(distance) * weight;
-                scratch.queue.push_unordered(estimate, 0.0, node);
-            }
-            scratch.queue.heapify();
+        scratch.current_generation += 1;
+        let generation_id = scratch.current_generation;
+        // Seed the search with every tree node: distinct nodes, so distinct
+        // keys, and one heapify pops them in the same order as pushing them
+        // one by one.
+        scratch.queue.clear();
+        for &node in &tree.nodes {
+            let index = node.index();
+            let state = states[index];
+            scratch.search[index] = SearchRec {
+                best_cost: 0.0,
+                generation: generation_id,
+                prev_pip: u32::MAX,
+            };
+            let distance = u32::from(state.tile_x.abs_diff(target_x))
+                + u32::from(state.tile_y.abs_diff(target_y));
+            let estimate = cost_floor(distance) * ASTAR_WEIGHT;
+            scratch.queue.push_unordered(estimate, 0.0, node);
+        }
+        scratch.queue.heapify();
 
-            let sink_index = sink_node.index();
-            // Incumbent bound: once the sink has been relaxed to cost `b`,
-            // its queue entry has estimate `b` (the heuristic is zero there),
-            // so any entry with a larger estimate would pop only after the
-            // sink ends the search. Skipping those pushes is therefore
-            // result-preserving — it only spares the heap traffic.
-            let mut sink_bound = f32::INFINITY;
-            let mut reached = false;
-            while let Some((node, cost)) = scratch.queue.pop() {
-                scratch.nodes_expanded += 1;
-                let rec = scratch.search[node.index()];
-                if rec.generation == generation_id && cost > rec.best_cost + f32::EPSILON {
-                    continue;
-                }
-                if node == sink_node {
-                    reached = true;
-                    break;
-                }
-                for edge in device.fanout(node) {
-                    let index = edge.dst.index();
-                    let state = states[index];
-                    // Never route through another cell's input pin; only the
-                    // target sink pin is enterable.
-                    if state.is_in_pin != 0 && index != sink_index {
-                        continue;
-                    }
-                    if confined && !bounds.contains(state.tile_x, state.tile_y) {
-                        continue;
-                    }
-                    let step =
-                        state.cost_static * (1.0 + present_factor * f32::from(state.occupancy));
-                    let next_cost = cost + step;
-                    let rec = &mut scratch.search[index];
-                    if rec.generation != generation_id || next_cost + f32::EPSILON < rec.best_cost {
-                        let distance = u32::from(state.tile_x.abs_diff(target_x))
-                            + u32::from(state.tile_y.abs_diff(target_y));
-                        let estimate = next_cost + ctx.lookahead.cost_floor(distance) * weight;
-                        if estimate > sink_bound {
-                            continue;
-                        }
-                        *rec = SearchRec {
-                            best_cost: next_cost,
-                            generation: generation_id,
-                            prev_pip: edge.pip.index() as u32,
-                        };
-                        if index == sink_index {
-                            sink_bound = next_cost;
-                        }
-                        scratch.queue.push(estimate, next_cost, edge.dst);
-                    }
-                }
-            }
-
-            if reached {
-                break true;
-            }
-            if confined {
-                // The bounding box was too tight for the congestion at hand;
-                // retry this sink over the whole grid.
-                confined = false;
+        let sink_index = sink_node.index();
+        // Incumbent bound: once the sink has been relaxed to cost `b`, its
+        // queue entry has estimate `b` (the heuristic is zero there), so any
+        // entry with a larger estimate would pop only after the sink ends the
+        // search. Skipping those pushes is therefore result-preserving — it
+        // only spares the heap traffic.
+        let mut sink_bound = f32::INFINITY;
+        let mut reached = false;
+        while let Some((node, cost)) = scratch.queue.pop() {
+            scratch.nodes_expanded += 1;
+            let rec = scratch.search[node.index()];
+            if rec.generation == generation_id && cost > rec.best_cost + f32::EPSILON {
                 continue;
             }
-            break false;
-        };
+            if node == sink_node {
+                reached = true;
+                break;
+            }
+            for edge in device.fanout(node) {
+                let index = edge.dst.index();
+                let state = states[index];
+                // Never route through another cell's input pin; only the
+                // target sink pin is enterable.
+                if state.is_in_pin != 0 && index != sink_index {
+                    continue;
+                }
+                let step = state.cost_static * (1.0 + present_factor * f32::from(state.occupancy));
+                let next_cost = cost + step;
+                let rec = &mut scratch.search[index];
+                if rec.generation != generation_id || next_cost + f32::EPSILON < rec.best_cost {
+                    let distance = u32::from(state.tile_x.abs_diff(target_x))
+                        + u32::from(state.tile_y.abs_diff(target_y));
+                    let estimate = next_cost + cost_floor(distance) * ASTAR_WEIGHT;
+                    if estimate > sink_bound {
+                        continue;
+                    }
+                    *rec = SearchRec {
+                        best_cost: next_cost,
+                        generation: generation_id,
+                        prev_pip: edge.pip.index() as u32,
+                    };
+                    if index == sink_index {
+                        sink_bound = next_cost;
+                    }
+                    scratch.queue.push(estimate, next_cost, edge.dst);
+                }
+            }
+        }
 
         if !reached {
             return Err(PnrError::NoPath {
@@ -841,7 +676,9 @@ fn route_net(
 mod tests {
     use super::*;
     use crate::place::{place, PlacerOptions};
+    use tmr_arch::DeviceParams;
     use tmr_designs::{counter, moving_sum};
+    use tmr_netlist::CellKind;
     use tmr_synth::{lower, optimize, techmap};
 
     fn routed_counter() -> (Device, Netlist, Placement, HashMap<NetId, RouteTree>) {
@@ -944,6 +781,35 @@ mod tests {
         assert_eq!(
             route(&device, &netlist, &placement, &options),
             Err(unroutable)
+        );
+    }
+
+    #[test]
+    fn an_unreachable_sink_pin_is_no_path() {
+        // Without input-mux candidates, and on a 1x1 grid without a
+        // neighbouring tile for a long-input PIP, no PIP enters an input pin.
+        let mut params = DeviceParams::small(1, 1);
+        params.in_pin_candidates = 0;
+        let device = Device::new(params);
+        let mut netlist = Netlist::new("unreachable");
+        let a = netlist.add_input("a");
+        let a_f = netlist.add_net("a_f");
+        let x = netlist.add_net("x");
+        let y = netlist.add_net("y");
+        let lut = CellKind::Lut { k: 1, init: 0b10 };
+        netlist
+            .add_cell("ib", CellKind::Ibuf, vec![a], a_f)
+            .unwrap();
+        netlist.add_cell("lut", lut, vec![a_f], x).unwrap();
+        netlist.add_cell("ob", CellKind::Obuf, vec![x], y).unwrap();
+        netlist.add_output("y", y);
+        let placement = place(&device, &netlist, &PlacerOptions::default()).unwrap();
+        assert_eq!(
+            route(&device, &netlist, &placement, &RouterOptions::default()),
+            Err(PnrError::NoPath {
+                net: "a_f".to_string(),
+                sink: "pin 0 of cell `lut`".to_string(),
+            })
         );
     }
 

@@ -20,11 +20,11 @@
 //!
 //! ## Configuration
 //!
-//! The tracer is process-global. It initializes lazily from the environment
-//! (`TMR_TRACE=off|human|chrome|memory` plus `TMR_TRACE_FILE=<path>`) on the
-//! first instrumentation call, or explicitly through
-//! [`configure`] / [`TraceConfig`] (the facade's `FlowBuilder::trace` and
-//! `CampaignBuilder::trace` forward here).
+//! The tracer is process-global and has two entry points: the environment
+//! (`TMR_TRACE=off|human|chrome|memory` plus `TMR_TRACE_FILE=<path>`), read
+//! lazily on the first instrumentation call, and [`configure`] with a
+//! [`TraceConfig`], which replaces the active configuration. No builder of
+//! the facade or of `tmr-faultsim` configures tracing.
 //!
 //! ## Deterministic merge
 //!

@@ -26,11 +26,11 @@ use tmr_fpga::tmr::par_map;
 
 /// `(variant, analysis digest)` of the small FIR on the 24x24 device.
 const PINS: [(&str, u64); 5] = [
-    ("standard", 0x04b7_fea0_d85f_ca9e),
-    ("tmr_p1", 0x0035_2035_d015_e352),
-    ("tmr_p2", 0xbba0_f5c6_116d_cfe5),
-    ("tmr_p3", 0x3f45_534d_318b_0e0b),
-    ("tmr_p3_nv", 0x18b0_406c_d973_b642),
+    ("standard", 0xe35e_30da_5e9b_cd64),
+    ("tmr_p1", 0x32b8_eeb1_8e8c_537f),
+    ("tmr_p2", 0x13a0_3dbf_ce69_b373),
+    ("tmr_p3", 0xb451_08d1_1e15_7447),
+    ("tmr_p3_nv", 0x518d_4736_78f9_4388),
 ];
 
 /// Representative bits kept per distinct verdict, evenly spread over the
