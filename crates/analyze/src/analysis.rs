@@ -278,8 +278,8 @@ impl DomainTables {
         let mut parent = vec![NO_PARENT; device.node_count()];
         for (_, tree) in routed.routes() {
             for &pip in &tree.pips {
-                let pip = device.pip(pip);
-                parent[pip.dst.index()] = pip.src.index() as u32;
+                let (src, dst) = device.pip_endpoints(pip);
+                parent[dst.index()] = src.index() as u32;
             }
         }
         // Carry each sink's domain up its path. A node that already holds
@@ -307,7 +307,7 @@ impl DomainTables {
         match touch {
             Touch::Nothing => 0,
             Touch::Lut { cell, .. } | Touch::FfInit { cell, .. } => self.cell[cell.index()],
-            Touch::Open { pip, .. } => self.below[device.pip(pip).dst.index()],
+            Touch::Open { pip, .. } => self.below[device.pip_endpoints(pip).1.index()],
             Touch::Short { a, b } => self.net[a.index()] | self.net[b.index()],
             Touch::Antenna { victim } => self.net[victim.index()],
         }

@@ -5,13 +5,33 @@
 //! the Xilinx bitstream". [`ConfigLayout`] is that database for our device
 //! model: every programmable resource of a [`crate::Device`] owns exactly one
 //! configuration bit, addressed both linearly and as (frame, offset).
+//!
+//! Bits are grouped by tile, in raster order. The device builder emits each
+//! tile's PIPs as three runs of consecutive ids (its sites' pin PIPs, its
+//! FF-mux PIPs, its switchbox PIPs), and a tile's bits are those three runs
+//! in that order, then the LUT and FF bits of its sites. So the database
+//! keeps one 32-bit code per bit, naming the bit's resource and category,
+//! and nothing per PIP: a PIP's bit follows from where its run starts.
 
-use crate::rows::Rows;
-use crate::{BitGeometry, DeviceParams, Pip, PipId, Site, SiteId, SiteKind};
+use crate::{BitGeometry, DeviceParams, PipId, Site, SiteId, SiteKind};
 use std::collections::BTreeMap;
 
 /// Number of truth-table bits per 4-input LUT.
 const LUT_BITS: usize = 16;
+
+/// A bit's code: the top two bits are one of the four tags below, and the
+/// low [`TAG_SHIFT`] bits carry a PIP index, or a site index shifted left by
+/// [`LUT_BIT_WIDTH`] and the truth-table bit index.
+const TAG_SHIFT: u32 = 30;
+const PAYLOAD_MASK: u32 = (1 << TAG_SHIFT) - 1;
+const LUT_BIT_WIDTH: u32 = LUT_BITS.trailing_zeros();
+// The tags follow `BitCategory`'s order, so a tag is its bit's category.
+const LUT_BIT: u32 = 0;
+const FF_INIT: u32 = 1;
+/// A PIP of the CLB customization.
+const CLB_PIP: u32 = 2;
+/// A PIP of the general routing.
+const ROUTING_PIP: u32 = 3;
 
 /// A programmable resource controlled by one configuration bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,9 +91,13 @@ pub struct BitAddr {
 #[derive(Debug, Clone)]
 pub struct ConfigLayout {
     frame_bits: u32,
-    resources: Vec<ConfigResource>,
-    categories: Vec<BitCategory>,
-    pip_bit: Vec<u32>,
+    /// One code per bit (see [`TAG_SHIFT`]).
+    codes: Vec<u32>,
+    /// First PIP id of every tile's pin run, then of every tile's FF-mux
+    /// run, then of every tile's switchbox run, then the PIP count.
+    run_starts: Vec<u32>,
+    /// First bit of each run: a run's PIPs take consecutive bits.
+    run_bits: Vec<u32>,
     lut_bit_base: Vec<u32>,
     ff_bit: Vec<u32>,
 }
@@ -83,58 +107,74 @@ impl ConfigLayout {
     /// assigns consecutive bit addresses to the PIPs, LUT truth tables and FF
     /// init bits of each tile, then chops the linear space into frames of
     /// `frame_bits`.
-    pub(crate) fn build(params: &DeviceParams, sites: &[Site], pips: &[Pip]) -> Self {
+    ///
+    /// Tile `t` owns sites `tile_first_site[t]..tile_first_site[t + 1]`.
+    /// `run_starts` holds the first PIP id of every tile's pin run, then of
+    /// every tile's FF-mux run, then of every tile's switchbox run, then the
+    /// PIP count. `general_routing` tells whether a PIP's bit counts as
+    /// general routing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a PIP or site index does not fit a bit code (2^30 PIPs,
+    /// 2^26 sites).
+    pub(crate) fn build(
+        params: &DeviceParams,
+        sites: &[Site],
+        tile_first_site: &[u32],
+        run_starts: Vec<u32>,
+        general_routing: impl Fn(usize) -> bool,
+    ) -> Self {
         const UNASSIGNED: u32 = u32::MAX;
         let site_bits = |site: &Site| match site.kind {
             SiteKind::Lut => LUT_BITS,
             SiteKind::Ff => 1,
             SiteKind::Iob => 0,
         };
-        let bit_count = pips.len() + sites.iter().map(site_bits).sum::<usize>();
-        let mut resources = Vec::with_capacity(bit_count);
-        let mut categories = Vec::with_capacity(bit_count);
-        let mut pip_bit = vec![UNASSIGNED; pips.len()];
+        let tile_count = tile_first_site.len() - 1;
+        assert_eq!(run_starts.len(), 3 * tile_count + 1, "three runs per tile");
+        let pip_count = run_starts[3 * tile_count];
+        assert!(
+            pip_count <= 1 << TAG_SHIFT,
+            "{pip_count} PIPs do not fit a bit code"
+        );
+        assert!(
+            sites.len() <= 1 << (TAG_SHIFT - LUT_BIT_WIDTH),
+            "{} sites do not fit a bit code",
+            sites.len()
+        );
+        let bit_count = pip_count as usize + sites.iter().map(site_bits).sum::<usize>();
+        let mut codes = Vec::with_capacity(bit_count);
+        let mut run_bits = vec![0; 3 * tile_count];
         let mut lut_bit_base = vec![UNASSIGNED; sites.len()];
         let mut ff_bit = vec![UNASSIGNED; sites.len()];
 
-        // Group resources by tile so the frame address space has the same
-        // geographic locality as a real bitstream.
-        let tile_count = usize::from(params.cols) * usize::from(params.rows);
-        let pips_by_tile = Rows::group(
-            tile_count,
-            pips.iter().map(|pip| params.tile_index(pip.tile)),
-            |i| i as u32,
-        );
-        let sites_by_tile = Rows::group(
-            tile_count,
-            sites.iter().map(|site| params.tile_index(site.tile)),
-            |i| i,
-        );
-
         for tile in 0..tile_count {
-            for pip_index in pips_by_tile.row(tile).iter().map(|&i| i as usize) {
-                pip_bit[pip_index] = resources.len() as u32;
-                resources.push(ConfigResource::Pip(PipId::from_index(pip_index)));
-                categories.push(if pips[pip_index].category.is_general_routing() {
-                    BitCategory::GeneralRouting
-                } else {
-                    BitCategory::ClbCustomization
-                });
+            for kind in 0..3 {
+                let run = kind * tile_count + tile;
+                run_bits[run] = codes.len() as u32;
+                codes.extend((run_starts[run]..run_starts[run + 1]).map(|pip| {
+                    let tag = if general_routing(pip as usize) {
+                        ROUTING_PIP
+                    } else {
+                        CLB_PIP
+                    };
+                    tag << TAG_SHIFT | pip
+                }));
             }
-            for &site_index in sites_by_tile.row(tile) {
-                let site_id = SiteId::from_index(site_index);
+            for site_index in tile_first_site[tile] as usize..tile_first_site[tile + 1] as usize {
+                let site = site_index as u32;
                 match sites[site_index].kind {
                     SiteKind::Lut => {
-                        lut_bit_base[site_index] = resources.len() as u32;
-                        for bit in 0..LUT_BITS as u8 {
-                            resources.push(ConfigResource::LutBit { site: site_id, bit });
-                            categories.push(BitCategory::LutContents);
-                        }
+                        lut_bit_base[site_index] = codes.len() as u32;
+                        codes.extend(
+                            (0..LUT_BITS as u32)
+                                .map(|bit| LUT_BIT << TAG_SHIFT | site << LUT_BIT_WIDTH | bit),
+                        );
                     }
                     SiteKind::Ff => {
-                        ff_bit[site_index] = resources.len() as u32;
-                        resources.push(ConfigResource::FfInit { site: site_id });
-                        categories.push(BitCategory::FlipFlop);
+                        ff_bit[site_index] = codes.len() as u32;
+                        codes.push(FF_INIT << TAG_SHIFT | site);
                     }
                     SiteKind::Iob => {}
                 }
@@ -143,9 +183,9 @@ impl ConfigLayout {
 
         Self {
             frame_bits: params.frame_bits,
-            resources,
-            categories,
-            pip_bit,
+            codes,
+            run_starts,
+            run_bits,
             lut_bit_base,
             ff_bit,
         }
@@ -153,7 +193,7 @@ impl ConfigLayout {
 
     /// Total number of configuration bits.
     pub fn bit_count(&self) -> usize {
-        self.resources.len()
+        self.codes.len()
     }
 
     /// Frame size in bits.
@@ -162,8 +202,23 @@ impl ConfigLayout {
     }
 
     /// The resource controlled by linear bit `bit`, if in range.
+    #[inline]
     pub fn resource_at(&self, bit: usize) -> Option<ConfigResource> {
-        self.resources.get(bit).copied()
+        let code = *self.codes.get(bit)?;
+        let (tag, payload) = (code >> TAG_SHIFT, (code & PAYLOAD_MASK) as usize);
+        // Most bits are PIPs: one compare tells them apart.
+        Some(if tag >= CLB_PIP {
+            ConfigResource::Pip(PipId::from_index(payload))
+        } else if tag == LUT_BIT {
+            ConfigResource::LutBit {
+                site: SiteId::from_index(payload >> LUT_BIT_WIDTH),
+                bit: (payload % LUT_BITS) as u8,
+            }
+        } else {
+            ConfigResource::FfInit {
+                site: SiteId::from_index(payload),
+            }
+        })
     }
 
     /// The category of linear bit `bit`.
@@ -171,8 +226,14 @@ impl ConfigLayout {
     /// # Panics
     ///
     /// Panics if `bit` is out of range.
+    #[inline]
     pub fn category_at(&self, bit: usize) -> BitCategory {
-        self.categories[bit]
+        match self.codes[bit] >> TAG_SHIFT {
+            LUT_BIT => BitCategory::LutContents,
+            FF_INIT => BitCategory::FlipFlop,
+            CLB_PIP => BitCategory::ClbCustomization,
+            _ => BitCategory::GeneralRouting,
+        }
     }
 
     /// The frame/offset geometry of this configuration memory: the
@@ -200,10 +261,7 @@ impl ConfigLayout {
     pub fn bit_of(&self, resource: &ConfigResource) -> Option<usize> {
         const UNASSIGNED: u32 = u32::MAX;
         match *resource {
-            ConfigResource::Pip(pip) => {
-                let bit = *self.pip_bit.get(pip.index())?;
-                (bit != UNASSIGNED).then_some(bit as usize)
-            }
+            ConfigResource::Pip(pip) => (pip.index() < self.pip_count()).then(|| self.pip_bit(pip)),
             ConfigResource::LutBit { site, bit } => {
                 let base = *self.lut_bit_base.get(site.index())?;
                 (base != UNASSIGNED && (bit as usize) < LUT_BITS)
@@ -216,16 +274,28 @@ impl ConfigLayout {
         }
     }
 
-    /// The linear bit controlling a PIP.
+    /// The linear bit controlling a PIP: its run's first bit plus its
+    /// offset in the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PIP id is out of range.
     pub fn pip_bit(&self, pip: PipId) -> usize {
-        self.pip_bit[pip.index()] as usize
+        assert!(pip.index() < self.pip_count(), "{pip} out of range");
+        let pip = pip.index() as u32;
+        let run = self.run_starts.partition_point(|&start| start <= pip) - 1;
+        (self.run_bits[run] + pip - self.run_starts[run]) as usize
+    }
+
+    fn pip_count(&self) -> usize {
+        self.run_starts[self.run_starts.len() - 1] as usize
     }
 
     /// Number of configuration bits per category.
     pub fn counts_by_category(&self) -> BTreeMap<BitCategory, usize> {
         let mut counts = BTreeMap::new();
-        for &cat in &self.categories {
-            *counts.entry(cat).or_insert(0) += 1;
+        for bit in 0..self.bit_count() {
+            *counts.entry(self.category_at(bit)).or_insert(0) += 1;
         }
         counts
     }
@@ -238,13 +308,35 @@ mod tests {
 
     #[test]
     fn every_bit_maps_to_a_resource_and_back() {
-        let d = Device::small(3, 2);
-        let layout = d.config_layout();
-        for bit in 0..layout.bit_count() {
-            let resource = layout.resource_at(bit).expect("bit in range");
-            assert_eq!(layout.bit_of(&resource), Some(bit), "bit {bit} round-trip");
+        // Without slices every FF-mux run is empty, and so is the pin run of
+        // the interior tile, which has no sites.
+        let no_slices = DeviceParams {
+            slices_per_tile: 0,
+            ..DeviceParams::small(3, 3)
+        };
+        for d in [Device::small(3, 2), Device::new(no_slices)] {
+            let layout = d.config_layout();
+            for bit in 0..layout.bit_count() {
+                let resource = layout.resource_at(bit).expect("bit in range");
+                assert_eq!(layout.bit_of(&resource), Some(bit), "bit {bit} round-trip");
+            }
+            assert!(layout.resource_at(layout.bit_count()).is_none());
+            let beyond = PipId::from_index(d.pip_count());
+            assert_eq!(layout.bit_of(&ConfigResource::Pip(beyond)), None);
         }
-        assert!(layout.resource_at(layout.bit_count()).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit a bit code")]
+    fn pip_ids_beyond_the_code_range_are_rejected() {
+        let too_many = (1 << TAG_SHIFT) + 1;
+        ConfigLayout::build(
+            &DeviceParams::small(1, 1),
+            &[],
+            &[0, 0],
+            vec![0, 0, 0, too_many],
+            |_| true,
+        );
     }
 
     #[test]

@@ -102,10 +102,15 @@ impl DeviceParams {
 /// plus the [`ConfigLayout`] that assigns one configuration bit to every
 /// programmable resource.
 ///
+/// The graph keeps only what nothing can derive: a PIP is its two
+/// endpoints, and its category and configuration tile follow from them
+/// ([`pip`](Self::pip)).
+///
 /// The built graph is immutable and lives behind a reference count, so a
-/// `Device` is a handle: a clone shares the graph rather than copying it (a
-/// paper-sized device holds several hundred MiB). Flows, sweeps and the
-/// campaign service keep and pass clones instead of rebuilding or copying.
+/// `Device` is a handle: a clone shares the graph rather than copying it (the
+/// auto-sized 54 × 40 paper device holds about 160 MiB). Flows, sweeps and
+/// the campaign service keep and pass clones instead of rebuilding or
+/// copying.
 #[derive(Debug, Clone)]
 pub struct Device {
     graph: Arc<Graph>,
@@ -117,7 +122,8 @@ struct Graph {
     params: DeviceParams,
     sites: Vec<Site>,
     nodes: Vec<RouteNode>,
-    pips: Vec<Pip>,
+    /// Each PIP's `(src, dst)`.
+    pip_ends: Vec<(NodeId, NodeId)>,
     /// Id of each tile's first node, its track-0 wire, in raster order: a
     /// tile's wires are consecutive nodes.
     tile_first_node: Vec<u32>,
@@ -226,7 +232,7 @@ impl Device {
 
     /// Number of PIPs.
     pub fn pip_count(&self) -> usize {
-        self.graph.pips.len()
+        self.graph.pip_ends.len()
     }
 
     /// The routing node with the given id.
@@ -257,13 +263,32 @@ impl Device {
         }
     }
 
-    /// The PIP with the given id.
+    /// The PIP with the given id. Its category and tile are derived from
+    /// its endpoints; paths that need only those read
+    /// [`pip_endpoints`](Self::pip_endpoints).
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
     pub fn pip(&self, id: PipId) -> Pip {
-        self.graph.pips[id.index()]
+        let (src, dst) = self.pip_endpoints(id);
+        let (category, tile) = classify_pip(&self.graph.nodes, &self.graph.sites, src, dst);
+        Pip {
+            src,
+            dst,
+            category,
+            tile,
+        }
+    }
+
+    /// The driving and driven node of a PIP: `(src, dst)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[inline]
+    pub fn pip_endpoints(&self, id: PipId) -> (NodeId, NodeId) {
+        self.graph.pip_ends[id.index()]
     }
 
     /// The PIPs leaving `node`, each with the node it drives, in increasing
@@ -298,6 +323,37 @@ impl Device {
     }
 }
 
+/// The category and configuration tile of the PIP `src → dst`. The builder
+/// generates four endpoint shapes, and each fixes both:
+/// - output pin → wire: an output mux, in the wire's tile;
+/// - output pin → input pin: the FF mux, an input mux in the pin's tile;
+/// - wire → input pin: an input mux if the wire is in the pin's tile, else a
+///   long input; in the pin's tile;
+/// - wire → wire: a switchbox PIP, in the source wire's tile.
+fn classify_pip(
+    nodes: &[RouteNode],
+    sites: &[Site],
+    src: NodeId,
+    dst: NodeId,
+) -> (PipCategory, TileCoord) {
+    match (nodes[src.index()], nodes[dst.index()]) {
+        (RouteNode::OutPin { .. }, RouteNode::Wire { tile, .. }) => (PipCategory::OutputMux, tile),
+        (RouteNode::OutPin { .. }, RouteNode::InPin { site, .. }) => {
+            (PipCategory::InputMux, sites[site.index()].tile)
+        }
+        (RouteNode::Wire { tile, .. }, RouteNode::InPin { site, .. }) => {
+            let pin_tile = sites[site.index()].tile;
+            if tile == pin_tile {
+                (PipCategory::InputMux, pin_tile)
+            } else {
+                (PipCategory::LongInput, pin_tile)
+            }
+        }
+        (RouteNode::Wire { tile, .. }, RouteNode::Wire { .. }) => (PipCategory::Switchbox, tile),
+        (from, to) => unreachable!("the builder generates no PIP {from:?} -> {to:?}"),
+    }
+}
+
 /// Builds a [`Graph`]. Nodes are created tile by tile and never looked up
 /// by value: a tile's wires follow its first node, and a site's input pins
 /// follow its output pin, so every endpoint id is computed.
@@ -305,7 +361,11 @@ struct DeviceBuilder {
     params: DeviceParams,
     sites: Vec<Site>,
     nodes: Vec<RouteNode>,
-    pips: Vec<Pip>,
+    pip_ends: Vec<(NodeId, NodeId)>,
+    /// First PIP id of every tile's pin run, then of every tile's FF-mux
+    /// run, then of every tile's switchbox run, then the PIP count: the
+    /// three generation passes below each emit their PIPs tile by tile.
+    pip_runs: Vec<u32>,
     tile_first_node: Vec<u32>,
     /// Id of each tile's first site, plus the site count: tile `t` owns
     /// sites `tile_first_site[t]..tile_first_site[t + 1]`.
@@ -323,7 +383,8 @@ impl DeviceBuilder {
             params,
             sites: Vec::new(),
             nodes: Vec::new(),
-            pips: Vec::new(),
+            pip_ends: Vec::new(),
+            pip_runs: Vec::new(),
             tile_first_node: Vec::new(),
             tile_first_site: Vec::new(),
             out_pin_of_site: Vec::new(),
@@ -359,18 +420,62 @@ impl DeviceBuilder {
         }
     }
 
-    fn add_pip(&mut self, src: NodeId, dst: NodeId, category: PipCategory, tile: TileCoord) {
-        self.pips.push(Pip {
-            src,
-            dst,
-            category,
-            tile,
-        });
+    fn add_pip(&mut self, src: NodeId, dst: NodeId) {
+        self.pip_ends.push((src, dst));
+    }
+
+    /// Opens the current tile's run of the current generation pass.
+    fn start_run(&mut self) {
+        self.pip_runs.push(self.pip_ends.len() as u32);
     }
 
     fn wire(&self, tile: TileCoord, track: u16) -> NodeId {
         let first = self.tile_first_node[self.params.tile_index(tile)] as usize;
         NodeId::from_index(first + usize::from(track))
+    }
+
+    /// The pin PIPs of one site: its output pin onto a spread of its tile's
+    /// tracks, then, per input pin, a few of its tile's tracks and one track
+    /// of each neighbouring tile.
+    fn add_site_pips(&mut self, site_index: usize) {
+        let p = self.params;
+        let site = self.sites[site_index];
+        let tile = site.tile;
+        let neighbors = tile.neighbors(p.cols, p.rows);
+        let tracks = p.tracks as usize;
+
+        // Output PIPs (output muxes): output pin -> a spread of tracks in the
+        // same tile.
+        let out_node = self.out_pin_of_site[site_index];
+        let base = (site_index * 7 + usize::from(tile.x) + usize::from(tile.y) * 3) % tracks;
+        let step = (tracks / p.out_pin_candidates.max(1) as usize).max(1);
+        for i in 0..p.out_pin_candidates as usize {
+            let track = ((base + i * step) % tracks) as u16;
+            let wire = self.wire(tile, track);
+            self.add_pip(out_node, wire);
+        }
+
+        // Input-mux PIPs: a small set of tracks -> each input pin.
+        for pin in 0..site.kind.input_pins() {
+            let pin_node = self.in_pins_of_site.row(site_index)[pin];
+            let pin_base =
+                (site_index * 5 + pin * 11 + usize::from(tile.x) * 2 + usize::from(tile.y))
+                    % tracks;
+            let pin_step = (tracks / p.in_pin_candidates.max(1) as usize).max(1);
+            for i in 0..p.in_pin_candidates as usize {
+                let track = ((pin_base + i * pin_step + i) % tracks) as u16;
+                let wire = self.wire(tile, track);
+                self.add_pip(wire, pin_node);
+            }
+            // One additional candidate from each neighbouring tile (long
+            // inputs: wire segments spanning into the CLB) — part of the
+            // general routing, and essential for routability.
+            for (n, &neighbor) in neighbors.iter().enumerate() {
+                let track = ((pin_base + n * 7 + 2) % tracks) as u16;
+                let wire = self.wire(neighbor, track);
+                self.add_pip(wire, pin_node);
+            }
+        }
     }
 
     fn build(mut self) -> Graph {
@@ -401,55 +506,25 @@ impl DeviceBuilder {
         }
         self.tile_first_site.push(self.sites.len() as u32);
 
-        // 2. PIPs. Iterate sites and tiles deterministically so PIP ids (and
-        //    therefore configuration-bit addresses) are stable.
-        let site_count = self.sites.len();
-        for site_index in 0..site_count {
-            let site = self.sites[site_index];
-            let tile = site.tile;
-            let neighbors = tile.neighbors(p.cols, p.rows);
-            let tracks = p.tracks as usize;
-
-            // Output PIPs: output pin -> a spread of tracks in the same tile.
-            let out_node = self.out_pin_of_site[site_index];
-            let base = (site_index * 7 + usize::from(tile.x) + usize::from(tile.y) * 3) % tracks;
-            let step = (tracks / p.out_pin_candidates.max(1) as usize).max(1);
-            for i in 0..p.out_pin_candidates as usize {
-                let track = ((base + i * step) % tracks) as u16;
-                let wire = self.wire(tile, track);
-                self.add_pip(out_node, wire, PipCategory::OutputMux, tile);
-            }
-
-            // Input-mux PIPs: a small set of tracks -> each input pin.
-            for pin in 0..site.kind.input_pins() {
-                let pin_node = self.in_pins_of_site.row(site_index)[pin];
-                let pin_base =
-                    (site_index * 5 + pin * 11 + usize::from(tile.x) * 2 + usize::from(tile.y))
-                        % tracks;
-                let pin_step = (tracks / p.in_pin_candidates.max(1) as usize).max(1);
-                for i in 0..p.in_pin_candidates as usize {
-                    let track = ((pin_base + i * pin_step + i) % tracks) as u16;
-                    let wire = self.wire(tile, track);
-                    self.add_pip(wire, pin_node, PipCategory::InputMux, tile);
-                }
-                // One additional candidate from each neighbouring tile (wire
-                // segments spanning into the CLB) — part of the general
-                // routing, and essential for routability.
-                for (n, &neighbor) in neighbors.iter().enumerate() {
-                    let track = ((pin_base + n * 7 + 2) % tracks) as u16;
-                    let wire = self.wire(neighbor, track);
-                    self.add_pip(wire, pin_node, PipCategory::LongInput, tile);
-                }
+        // 2. PIPs, in three passes over the tiles in raster order, so PIP
+        //    ids (and therefore configuration-bit addresses) are stable and
+        //    each pass emits one run of PIPs per tile. First the sites' pin
+        //    PIPs: sites were created tile by tile.
+        let tile_count = self.tile_first_node.len();
+        for t in 0..tile_count {
+            self.start_run();
+            for site_index in self.tile_first_site[t] as usize..self.tile_first_site[t + 1] as usize
+            {
+                self.add_site_pips(site_index);
             }
         }
 
         // Dedicated LUT -> FF connections inside a slice (the "FF mux" of the
-        // CLB): LUT `i` of a tile can drive FF `i` of the same tile directly.
+        // CLB, input-mux PIPs): LUT `i` of a tile can drive FF `i` of the
+        // same tile directly.
         let (mut luts, mut ffs) = (Vec::new(), Vec::new());
-        for (t, tile) in (0..p.rows)
-            .flat_map(|y| (0..p.cols).map(move |x| TileCoord::new(x, y)))
-            .enumerate()
-        {
+        for t in 0..tile_count {
+            self.start_run();
             luts.clear();
             ffs.clear();
             for s in self.tile_first_site[t] as usize..self.tile_first_site[t + 1] as usize {
@@ -462,7 +537,7 @@ impl DeviceBuilder {
             for (&lut, &ff) in luts.iter().zip(&ffs) {
                 let src = self.out_pin_of_site[lut];
                 let dst = self.in_pins_of_site.row(ff)[0];
-                self.add_pip(src, dst, PipCategory::InputMux, tile);
+                self.add_pip(src, dst);
             }
         }
 
@@ -471,6 +546,7 @@ impl DeviceBuilder {
         let neigh_offsets = [0usize, 3, 9, 17, 6];
         for y in 0..p.rows {
             for x in 0..p.cols {
+                self.start_run();
                 let tile = TileCoord::new(x, y);
                 let neighbors = tile.neighbors(p.cols, p.rows);
                 let tracks = p.tracks as usize;
@@ -480,37 +556,58 @@ impl DeviceBuilder {
                         let dst_track = ((track as usize + off) % tracks) as u16;
                         let dst = self.wire(tile, dst_track);
                         if dst != src {
-                            self.add_pip(src, dst, PipCategory::Switchbox, tile);
+                            self.add_pip(src, dst);
                         }
                     }
                     for &neighbor in &neighbors {
                         for &off in neigh_offsets.iter().take(p.sb_neighbor as usize) {
                             let dst_track = ((track as usize + off) % tracks) as u16;
                             let dst = self.wire(neighbor, dst_track);
-                            self.add_pip(src, dst, PipCategory::Switchbox, tile);
+                            self.add_pip(src, dst);
                         }
                     }
                 }
             }
         }
+        self.start_run();
 
         // 4. Forward adjacency.
-        let pips = &self.pips;
-        let fanout = Rows::group(self.nodes.len(), pips.iter().map(|p| p.src.index()), |i| {
-            Fanout {
-                dst: pips[i].dst,
+        let ends = &self.pip_ends;
+        let fanout = Rows::group(
+            self.nodes.len(),
+            ends.iter().map(|&(src, _)| src.index()),
+            |i| Fanout {
+                dst: ends[i].1,
                 pip: PipId::from_index(i),
-            }
-        });
+            },
+        );
 
-        // 5. Configuration layout.
-        let layout = ConfigLayout::build(&self.params, &self.sites, &self.pips);
+        // 5. Configuration layout. The FF-mux pass emits input muxes and the
+        //    switchbox pass switchbox PIPs, so only a pin PIP's category
+        //    needs its endpoints.
+        let (nodes, sites) = (&self.nodes, &self.sites);
+        let first_ff_mux = self.pip_runs[tile_count] as usize;
+        let first_switchbox = self.pip_runs[2 * tile_count] as usize;
+        let layout = ConfigLayout::build(
+            &self.params,
+            sites,
+            &self.tile_first_site,
+            self.pip_runs,
+            |pip| {
+                if pip >= first_ff_mux {
+                    pip >= first_switchbox
+                } else {
+                    let (src, dst) = ends[pip];
+                    classify_pip(nodes, sites, src, dst).0.is_general_routing()
+                }
+            },
+        );
 
         Graph {
             params: self.params,
             sites: self.sites,
             nodes: self.nodes,
-            pips: self.pips,
+            pip_ends: self.pip_ends,
             tile_first_node: self.tile_first_node,
             fanout,
             out_pin_of_site: self.out_pin_of_site,
@@ -744,7 +841,12 @@ mod tests {
     }
 
     /// Any change to node ids, PIP ids, per-node PIP order or bit addresses
-    /// breaks these digests, and would change every bitstream.
+    /// breaks these digests, and would change every bitstream. Besides the
+    /// two presets they cover the shapes the derived PIP categories and bit
+    /// runs must reproduce: the auto-sized paper device every paper number
+    /// is computed on, one tile with no input-mux candidates, a 3×3 device
+    /// with 5 tracks (its same-tile offset 5 lands on the source track and
+    /// is skipped) and a 2×1 device.
     #[test]
     fn device_graphs_are_pinned() {
         assert_eq!(
@@ -765,6 +867,60 @@ mod tests {
                 0x92bc_df50_8e78_bec1,
                 0xee85_a4ce_462b_0ae5,
                 0x5313_9347_1dc6_2489,
+            ]
+        );
+        let paper = DeviceParams {
+            cols: 54,
+            rows: 40,
+            tracks: 182,
+            ..DeviceParams::xc2s200e_like()
+        };
+        assert_eq!(
+            graph_digests(&Device::new(paper)),
+            [
+                0xda6e_785d_9989_4079,
+                0xd110_ea16_0cd2_eb31,
+                0xe24f_0359_20ab_baf5,
+                0xf8e8_f51d_05d8_c721,
+                0xb406_ac82_a840_0725,
+            ]
+        );
+        let no_input_mux = DeviceParams {
+            in_pin_candidates: 0,
+            ..DeviceParams::small(1, 1)
+        };
+        assert_eq!(
+            graph_digests(&Device::new(no_input_mux)),
+            [
+                0xc200_358a_c68d_c7f4,
+                0x26d7_37ae_5972_52a6,
+                0xc20c_58da_b451_baf5,
+                0xf252_177e_1241_4ce5,
+                0x1a1f_1e54_b6bc_bce5,
+            ]
+        );
+        let five_tracks = DeviceParams {
+            tracks: 5,
+            ..DeviceParams::small(3, 3)
+        };
+        assert_eq!(
+            graph_digests(&Device::new(five_tracks)),
+            [
+                0x1cfc_62b5_5cde_87fa,
+                0xf645_11fd_7ec7_a7b3,
+                0xcbb8_ced9_8e2f_79df,
+                0x4cde_80d8_aa61_0f7a,
+                0xdf30_0316_41a9_0970,
+            ]
+        );
+        assert_eq!(
+            graph_digests(&Device::small(2, 1)),
+            [
+                0xfd92_2f2f_45ef_1325,
+                0xd644_50ed_54d7_cea1,
+                0xbe97_acc5_55c6_9899,
+                0xb07b_7cd3_fbfb_80b5,
+                0x561a_f443_48f8_3001,
             ]
         );
     }

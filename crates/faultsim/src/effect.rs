@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use tmr_arch::{ConfigResource, Device, NodeId, PipId, RouteNode};
+use tmr_arch::{BitCategory, ConfigResource, Device, NodeId, PipId, RouteNode};
 use tmr_netlist::{CellId, CellKind, Domain, NetId};
 use tmr_pnr::RoutedDesign;
 use tmr_sim::{FaultOverlay, SinkRef};
@@ -435,9 +435,11 @@ fn classify_pip_touch(
     bit: usize,
     pip_id: PipId,
 ) -> (FaultClass, Touch) {
-    let pip = device.pip(pip_id);
+    let (src, dst) = device.pip_endpoints(pip_id);
+    // The bit's category is its PIP's: general routing or CLB customization.
+    let general_routing = device.config_layout().category_at(bit) == BitCategory::GeneralRouting;
     let class_for = |routing_class: FaultClass| {
-        if pip.category.is_general_routing() {
+        if general_routing {
             routing_class
         } else {
             FaultClass::Mux
@@ -448,7 +450,7 @@ fn classify_pip_touch(
         // A used PIP opens: the sinks downstream of it lose their driver.
         // Routed trees share no node, so the PIP's destination names its net.
         let net = routed
-            .net_of_node(pip.dst)
+            .net_of_node(dst)
             .expect("a set PIP bit belongs to a routed net");
         return (
             class_for(FaultClass::Open),
@@ -457,10 +459,10 @@ fn classify_pip_touch(
     }
 
     // A new PIP is enabled: a connection from `src` onto `dst` appears.
-    match (routed.net_of_node(pip.src), routed.net_of_node(pip.dst)) {
+    match (routed.net_of_node(src), routed.net_of_node(dst)) {
         (Some(a), Some(b)) if a == b => (class_for(FaultClass::Others), Touch::Nothing),
         (Some(a), Some(b)) => {
-            let class = if matches!(device.node(pip.dst), RouteNode::InPin { .. }) {
+            let class = if matches!(device.node(dst), RouteNode::InPin { .. }) {
                 FaultClass::Conflict
             } else {
                 FaultClass::Bridge
@@ -530,7 +532,7 @@ fn open_overlay(
     let mut entering: Vec<(NodeId, PipId)> = tree
         .pips
         .iter()
-        .map(|&pip| (device.pip(pip).dst, pip))
+        .map(|&pip| (device.pip_endpoints(pip).1, pip))
         .collect();
     entering.sort_unstable();
     let opened_sinks = tree
@@ -543,7 +545,7 @@ fn open_overlay(
                 if removed_pips.contains(&pip) {
                     return true;
                 }
-                node = device.pip(pip).src;
+                node = device.pip_endpoints(pip).0;
             }
             // A walk that stops short of the source never reached the sink.
             node != tree.source

@@ -14,25 +14,26 @@ use tmr_pnr::RoutedDesign;
 /// resource is related to the routed design — a PIP touching a routing node
 /// used by some net, a truth-table bit of a used LUT, or the configuration
 /// bit of a used flip-flop.
+///
+/// It borrows the routed design's cached scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultList {
-    bits: Vec<usize>,
+pub struct FaultList<'a> {
+    bits: &'a [usize],
 }
 
-impl FaultList {
-    /// Builds the fault list of a routed design, from the design-related-bit
-    /// scan cached on [`RoutedDesign::design_related_bits`] — repeated
-    /// campaigns on the same routed design pay the configuration-memory scan
-    /// once.
-    pub fn build(device: &Device, routed: &RoutedDesign) -> Self {
+impl<'a> FaultList<'a> {
+    /// The fault list of a routed design: the design-related-bit scan
+    /// cached on [`RoutedDesign::design_related_bits`] — repeated campaigns
+    /// on the same routed design pay the configuration-memory scan once.
+    pub fn build(device: &Device, routed: &'a RoutedDesign) -> Self {
         Self {
-            bits: routed.design_related_bits(device).to_vec(),
+            bits: routed.design_related_bits(device),
         }
     }
 
     /// All eligible bit indices, in configuration-memory order.
-    pub fn bits(&self) -> &[usize] {
-        &self.bits
+    pub fn bits(&self) -> &'a [usize] {
+        self.bits
     }
 
     /// Number of eligible bits.
@@ -269,7 +270,7 @@ mod tests {
         // samples all 10 bits — 2 full intervals plus a 2-bit partial one,
         // never dropping sampled bits.
         let ten: Vec<usize> = full.bits().iter().copied().take(10).collect();
-        let list = FaultList { bits: ten.clone() };
+        let list = FaultList { bits: &ten };
         let model = FaultModel::Accumulate {
             upsets_per_scrub: 4,
         };
@@ -284,9 +285,7 @@ mod tests {
         assert!(faults.windows(2).all(|pair| pair[0][0] < pair[1][0]));
         // Fewer eligible bits than one interval: everything accumulates into
         // a single experiment.
-        let tiny = FaultList {
-            bits: ten[..3].to_vec(),
-        };
+        let tiny = FaultList { bits: &ten[..3] };
         let faults = tiny.sample_faults(&device, &model, 5, 7);
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].len(), 3);

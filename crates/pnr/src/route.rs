@@ -428,7 +428,7 @@ fn prune_tree(device: &Device, old: &RouteTree, states: &[NodeState]) -> RouteTr
     let mut parent: Vec<(u32, PipId)> = old
         .pips
         .iter()
-        .map(|&pip| (device.pip(pip).dst.index() as u32, pip))
+        .map(|&pip| (device.pip_endpoints(pip).1.index() as u32, pip))
         .collect();
     parent.sort_unstable_by_key(|&(dst, _)| dst);
 
@@ -452,7 +452,7 @@ fn prune_tree(device: &Device, old: &RouteTree, states: &[NodeState]) -> RouteTr
             match entry {
                 Some(pip) => {
                     path_pips.push(pip.index() as u32);
-                    node = device.pip(pip).src;
+                    node = device.pip_endpoints(pip).0;
                 }
                 None => break true,
             }
@@ -656,7 +656,7 @@ fn route_net(
             }
             let pip_id = PipId::from_index(pip_raw as usize);
             new_pips.push(pip_id);
-            node = device.pip(pip_id).src;
+            node = device.pip_endpoints(pip_id).0;
             if scratch.in_tree[node.index()] == tree_generation {
                 break;
             }

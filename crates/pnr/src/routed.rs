@@ -133,8 +133,8 @@ impl RoutedDesign {
     pub fn resource_is_design_related(&self, device: &Device, resource: &ConfigResource) -> bool {
         match *resource {
             ConfigResource::Pip(pip) => {
-                let pip = device.pip(pip);
-                self.net_of_node(pip.src).is_some() || self.net_of_node(pip.dst).is_some()
+                let (src, dst) = device.pip_endpoints(pip);
+                self.net_of_node(src).is_some() || self.net_of_node(dst).is_some()
             }
             ConfigResource::LutBit { site, .. } | ConfigResource::FfInit { site } => {
                 self.placement.cell_at(site).is_some()

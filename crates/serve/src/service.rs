@@ -13,11 +13,14 @@
 //! ## Resumability
 //!
 //! A turn rebuilds the job's
-//! [`CampaignSession`](tmr_fpga::faultsim::CampaignSession) from its flow
-//! artifacts (all memoized, so only the first turn pays) and seeds it with
-//! the persisted prefix via `with_prefix`. Devices are artifacts too: the
-//! [`device`] stage of the service's cache builds each distinct device once
-//! and hands every later turn a shared handle.
+//! [`CampaignSession`](tmr_fpga::faultsim::CampaignSession) and seeds it
+//! with the persisted prefix via `with_prefix`. The flow's artifacts
+//! (netlist, placement, routes, golden run, compiled simulator) are
+//! memoized, so only the first turn computes them, but every turn still
+//! rebuilds the flow itself (the design instance and its fingerprints),
+//! samples the fault list again and packs the golden run again. Devices are
+//! artifacts too: the [`device`] stage of the service's cache builds each
+//! distinct device once and hands every later turn a shared handle.
 //! Because session outcomes are bit-identical to the matching prefix of an
 //! uninterrupted run (the exact-prefix guarantee), a job interrupted by a
 //! crash or shutdown and resumed in a fresh process produces a

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tmr_fpga::arch::DeviceParams;
 use tmr_fpga::faultsim::CampaignResult;
-use tmr_fpga::flow::{device_for, synthesize, FlowBuilder};
-use tmr_fpga::store::Persist;
+use tmr_fpga::flow::{device_for, synthesize, Flow, FlowBuilder};
+use tmr_fpga::store::{CampaignPrefix, Persist};
 use tmr_fpga::tmr::pipeline::CacheKey;
 use tmr_fpga::{ArtifactCache, Store};
 use tmr_serve::{CampaignService, Event, JobSpec, ResultSource, ServiceConfig};
@@ -35,9 +35,9 @@ fn spec(model: &str) -> JobSpec {
     spec
 }
 
-/// The reference result: the same campaign through the library flow, with
-/// the requested shard count (outcomes are shard-count independent).
-fn reference(spec: &JobSpec, shards: usize) -> CampaignResult {
+/// The job's library flow on its pinned device, with the requested shard
+/// count.
+fn library_flow(spec: &JobSpec, shards: usize) -> Flow {
     let design = spec.design_instance().unwrap();
     let device = spec.device_instance().unwrap();
     let mut builder = FlowBuilder::new(&device, &design)
@@ -46,8 +46,34 @@ fn reference(spec: &JobSpec, shards: usize) -> CampaignResult {
     if let Some(tmr) = spec.tmr_config().unwrap() {
         builder = builder.tmr(tmr);
     }
-    let flow = builder.build();
+    builder.build()
+}
+
+/// The reference result: the same campaign through the library flow, with
+/// the requested shard count (outcomes are shard-count independent).
+fn reference(spec: &JobSpec, shards: usize) -> CampaignResult {
+    let flow = library_flow(spec, shards);
     (*flow.campaign(&spec.campaign().unwrap()).unwrap()).clone()
+}
+
+/// Runs the first batch of the job's campaign and persists its outcomes
+/// under `campaign.partial`, as a worker's turn does, leaving the store as
+/// a crash after that turn would. Returns the campaign fingerprint.
+fn persist_first_batch(store: &Store, spec: &JobSpec) -> u64 {
+    let flow = library_flow(spec, 1);
+    let campaign = spec.campaign().unwrap();
+    let fingerprint = flow.campaign_fingerprint(&campaign);
+    let routed = flow.routed().unwrap();
+    let mut session = flow.campaign_session(&routed, &campaign).unwrap();
+    assert_eq!(session.next_batch().map(<[_]>::len), Some(spec.batch));
+    let so_far = session.into_result();
+    let prefix = CampaignPrefix {
+        outcomes: so_far.outcomes,
+        simulated: so_far.simulated,
+        stats: so_far.stats,
+    };
+    store.save_value(CacheKey::new("campaign.partial", fingerprint), &prefix);
+    fingerprint
 }
 
 fn recv(events: &Receiver<Event>) -> Event {
@@ -109,44 +135,21 @@ fn service_campaign_matches_the_library_flow() {
     service.shutdown();
 }
 
-/// Interrupt a job mid-campaign (pause, drop the service), then finish it
-/// in a **new** service over the same store: the stored result must be
-/// byte-identical to an uninterrupted run — for every fault model, and
-/// equal to a multi-shard flow run as well.
+/// A job interrupted after its first batch (its prefix persisted, its
+/// process gone) finishes in a **new** service over the same store: the
+/// stored result must be byte-identical to an uninterrupted run — for every
+/// fault model, and equal to a multi-shard flow run as well. The prefix is
+/// written directly, so no worker has to be caught mid-campaign;
+/// `interruption_points` covers pausing a running job.
 #[test]
 fn interrupted_jobs_resume_byte_identically_for_every_fault_model() {
     for model in ["single", "mbu:2-in-frame", "accumulate:3"] {
         let dir = temp_dir(&format!("resume-{}", model.replace(':', "-")));
         let spec = spec(model);
-
         let store = Arc::new(Store::open(&dir).unwrap());
-        let (service, events) = CampaignService::new(ServiceConfig {
-            workers: 1,
-            store: Some(store),
-        });
-        let id = service
-            .submit(Some("victim".to_string()), spec.clone())
-            .unwrap();
-        // Interrupt after the first batch boundary.
-        loop {
-            match recv(&events) {
-                Event::Progress { .. } => break,
-                Event::Result { .. } => panic!("job finished before it could be interrupted"),
-                _ => {}
-            }
-        }
-        service.pause(&id.0).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while service.status()[0].state == "running" {
-            assert!(Instant::now() < deadline, "pause parks the job");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let interrupted_at = service.status()[0].injected;
-        assert!(interrupted_at > 0 && interrupted_at < spec.faults);
-        drop(service); // crash: workers stop, only the store survives
+        let fingerprint = persist_first_batch(&store, &spec);
 
         // A fresh process: new service, new memory cache, same store.
-        let store = Arc::new(Store::open(&dir).unwrap());
         let (service, events) = CampaignService::new(ServiceConfig {
             workers: 1,
             store: Some(store.clone()),
@@ -154,16 +157,28 @@ fn interrupted_jobs_resume_byte_identically_for_every_fault_model() {
         service
             .submit(Some("victim".to_string()), spec.clone())
             .unwrap();
-        let (fingerprint, _, _) = drain_job(&events, "victim");
+        loop {
+            match recv(&events) {
+                Event::Started {
+                    fingerprint: started,
+                    resumed,
+                    ..
+                } => {
+                    assert_eq!(started, fingerprint, "model {model}");
+                    assert_eq!(resumed, spec.batch, "model {model}: resumes the prefix");
+                    break;
+                }
+                Event::Error { message, .. } => panic!("job failed: {message}"),
+                _ => {}
+            }
+        }
+        drain_job(&events, "victim");
         let resumed: CampaignResult = store
             .load_as(CacheKey::new("campaign", fingerprint))
             .expect("the finished campaign is stored");
         assert!(
             store
-                .load_as::<tmr_fpga::store::CampaignPrefix>(CacheKey::new(
-                    "campaign.partial",
-                    fingerprint
-                ))
+                .load_as::<CampaignPrefix>(CacheKey::new("campaign.partial", fingerprint))
                 .is_none(),
             "the partial prefix is removed once the job completes"
         );
@@ -356,40 +371,50 @@ mod interruption_points {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
         /// Resuming is byte-identical no matter *which* batch boundary the
-        /// interruption hits.
+        /// interruption hits. The worker starts the job's next batch as
+        /// soon as it reports one, so a pause usually parks the job one
+        /// batch after the progress event it answers. The job has ten
+        /// batches, so even the latest pause lands well before the last;
+        /// a run whose pause still comes too late (the job finished) is
+        /// repeated until the pause parks the job.
         #[test]
         fn any_interruption_point_resumes_byte_identically(batches_before_pause in 0usize..4) {
             let dir = temp_dir(&format!("point-{batches_before_pause}"));
-            let spec = spec("single");
+            let mut spec = spec("single");
+            spec.faults = 10 * spec.batch;
 
-            let store = Arc::new(Store::open(&dir).unwrap());
-            let (service, events) = CampaignService::new(ServiceConfig {
-                workers: 1,
-                store: Some(store),
-            });
-            service.submit(Some("victim".to_string()), spec.clone()).unwrap();
-            let mut seen = 0;
-            let finished = loop {
-                match recv(&events) {
-                    Event::Progress { .. } => {
-                        seen += 1;
-                        if seen > batches_before_pause {
-                            break false;
-                        }
+            let mut attempts = 0;
+            loop {
+                attempts += 1;
+                prop_assert!(attempts <= 20, "no pause landed before the job finished");
+                let _ = std::fs::remove_dir_all(&dir);
+                let store = Arc::new(Store::open(&dir).unwrap());
+                let (service, events) = CampaignService::new(ServiceConfig {
+                    workers: 1,
+                    store: Some(store),
+                });
+                service.submit(Some("victim".to_string()), spec.clone()).unwrap();
+                let mut seen = 0;
+                while seen <= batches_before_pause {
+                    match recv(&events) {
+                        Event::Progress { .. } => seen += 1,
+                        Event::Result { .. } => panic!("every batch but the last reports progress"),
+                        _ => {}
                     }
-                    Event::Result { .. } => break true,
-                    _ => {}
                 }
-            };
-            if !finished {
-                service.pause("victim").unwrap();
-                let deadline = Instant::now() + Duration::from_secs(120);
-                while service.status()[0].state == "running" {
-                    prop_assert!(Instant::now() < deadline, "pause parks the job");
-                    std::thread::sleep(Duration::from_millis(10));
+                let parked = service.pause("victim").is_ok() && {
+                    let deadline = Instant::now() + Duration::from_secs(120);
+                    while service.status()[0].state == "running" {
+                        prop_assert!(Instant::now() < deadline, "pause parks the job");
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    service.status()[0].state == "paused"
+                };
+                drop(service);
+                if parked {
+                    break;
                 }
             }
-            drop(service);
 
             let store = Arc::new(Store::open(&dir).unwrap());
             let (service, events) = CampaignService::new(ServiceConfig {
