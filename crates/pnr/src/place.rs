@@ -17,13 +17,16 @@
 //! (HPWL), maintained *incrementally*: every routable net carries a
 //! [`NetBox`] — its bounding box plus the number of member pins sitting on
 //! each of the four boundaries — so a move only touches the boxes of the
-//! nets incident to the swapped cells. A boundary whose pin count drops to
-//! zero forces a rescan of that net's members; everything else is O(1) per
-//! incident net. All deltas are exact integers, so the accept/reject
-//! decisions (and therefore the RNG stream and the final placement) are
-//! identical to a from-scratch cost evaluation — pinned per move by a
-//! `debug_assertions` cross-check against [`placement_wirelength`]'s full
-//! recompute.
+//! nets incident to the swapped cells. Each cell knows how many pins it has
+//! on each of its nets, so a move sums every affected net's signed pin
+//! shift (the moved cell's pins go one way, its swap partner's the other)
+//! and applies it with one counted removal and addition. A boundary whose
+//! pin count drops to zero forces a rescan of that net's members;
+//! everything else is O(1) per incident net. All deltas are exact integers,
+//! so the accept/reject decisions (and therefore the RNG stream and the
+//! final placement) are identical to a from-scratch cost evaluation —
+//! pinned per move by a `debug_assertions` cross-check against
+//! [`placement_wirelength`]'s full recompute.
 
 use crate::PnrError;
 use rand::rngs::StdRng;
@@ -261,60 +264,60 @@ impl NetBox {
         u64::from(self.max_x - self.min_x) + u64::from(self.max_y - self.min_y)
     }
 
-    /// Adds one member pin at `tile`, extending the box if needed.
-    fn add(&mut self, tile: TileCoord) {
+    /// Adds `count` member pins at `tile`, extending the box if needed.
+    fn add(&mut self, tile: TileCoord, count: u32) {
         if tile.x < self.min_x {
             self.min_x = tile.x;
-            self.on_min_x = 1;
+            self.on_min_x = count;
         } else if tile.x == self.min_x {
-            self.on_min_x += 1;
+            self.on_min_x += count;
         }
         if tile.x > self.max_x {
             self.max_x = tile.x;
-            self.on_max_x = 1;
+            self.on_max_x = count;
         } else if tile.x == self.max_x {
-            self.on_max_x += 1;
+            self.on_max_x += count;
         }
         if tile.y < self.min_y {
             self.min_y = tile.y;
-            self.on_min_y = 1;
+            self.on_min_y = count;
         } else if tile.y == self.min_y {
-            self.on_min_y += 1;
+            self.on_min_y += count;
         }
         if tile.y > self.max_y {
             self.max_y = tile.y;
-            self.on_max_y = 1;
+            self.on_max_y = count;
         } else if tile.y == self.max_y {
-            self.on_max_y += 1;
+            self.on_max_y += count;
         }
     }
 
-    /// Removes one member pin at `tile`. Returns `true` when a boundary lost
-    /// its last pin — the box may shrink and the caller must rescan.
-    fn remove(&mut self, tile: TileCoord) -> bool {
+    /// Removes `count` member pins at `tile`. Returns `true` when a boundary
+    /// lost its last pin — the box may shrink and the caller must rescan.
+    fn remove(&mut self, tile: TileCoord, count: u32) -> bool {
         if tile.x == self.min_x {
-            if self.on_min_x == 1 {
+            if self.on_min_x <= count {
                 return true;
             }
-            self.on_min_x -= 1;
+            self.on_min_x -= count;
         }
         if tile.x == self.max_x {
-            if self.on_max_x == 1 {
+            if self.on_max_x <= count {
                 return true;
             }
-            self.on_max_x -= 1;
+            self.on_max_x -= count;
         }
         if tile.y == self.min_y {
-            if self.on_min_y == 1 {
+            if self.on_min_y <= count {
                 return true;
             }
-            self.on_min_y -= 1;
+            self.on_min_y -= count;
         }
         if tile.y == self.max_y {
-            if self.on_max_y == 1 {
+            if self.on_max_y <= count {
                 return true;
             }
-            self.on_max_y -= 1;
+            self.on_max_y -= count;
         }
         false
     }
@@ -324,7 +327,7 @@ impl NetBox {
 fn compute_box(device: &Device, members: &[CellId], site_of_cell: &[SiteId]) -> NetBox {
     let mut net_box = NetBox::empty();
     for &cell in members {
-        net_box.add(device.site(site_of_cell[cell.index()]).tile);
+        net_box.add(device.site(site_of_cell[cell.index()]).tile, 1);
     }
     net_box
 }
@@ -380,22 +383,26 @@ pub fn place(
 
     // Per-net member pins (driver plus every cell-pin sink occurrence — the
     // exact multiset the HPWL definition scans) and the per-cell incidence
-    // lists, both indexed by position in `cost_nets`.
+    // lists of `(net, pins of the cell on it)`, nets indexed by position in
+    // `cost_nets`.
     let mut members: Vec<Vec<CellId>> = Vec::with_capacity(cost_nets.len());
-    let mut nets_of_cell: Vec<Vec<u32>> = vec![Vec::new(); netlist.cell_count()];
+    let mut nets_of_cell: Vec<Vec<(u32, u32)>> = vec![Vec::new(); netlist.cell_count()];
     for (index, &net_id) in cost_nets.iter().enumerate() {
         let net = netlist.net(net_id);
-        let mut pins = Vec::new();
-        if let Some(NetDriver::Cell(c)) = net.driver {
-            pins.push(c);
-            nets_of_cell[c.index()].push(index as u32);
-        }
-        for sink in &net.sinks {
-            if let NetSink::CellPin { cell, .. } = sink {
-                pins.push(*cell);
-                if nets_of_cell[cell.index()].last() != Some(&(index as u32)) {
-                    nets_of_cell[cell.index()].push(index as u32);
-                }
+        let driver = match net.driver {
+            Some(NetDriver::Cell(c)) => Some(c),
+            _ => None,
+        };
+        let sinks = net.sinks.iter().filter_map(|sink| match sink {
+            NetSink::CellPin { cell, .. } => Some(*cell),
+            NetSink::Output(_) => None,
+        });
+        let pins: Vec<CellId> = driver.into_iter().chain(sinks).collect();
+        for cell in &pins {
+            let incident = &mut nets_of_cell[cell.index()];
+            match incident.last_mut() {
+                Some((net, count)) if *net == index as u32 => *count += 1,
+                _ => incident.push((index as u32, 1)),
             }
         }
         members.push(pins);
@@ -425,8 +432,13 @@ pub fn place(
     let mut window = span;
 
     // Reused per-move buffers: no allocation on the annealing hot path.
+    // `shift[net]` is the moved cell's pin count on the net minus its swap
+    // partner's, valid for the nets stamped with the current move.
     let mut affected: Vec<u32> = Vec::new();
     let mut saved: Vec<(u32, NetBox)> = Vec::new();
+    let mut shift = vec![0i32; cost_nets.len()];
+    let mut shift_stamp = vec![0u32; cost_nets.len()];
+    let mut move_stamp = 0u32;
 
     for _step in 0..temperature_steps {
         let reach = window as u16;
@@ -465,18 +477,27 @@ pub fn place(
                 continue;
             }
 
-            // Affected nets: union of both cells' incident nets.
+            // Affected nets: union of both cells' incident nets, each with
+            // its signed pin shift from the current to the target tile.
+            move_stamp += 1;
             affected.clear();
-            affected.extend_from_slice(&nets_of_cell[cell.index()]);
-            if let Some(other) = occupant {
-                affected.extend_from_slice(&nets_of_cell[other.index()]);
+            let partner = occupant.map(|other| (other, -1));
+            for (moved, sign) in std::iter::once((cell, 1)).chain(partner) {
+                for &(net, count) in &nets_of_cell[moved.index()] {
+                    let index = net as usize;
+                    if shift_stamp[index] != move_stamp {
+                        shift_stamp[index] = move_stamp;
+                        shift[index] = 0;
+                        affected.push(net);
+                    }
+                    shift[index] += sign * count as i32;
+                }
             }
-            affected.sort_unstable();
-            affected.dedup();
 
             // Apply tentatively, then update each affected box
-            // incrementally: remove the moved pin occurrences' old tiles,
-            // add the new ones, rescan only when a boundary empties.
+            // incrementally: move the net's shifted pins from their old
+            // tile to the new one, rescan only when a boundary empties. A
+            // net with as many pins of both cells keeps its box.
             site_of_cell[cell.index()] = target;
             if let Some(other) = occupant {
                 site_of_cell[other.index()] = current;
@@ -486,26 +507,19 @@ pub fn place(
             let mut delta = 0i64;
             for &net in &affected {
                 let index = net as usize;
+                let (from, to) = match shift[index] {
+                    0 => continue,
+                    s if s > 0 => (current_tile, target_tile),
+                    _ => (target_tile, current_tile),
+                };
+                let count = shift[index].unsigned_abs();
                 let old_box = boxes[index];
                 saved.push((net, old_box));
                 let mut net_box = old_box;
-                let mut rescan = false;
-                for &pin in &members[index] {
-                    let (from, to) = if pin == cell {
-                        (current_tile, target_tile)
-                    } else if occupant == Some(pin) {
-                        (target_tile, current_tile)
-                    } else {
-                        continue;
-                    };
-                    if net_box.remove(from) {
-                        rescan = true;
-                        break;
-                    }
-                    net_box.add(to);
-                }
-                if rescan {
+                if net_box.remove(from, count) {
                     net_box = compute_box(device, &members[index], &site_of_cell);
+                } else {
+                    net_box.add(to, count);
                 }
                 debug_assert_eq!(
                     net_box,
