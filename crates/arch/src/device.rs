@@ -132,6 +132,9 @@ struct Graph {
     fanout: Rows<Fanout>,
     out_pin_of_site: Vec<NodeId>,
     in_pins_of_site: Rows<NodeId>,
+    /// The nodes driving each input pin, one row per pin in the order of
+    /// `in_pins_of_site`'s items.
+    pin_drivers: Rows<NodeId>,
     lut_sites: Vec<SiteId>,
     ff_sites: Vec<SiteId>,
     iob_sites: Vec<SiteId>,
@@ -306,6 +309,22 @@ impl Device {
     /// The input-pin nodes of a site, indexed by pin.
     pub fn in_pins(&self, site: SiteId) -> &[NodeId] {
         self.graph.in_pins_of_site.row(site.index())
+    }
+
+    /// The nodes that drive the input pin `pin`, one per PIP entering it, in
+    /// increasing PIP id order: its tile's input-mux wires, one wire of each
+    /// neighbouring tile and, on a flip-flop's pin, the output pin of the
+    /// LUT that feeds it through the FF mux.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pin` is not an input pin.
+    pub fn pin_drivers(&self, pin: NodeId) -> &[NodeId] {
+        let RouteNode::InPin { site, pin: index } = self.node(pin) else {
+            panic!("node {pin} is not an input pin");
+        };
+        let row = self.graph.in_pins_of_site.offset(site.index()) + usize::from(index);
+        self.graph.pin_drivers.row(row)
     }
 
     /// The tile a routing node geometrically belongs to (used by the router's
@@ -582,7 +601,28 @@ impl DeviceBuilder {
             },
         );
 
-        // 5. Configuration layout. The FF-mux pass emits input muxes and the
+        // 5. Each input pin's drivers, grouped by the pin's position among
+        //    the sites' input pins.
+        let pin_drivers = {
+            let (nodes, in_pins) = (&self.nodes, &self.in_pins_of_site);
+            let entering: Vec<(u32, NodeId)> = ends
+                .iter()
+                .filter_map(|&(src, dst)| match nodes[dst.index()] {
+                    RouteNode::InPin { site, pin } => Some((
+                        (in_pins.offset(site.index()) + usize::from(pin)) as u32,
+                        src,
+                    )),
+                    _ => None,
+                })
+                .collect();
+            Rows::group(
+                in_pins.offset(self.sites.len()),
+                entering.iter().map(|&(row, _)| row as usize),
+                |i| entering[i].1,
+            )
+        };
+
+        // 6. Configuration layout. The FF-mux pass emits input muxes and the
         //    switchbox pass switchbox PIPs, so only a pin PIP's category
         //    needs its endpoints.
         let (nodes, sites) = (&self.nodes, &self.sites);
@@ -612,6 +652,7 @@ impl DeviceBuilder {
             fanout,
             out_pin_of_site: self.out_pin_of_site,
             in_pins_of_site: self.in_pins_of_site,
+            pin_drivers,
             lut_sites: self.lut_sites,
             ff_sites: self.ff_sites,
             iob_sites: self.iob_sites,
@@ -923,6 +964,58 @@ mod tests {
                 0x561a_f443_48f8_3001,
             ]
         );
+    }
+
+    /// The lean preset the fuzzer rotates in: starved channels and pin
+    /// candidates.
+    fn lean(cols: u16, rows: u16) -> DeviceParams {
+        DeviceParams {
+            tracks: 8,
+            out_pin_candidates: 4,
+            in_pin_candidates: 2,
+            sb_same_tile: 2,
+            sb_neighbor: 2,
+            ..DeviceParams::small(cols, rows)
+        }
+    }
+
+    /// Every input pin's driver row equals the sources of the PIPs entering
+    /// it, gathered by a scan of all PIPs in id order.
+    #[test]
+    fn pin_drivers_match_a_reverse_scan_of_the_pips() {
+        let paper = DeviceParams {
+            cols: 54,
+            rows: 40,
+            tracks: 182,
+            ..DeviceParams::xc2s200e_like()
+        };
+        let five_tracks = DeviceParams {
+            tracks: 5,
+            ..DeviceParams::small(3, 3)
+        };
+        for params in [DeviceParams::small(24, 24), lean(6, 6), five_tracks, paper] {
+            let d = Device::new(params);
+            let mut entering: Vec<(NodeId, NodeId)> = (0..d.pip_count())
+                .map(|p| d.pip_endpoints(PipId::from_index(p)))
+                .filter(|&(_, dst)| d.node(dst).is_in_pin())
+                .map(|(src, dst)| (dst, src))
+                .collect();
+            // Stable: each pin's drivers stay in PIP id order.
+            entering.sort_by_key(|&(dst, _)| dst);
+            let mut rows = entering.chunk_by(|a, b| a.0 == b.0);
+            let mut pins = 0;
+            for (id, site) in d.sites() {
+                for &pin in d.in_pins(id) {
+                    let expected: Vec<NodeId> = match rows.next() {
+                        Some(row) if row[0].0 == pin => row.iter().map(|&(_, src)| src).collect(),
+                        _ => panic!("{params:?}: no PIP enters pin {pin} of {site}"),
+                    };
+                    assert_eq!(d.pin_drivers(pin), expected, "{params:?}: pin {pin}");
+                    pins += 1;
+                }
+            }
+            assert!(rows.next().is_none() && pins > 0, "{params:?}");
+        }
     }
 
     #[test]

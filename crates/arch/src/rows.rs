@@ -1,8 +1,9 @@
 //! Variable-length rows in one flat array.
 
 /// Variable-length rows stored in one flat array: row `i` is
-/// `items[start[i]..start[i + 1]]`. The device keeps its per-node fanout
-/// and per-site pin lists this way: one allocation each, not one per row.
+/// `items[start[i]..start[i + 1]]`. The device keeps its per-node fanout,
+/// per-site pin lists and per-pin driver lists this way: one allocation
+/// each, not one per row.
 #[derive(Debug)]
 pub(crate) struct Rows<T> {
     start: Vec<u32>,
@@ -48,6 +49,16 @@ impl<T: Copy> Rows<T> {
     pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
         self.items.extend(row);
         self.start.push(self.items.len() as u32);
+    }
+
+    /// Position of row `i`'s first item in the flat array: the rows' items
+    /// are numbered consecutively, row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn offset(&self, i: usize) -> usize {
+        self.start[i] as usize
     }
 
     /// Row `i`.

@@ -1,8 +1,9 @@
-//! Admissible distance lookahead for the A* router.
+//! Admissible lookahead for the A* router.
 //!
-//! [`cost_floor`] maps the tile Manhattan distance between a node and the
-//! target sink to a lower bound on the cost of the node sequence that can
-//! still lie ahead:
+//! Two lower bounds on the cost of the node sequence that can still lie
+//! between a node and the target sink pin.
+//!
+//! [`cost_floor`] knows only the tile Manhattan distance `d`:
 //!
 //! * every PIP moves at most one tile (the switchbox connects cardinal
 //!   neighbours only), so a node `d` tiles away needs at least `d` more
@@ -14,10 +15,35 @@
 //!   architecture's "long input" PIPs), so that last hop already covers one
 //!   tile of distance and saves one wire from the bound.
 //!
-//! The bound holds on every device the builder makes: a device without
-//! long-input PIPs only has costlier paths.
+//! It is 0 on every wire of the sink's own tile, although only a handful of
+//! those wires, plus one wire in each neighbouring tile, drive the pin.
+//!
+//! The sink-specific map lookahead ([`Lookahead`]) knows which wires those
+//! are. Every wire's switchbox PIPs lead to the same relative
+//! `(dx, dy, track offset)` targets, its *stencil*: the builder uses the
+//! same offsets in every tile, and edge tiles only lose neighbours. A sink's
+//! wire drivers, taken relative to the sink's tile and to the first driver's
+//! track, form its *driver pattern*, and most sinks share one of a few
+//! patterns. A breadth-first search backward from a pattern over the
+//! stencil counts, for every wire near the sink, the switchbox hops it needs
+//! to reach a driver: a lower bound on the real device, which offers each
+//! wire a subset of the stencil. The floor is then
+//!
+//! * 0 at the sink,
+//! * the pin base cost at a driver (a wire driver reads 0 hops, and an
+//!   output pin that feeds the sink through the FF mux is priced by the
+//!   router),
+//! * the pin base cost plus one wire base cost per hop for a wire within
+//!   [`REACH`] tiles of the sink in both axes,
+//! * [`cost_floor`] everywhere else.
+//!
+//! The hop tables are built per route call, for the patterns its sinks use.
+//! A device without a tile that has four neighbours, such as a 2 × 2 grid,
+//! has no full stencil and keeps [`cost_floor`] everywhere.
 
 use crate::route::{PIN_COST, WIRE_COST};
+use std::collections::HashMap;
+use tmr_arch::{Device, NodeId, RouteNode, TileCoord};
 
 /// Lower bound on the remaining route cost from a node `distance` tiles away
 /// from the target sink: 0 in the sink's own tile, and `distance − 1` wires
@@ -31,11 +57,249 @@ pub(crate) fn cost_floor(distance: u32) -> f32 {
     }
 }
 
+/// Switchbox hops a hop table searches; farther wires read `DEPTH + 1`.
+const DEPTH: u8 = 8;
+
+/// Wires at most this many tiles from the sink in both axes read their hop
+/// table; the others read [`cost_floor`].
+const REACH: i32 = 4;
+
+/// A wire relative to a sink or to another wire: `(dx, dy, track offset)`,
+/// the offset taken modulo the track count.
+type Offset = (i8, i8, u16);
+
+/// The switchbox hops from every wire around a sink to the nearest of its
+/// driver wires, one byte per `(dx, dy, relative track)` of a square window.
+struct HopTable {
+    /// Half-width of the window: the farthest driver's tile offset plus
+    /// [`DEPTH`], which a search of that depth cannot leave.
+    radius: i32,
+    hops: Box<[u8]>,
+}
+
+/// The map lookahead of one route call: the device's switchbox stencil and
+/// one hop table per driver pattern of the call's sinks.
+pub(crate) struct Lookahead {
+    tracks: u16,
+    /// Every switchbox PIP's target relative to its source wire; empty on a
+    /// device without a four-neighbour tile.
+    stencil: Vec<Offset>,
+    patterns: HashMap<Vec<Offset>, u32>,
+    tables: Vec<HopTable>,
+}
+
+/// What the router needs to price nodes against one sink: the sink's tile,
+/// its pattern's hop table and the track its pattern is relative to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Target {
+    tile: TileCoord,
+    /// Index into the lookahead's tables, or `NO_TABLE`.
+    table: u32,
+    reference: u16,
+}
+
+const NO_TABLE: u32 = u32::MAX;
+
+impl Lookahead {
+    /// The lookahead of `device`, with its stencil read off the wires of the
+    /// first tile that has four neighbours and no hop table yet.
+    pub(crate) fn new(device: &Device) -> Self {
+        let tracks = device.params().tracks;
+        let (cols, rows) = (device.cols(), device.rows());
+        let mut stencil = Vec::new();
+        if cols >= 3 && rows >= 3 {
+            let tile = TileCoord::new(1, 1);
+            for track in 0..tracks {
+                let wire = device
+                    .node_id(RouteNode::Wire { tile, track })
+                    .expect("the tile has every track");
+                stencil.extend(
+                    device
+                        .fanout(wire)
+                        .iter()
+                        .filter_map(|edge| relative(device, edge.dst, tile, track, tracks)),
+                );
+            }
+            stencil.sort_unstable();
+            stencil.dedup();
+        }
+        Self {
+            tracks,
+            stencil,
+            patterns: HashMap::new(),
+            tables: Vec::new(),
+        }
+    }
+
+    /// The target for the input pin `sink`, building its driver pattern's
+    /// hop table on first use.
+    pub(crate) fn target(&mut self, device: &Device, sink: NodeId) -> Target {
+        let tile = device.node_tile(sink);
+        let wires =
+            device
+                .pin_drivers(sink)
+                .iter()
+                .filter_map(|&driver| match device.node(driver) {
+                    RouteNode::Wire { tile, track } => Some((tile, track)),
+                    _ => None,
+                });
+        let mut pattern = Vec::new();
+        let mut reference = 0;
+        for (index, (wire_tile, track)) in wires.enumerate() {
+            if index == 0 {
+                reference = track;
+            }
+            pattern.push((
+                (i32::from(wire_tile.x) - i32::from(tile.x)) as i8,
+                (i32::from(wire_tile.y) - i32::from(tile.y)) as i8,
+                track_offset(reference, track, self.tracks),
+            ));
+        }
+        let table = if self.stencil.is_empty() || pattern.is_empty() {
+            NO_TABLE
+        } else {
+            pattern.sort_unstable();
+            match self.patterns.get(&pattern) {
+                Some(&table) => table,
+                None => {
+                    let table = self.tables.len() as u32;
+                    self.tables.push(self.hop_table(&pattern));
+                    self.patterns.insert(pattern, table);
+                    table
+                }
+            }
+        };
+        Target {
+            tile,
+            table,
+            reference,
+        }
+    }
+
+    /// The floor function of one target.
+    pub(crate) fn floor(&self, target: Target) -> SinkFloor<'_> {
+        SinkFloor {
+            x: target.tile.x,
+            y: target.tile.y,
+            table: self.tables.get(target.table as usize),
+            reference: target.reference,
+            tracks: self.tracks,
+        }
+    }
+
+    /// Breadth-first search backward from `pattern` over the stencil, to
+    /// [`DEPTH`] hops.
+    fn hop_table(&self, pattern: &[Offset]) -> HopTable {
+        let tracks = usize::from(self.tracks);
+        let reach = pattern
+            .iter()
+            .map(|&(dx, dy, _)| i32::from(dx.unsigned_abs().max(dy.unsigned_abs())))
+            .max()
+            .unwrap_or(0);
+        let radius = reach + i32::from(DEPTH);
+        let side = (2 * radius + 1) as usize;
+        let mut hops = vec![DEPTH + 1; side * side * tracks].into_boxed_slice();
+        let index = |dx: i32, dy: i32, track: usize| {
+            ((dx + radius) as usize * side + (dy + radius) as usize) * tracks + track
+        };
+        let mut frontier: Vec<(i32, i32, usize)> = Vec::new();
+        for &(dx, dy, track) in pattern {
+            let entry = (i32::from(dx), i32::from(dy), usize::from(track));
+            hops[index(entry.0, entry.1, entry.2)] = 0;
+            frontier.push(entry);
+        }
+        let mut next = Vec::new();
+        for depth in 1..=DEPTH {
+            for &(dx, dy, track) in &frontier {
+                // A wire reaches `(dx, dy, track)` in one hop if it sits one
+                // stencil step before it.
+                for &(sx, sy, offset) in &self.stencil {
+                    let (px, py) = (dx - i32::from(sx), dy - i32::from(sy));
+                    if px.abs() > radius || py.abs() > radius {
+                        continue;
+                    }
+                    let pt = (track + tracks - usize::from(offset)) % tracks;
+                    let slot = &mut hops[index(px, py, pt)];
+                    if *slot == DEPTH + 1 {
+                        *slot = depth;
+                        next.push((px, py, pt));
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
+        }
+        HopTable { radius, hops }
+    }
+}
+
+/// `wire` relative to the wire `track` of `tile`, if it is a wire.
+fn relative(
+    device: &Device,
+    wire: NodeId,
+    tile: TileCoord,
+    track: u16,
+    tracks: u16,
+) -> Option<Offset> {
+    match device.node(wire) {
+        RouteNode::Wire {
+            tile: to,
+            track: to_track,
+        } => Some((
+            (i32::from(to.x) - i32::from(tile.x)) as i8,
+            (i32::from(to.y) - i32::from(tile.y)) as i8,
+            track_offset(track, to_track, tracks),
+        )),
+        _ => None,
+    }
+}
+
+/// How many tracks `to` lies past `from`, modulo `tracks`.
+#[inline]
+fn track_offset(from: u16, to: u16, tracks: u16) -> u16 {
+    ((u32::from(to) + u32::from(tracks) - u32::from(from)) % u32::from(tracks)) as u16
+}
+
+/// The lower bound on the remaining cost to one sink, from any wire.
+pub(crate) struct SinkFloor<'a> {
+    x: u16,
+    y: u16,
+    table: Option<&'a HopTable>,
+    reference: u16,
+    tracks: u16,
+}
+
+impl SinkFloor<'_> {
+    /// Tile Manhattan distance from `(x, y)` to the sink.
+    #[inline]
+    pub(crate) fn distance(&self, x: u16, y: u16) -> u32 {
+        u32::from(x.abs_diff(self.x)) + u32::from(y.abs_diff(self.y))
+    }
+
+    /// Lower bound on the remaining cost from the wire `track` of tile
+    /// `(x, y)`.
+    #[inline]
+    pub(crate) fn wire(&self, x: u16, y: u16, track: u16) -> f32 {
+        let dx = i32::from(x) - i32::from(self.x);
+        let dy = i32::from(y) - i32::from(self.y);
+        if let Some(table) = self.table {
+            if dx.abs() <= REACH && dy.abs() <= REACH {
+                let relative = usize::from(track_offset(self.reference, track, self.tracks));
+                let side = (2 * table.radius + 1) as usize;
+                let cell = (dx + table.radius) as usize * side + (dy + table.radius) as usize;
+                let hops = table.hops[cell * usize::from(self.tracks) + relative];
+                return PIN_COST + f32::from(hops) * WIRE_COST;
+            }
+        }
+        cost_floor(dx.unsigned_abs() + dy.unsigned_abs())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::route::base_cost;
-    use tmr_arch::{Device, DeviceParams, NodeId};
+    use tmr_arch::{DeviceParams, PipId};
 
     /// Every distance a node can have from a sink on either preset.
     fn preset_distances() -> impl Iterator<Item = u32> {
@@ -61,6 +325,29 @@ mod tests {
         for d in preset_distances() {
             let floor = cost_floor(d);
             assert!(floor <= d as f32, "floor {floor} exceeds distance {d}");
+        }
+    }
+
+    /// The lean preset the fuzzer rotates in: starved channels and pin
+    /// candidates, so pins are reached over few, long detours.
+    fn lean() -> DeviceParams {
+        DeviceParams {
+            tracks: 8,
+            out_pin_candidates: 4,
+            in_pin_candidates: 2,
+            sb_same_tile: 2,
+            sb_neighbor: 2,
+            ..DeviceParams::small(6, 6)
+        }
+    }
+
+    /// The auto-sized device every paper number is computed on.
+    fn paper() -> DeviceParams {
+        DeviceParams {
+            cols: 54,
+            rows: 40,
+            tracks: 182,
+            ..DeviceParams::xc2s200e_like()
         }
     }
 
@@ -95,56 +382,157 @@ mod tests {
         cost
     }
 
-    /// Checks `cost_floor(manhattan)` against the exact remaining cost for
-    /// every node that reaches one of `samples` evenly spaced input pins,
-    /// and returns the number of node–pin pairs checked.
-    fn assert_floor_is_admissible(device: &Device, samples: usize) -> usize {
+    /// The sink-specific floor from `node` to `sink`, priced as the router
+    /// prices it: 0 at the sink, the pin cost at an output pin that drives
+    /// the sink, the hop floor on wires and the distance floor elsewhere.
+    fn sink_floor(device: &Device, floor: &SinkFloor<'_>, node: NodeId, sink: NodeId) -> f32 {
+        let tile = device.node_tile(node);
+        match device.node(node) {
+            _ if node == sink => 0.0,
+            RouteNode::Wire { track, .. } => floor.wire(tile.x, tile.y, track),
+            _ if device.pin_drivers(sink).contains(&node) => PIN_COST,
+            _ => cost_floor(floor.distance(tile.x, tile.y)),
+        }
+    }
+
+    /// Checks `cost_floor` and the sink-specific floor against the exact
+    /// remaining cost for every node that reaches one of `samples` evenly
+    /// spaced input pins. Returns the number of node–pin pairs checked and
+    /// how many of them the sink-specific floor prices exactly.
+    fn assert_floors_are_admissible(device: &Device, samples: usize) -> (usize, usize) {
         let mut incoming: Vec<Vec<NodeId>> = vec![Vec::new(); device.node_count()];
         for index in 0..device.pip_count() {
-            let pip = device.pip(tmr_arch::PipId::from_index(index));
-            incoming[pip.dst.index()].push(pip.src);
+            let (src, dst) = device.pip_endpoints(PipId::from_index(index));
+            incoming[dst.index()].push(src);
         }
         let pins: Vec<NodeId> = (0..device.node_count())
             .map(NodeId::from_index)
             .filter(|&node| device.node(node).is_in_pin())
             .collect();
-        let mut pairs = 0;
+        let mut lookahead = Lookahead::new(device);
+        let (mut pairs, mut exact_pairs) = (0, 0);
         for &sink in pins.iter().step_by(pins.len().div_ceil(samples)) {
             let sink_tile = device.node_tile(sink);
+            let target = lookahead.target(device, sink);
+            let floor = lookahead.floor(target);
             for (index, exact) in exact_costs_to(device, &incoming, sink)
                 .into_iter()
                 .enumerate()
             {
                 let Some(exact) = exact else { continue };
                 let node = NodeId::from_index(index);
-                let floor = cost_floor(device.node_tile(node).manhattan(sink_tile));
                 // The tolerance absorbs the f32 rounding of the floors; every
                 // cost step is at least 0.95.
+                let distance = cost_floor(device.node_tile(node).manhattan(sink_tile));
                 assert!(
-                    f64::from(floor) <= exact + 1e-4,
-                    "floor {floor} exceeds the exact cost {exact} from node {node} to pin {sink}"
+                    f64::from(distance) <= exact + 1e-4,
+                    "distance floor {distance} exceeds the exact cost {exact} from node {node} to pin {sink}"
+                );
+                let specific = f64::from(sink_floor(device, &floor, node, sink));
+                assert!(
+                    specific <= exact + 1e-4,
+                    "sink floor {specific} exceeds the exact cost {exact} from node {node} to pin {sink}"
                 );
                 pairs += 1;
+                exact_pairs += usize::from(specific + 1e-4 >= exact);
             }
         }
-        pairs
+        (pairs, exact_pairs)
     }
 
     #[test]
     fn floors_never_exceed_the_exact_cost_to_a_pin() {
-        let small = assert_floor_is_admissible(&Device::small(6, 6), 32);
-        // The lean preset the fuzzer rotates in: starved channels and pin
-        // candidates, so pins are reached over few, long detours.
-        let mut lean = DeviceParams::small(6, 6);
-        lean.tracks = 8;
-        lean.out_pin_candidates = 4;
-        lean.in_pin_candidates = 2;
-        lean.sb_same_tile = 2;
-        lean.sb_neighbor = 2;
-        let lean = assert_floor_is_admissible(&Device::new(lean), 32);
-        assert!(
-            small > 0 && lean > 0,
-            "the oracle checked {small} / {lean} pairs"
-        );
+        for (name, params, samples) in [
+            ("small(6, 6)", DeviceParams::small(6, 6), 32),
+            ("lean", lean(), 32),
+            ("xc2s200e_like", DeviceParams::xc2s200e_like(), 6),
+        ] {
+            let (pairs, exact) = assert_floors_are_admissible(&Device::new(params), samples);
+            println!(
+                "{name}: {pairs} node-pin pairs, {exact} ({:.0} %) priced exactly by the sink floor",
+                100.0 * exact as f64 / pairs.max(1) as f64
+            );
+            assert!(pairs > 0, "{name}: the oracle checked no pair");
+        }
+    }
+
+    /// Every switchbox PIP, taken relative to its source wire, is a stencil
+    /// step: so hop counts over the stencil are lower bounds on the device.
+    #[test]
+    fn the_stencil_covers_every_switchbox_pip() {
+        let five_tracks = DeviceParams {
+            tracks: 5,
+            ..DeviceParams::small(3, 3)
+        };
+        for params in [DeviceParams::small(24, 24), lean(), five_tracks, paper()] {
+            let device = Device::new(params);
+            let lookahead = Lookahead::new(&device);
+            assert!(!lookahead.stencil.is_empty(), "{params:?}");
+            for index in 0..device.pip_count() {
+                let (src, dst) = device.pip_endpoints(PipId::from_index(index));
+                let RouteNode::Wire { tile, track } = device.node(src) else {
+                    continue;
+                };
+                if let Some(step) = relative(&device, dst, tile, track, params.tracks) {
+                    assert!(
+                        lookahead.stencil.binary_search(&step).is_ok(),
+                        "{params:?}: PIP {src} -> {dst} is no stencil step"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every tile of an 8 × 2 grid lies on its perimeter, so there is no
+    /// stencil and no hop table: wires read the distance floor, and nets
+    /// still route.
+    #[test]
+    fn a_device_without_a_four_neighbour_tile_routes_on_the_distance_floor() {
+        use crate::{place, route_with_telemetry, PlacerOptions, RouterOptions};
+        use tmr_synth::{lower, optimize, techmap};
+        let device = Device::small(8, 2);
+        let mut lookahead = Lookahead::new(&device);
+        assert!(lookahead.stencil.is_empty());
+        for (site, _) in device.sites() {
+            for &pin in device.in_pins(site) {
+                let target = lookahead.target(&device, pin);
+                let floor = lookahead.floor(target);
+                for &driver in device.pin_drivers(pin) {
+                    if let RouteNode::Wire { tile, track } = device.node(driver) {
+                        let distance = floor.distance(tile.x, tile.y);
+                        assert_eq!(floor.wire(tile.x, tile.y, track), cost_floor(distance));
+                    }
+                }
+            }
+        }
+        assert!(lookahead.tables.is_empty());
+        let netlist = techmap(&optimize(&lower(&tmr_designs::counter(4)).unwrap())).unwrap();
+        let placement = place(&device, &netlist, &PlacerOptions::default()).unwrap();
+        let (routes, telemetry) =
+            route_with_telemetry(&device, &netlist, &placement, &RouterOptions::default());
+        assert!(routes.is_ok_and(|routes| !routes.is_empty()));
+        assert!(telemetry.converged());
+    }
+
+    /// The paper device's sinks share a handful of driver patterns, so a
+    /// route call builds a handful of hop tables.
+    #[test]
+    fn sinks_share_few_driver_patterns() {
+        let device = Device::new(paper());
+        let mut lookahead = Lookahead::new(&device);
+        let interior = TileCoord::new(20, 20);
+        for (site, _) in device.sites().filter(|(_, s)| s.tile == interior) {
+            for &pin in device.in_pins(site) {
+                let target = lookahead.target(&device, pin);
+                // A wire driver is one hop short of the sink.
+                let floor = lookahead.floor(target);
+                for &driver in device.pin_drivers(pin) {
+                    if let RouteNode::Wire { tile, track } = device.node(driver) {
+                        assert_eq!(floor.wire(tile.x, tile.y, track), PIN_COST);
+                    }
+                }
+            }
+        }
+        assert_eq!(lookahead.tables.len(), 1, "interior pins share one pattern");
     }
 }

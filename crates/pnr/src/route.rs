@@ -3,12 +3,15 @@
 //! The router combines four mechanisms:
 //!
 //! * **Directed search.** Every sink is found with A* over the device's
-//!   routing graph, at heuristic weight `ASTAR_WEIGHT` (2.25) over the
-//!   admissible distance floor of `lookahead::cost_floor`. Expansions walk the
-//!   device's own fanout rows ([`Device::fanout`]); the open list is a 4-ary
-//!   heap over packed keys that the partial tree seeds with one heapify. All
-//!   search state lives in generation-stamped scratch arrays indexed by node
-//!   id, so routing a net allocates nothing.
+//!   routing graph, at heuristic weight `ASTAR_WEIGHT` (2.25) over an
+//!   admissible floor: near the sink, the switchbox hops from each wire to
+//!   the pin's own drivers (`lookahead::Lookahead`, built per call for the
+//!   driver patterns of its sinks), elsewhere the distance floor
+//!   `lookahead::cost_floor`. Expansions walk the device's own fanout rows
+//!   ([`Device::fanout`]); the open list is a 4-ary heap over packed keys
+//!   that the partial tree seeds with one heapify. All search state lives in
+//!   generation-stamped scratch arrays indexed by node id, so routing a net
+//!   allocates nothing.
 //! * **Net-by-net negotiation.** Each PathFinder iteration walks the nets
 //!   in order. A net whose tree is missing or touches an overused node is
 //!   ripped up, rerouted against the live occupancy and committed before the
@@ -26,7 +29,7 @@
 //!   need to converge; a run whose overuse does not fall in iteration 2
 //!   never leaves it.
 
-use crate::lookahead::cost_floor;
+use crate::lookahead::{cost_floor, Lookahead, Target};
 use crate::queue::OpenList;
 use crate::routed::RouteTree;
 use crate::{Placement, PnrError};
@@ -48,8 +51,9 @@ use tmr_netlist::{NetDriver, NetId, NetSink, Netlist};
 ///
 /// History: `1` is the overuse-reactive present-factor ramp; `2` is
 /// range-limited placement; `3` routes every net at one heuristic weight,
-/// unconfined, in one in-order walk.
-pub const ROUTE_EPOCH: u64 = 3;
+/// unconfined, in one in-order walk; `4` prices the wires near each sink by
+/// their switchbox hops to the sink's own drivers.
+pub const ROUTE_EPOCH: u64 = 4;
 
 /// A* heuristic weight (1.0 = admissible, larger = faster but greedier).
 const ASTAR_WEIGHT: f32 = 2.25;
@@ -81,7 +85,19 @@ struct NetTerminals {
     source: NodeId,
     /// Sinks sorted by Manhattan distance from the source tile, so the
     /// closest sinks are routed first and later sinks reuse the growing tree.
-    sinks: Vec<(NodeId, tmr_netlist::CellId, usize)>,
+    sinks: Vec<Sink>,
+}
+
+/// One input pin a net must reach.
+struct Sink {
+    node: NodeId,
+    cell: tmr_netlist::CellId,
+    pin: usize,
+    /// The sink's lookahead target.
+    target: Target,
+    /// Whether the net's source output pin drives the sink directly (an FF
+    /// mux PIP), so the source is one pin entry away from it.
+    fed_by_source: bool,
 }
 
 /// One negotiation iteration's congestion signals.
@@ -178,24 +194,32 @@ pub fn route_with_telemetry(
 struct RouteContext<'a> {
     device: &'a Device,
     netlist: &'a Netlist,
+    lookahead: Lookahead,
 }
 
 /// Everything the expansion loop needs to price and locate one node, packed
 /// into a single 12-byte record so each neighbour touch costs one cache line
-/// instead of five (`cost_static`, `occupancy`, `is_in_pin`, `tile_x`,
-/// `tile_y` used to live in separate arrays). `cost_static` (base + history)
-/// is refreshed once per iteration, `occupancy` at every rip-up and commit.
+/// instead of five (`cost_static`, `occupancy`, `track`, `tile_x`, `tile_y`
+/// used to live in separate arrays). `cost_static` (base + history) is
+/// refreshed once per iteration, `occupancy` at every rip-up and commit.
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
     /// Congestion-free cost of the node this iteration: base + history.
     cost_static: f32,
     /// Current committed occupant count.
     occupancy: u16,
-    /// 1 if the node is a cell input pin (enterable only as the target sink).
-    is_in_pin: u16,
+    /// A wire's track, [`IN_PIN`] for a cell input pin (enterable only as the
+    /// target sink) or [`OUT_PIN`] for a cell output pin.
+    track: u16,
     tile_x: u16,
     tile_y: u16,
 }
+
+/// [`NodeState::track`] of a cell input pin.
+const IN_PIN: u16 = u16::MAX;
+
+/// [`NodeState::track`] of a cell output pin.
+const OUT_PIN: u16 = u16::MAX - 1;
 
 /// Per-node A* search record (cost, visit stamp, arriving PIP), packed for
 /// the same reason as [`NodeState`].
@@ -269,6 +293,10 @@ fn route_inner(
     const PRESENT_FACTOR_MAX: f64 = 32.0;
     const HISTORY_INCREMENT: f64 = 1.5;
     let node_count = device.node_count();
+    assert!(
+        device.params().tracks < OUT_PIN,
+        "track ids fit below the pin sentinels"
+    );
     let mut base = vec![0f32; node_count];
     let mut states = Vec::with_capacity(node_count);
     for (index, base_slot) in base.iter_mut().enumerate() {
@@ -279,13 +307,22 @@ fn route_inner(
         states.push(NodeState {
             cost_static: *base_slot,
             occupancy: 0,
-            is_in_pin: u16::from(node.is_in_pin()),
+            track: match node {
+                RouteNode::Wire { track, .. } => track,
+                RouteNode::InPin { .. } => IN_PIN,
+                RouteNode::OutPin { .. } => OUT_PIN,
+            },
             tile_x: tile.x,
             tile_y: tile.y,
         });
     }
-    let ctx = RouteContext { device, netlist };
-    let nets = collect_terminals(device, netlist, placement);
+    let mut lookahead = Lookahead::new(device);
+    let nets = collect_terminals(device, netlist, placement, &mut lookahead);
+    let ctx = RouteContext {
+        device,
+        netlist,
+        lookahead,
+    };
 
     let mut history = vec![0f32; node_count];
     let mut scratch = RouterScratch::new(node_count);
@@ -491,6 +528,7 @@ fn collect_terminals(
     device: &Device,
     netlist: &Netlist,
     placement: &Placement,
+    lookahead: &mut Lookahead,
 ) -> Vec<NetTerminals> {
     let mut nets = Vec::new();
     for (net_id, net) in netlist.nets() {
@@ -498,13 +536,20 @@ fn collect_terminals(
             Some(NetDriver::Cell(c)) => c,
             _ => continue,
         };
-        let mut sinks: Vec<(NodeId, tmr_netlist::CellId, usize)> = net
+        let source = device.out_pin(placement.site(driver));
+        let mut sinks: Vec<Sink> = net
             .sinks
             .iter()
             .filter_map(|sink| match sink {
                 NetSink::CellPin { cell, pin } => {
-                    let site = placement.site(*cell);
-                    Some((device.in_pins(site)[*pin], *cell, *pin))
+                    let node = device.in_pins(placement.site(*cell))[*pin];
+                    Some(Sink {
+                        node,
+                        cell: *cell,
+                        pin: *pin,
+                        target: lookahead.target(device, node),
+                        fed_by_source: device.pin_drivers(node).contains(&source),
+                    })
                 }
                 NetSink::Output(_) => None,
             })
@@ -512,11 +557,10 @@ fn collect_terminals(
         if sinks.is_empty() {
             continue;
         }
-        let source = device.out_pin(placement.site(driver));
         let source_tile = device.node_tile(source);
         // Route the closest sinks first so later sinks reuse the growing
         // tree (stable sort: equal distances keep netlist pin order).
-        sinks.sort_by_key(|(node, _, _)| device.node_tile(*node).manhattan(source_tile));
+        sinks.sort_by_key(|sink| device.node_tile(sink.node).manhattan(source_tile));
         nets.push(NetTerminals {
             net: net_id,
             source,
@@ -554,19 +598,21 @@ fn route_net(
         scratch.in_tree[node.index()] = tree_generation;
     }
 
-    for &(sink_node, sink_cell, sink_pin) in &terminals.sinks {
+    for sink in &terminals.sinks {
+        let (sink_node, sink_cell, sink_pin) = (sink.node, sink.cell, sink.pin);
         if scratch.in_tree[sink_node.index()] == tree_generation {
             tree.sinks.push((sink_node, sink_cell, sink_pin));
             continue;
         }
-        let target_x = states[sink_node.index()].tile_x;
-        let target_y = states[sink_node.index()].tile_y;
+        let floor = ctx.lookahead.floor(sink.target);
 
         scratch.current_generation += 1;
         let generation_id = scratch.current_generation;
         // Seed the search with every tree node: distinct nodes, so distinct
         // keys, and one heapify pops them in the same order as pushing them
-        // one by one.
+        // one by one. Besides wires the tree holds the source output pin,
+        // one pin entry from the sink if it feeds it directly, and sinks
+        // already reached, which drive nothing.
         scratch.queue.clear();
         for &node in &tree.nodes {
             let index = node.index();
@@ -576,10 +622,14 @@ fn route_net(
                 generation: generation_id,
                 prev_pip: u32::MAX,
             };
-            let distance = u32::from(state.tile_x.abs_diff(target_x))
-                + u32::from(state.tile_y.abs_diff(target_y));
-            let estimate = cost_floor(distance) * ASTAR_WEIGHT;
-            scratch.queue.push_unordered(estimate, 0.0, node);
+            let remaining = match state.track {
+                OUT_PIN if sink.fed_by_source => PIN_COST,
+                IN_PIN | OUT_PIN => cost_floor(floor.distance(state.tile_x, state.tile_y)),
+                track => floor.wire(state.tile_x, state.tile_y, track),
+            };
+            scratch
+                .queue
+                .push_unordered(remaining * ASTAR_WEIGHT, 0.0, node);
         }
         scratch.queue.heapify();
 
@@ -605,17 +655,21 @@ fn route_net(
                 let index = edge.dst.index();
                 let state = states[index];
                 // Never route through another cell's input pin; only the
-                // target sink pin is enterable.
-                if state.is_in_pin != 0 && index != sink_index {
+                // target sink pin is enterable. No PIP enters an output pin,
+                // so every other node is a wire.
+                if state.track == IN_PIN && index != sink_index {
                     continue;
                 }
                 let step = state.cost_static * (1.0 + present_factor * f32::from(state.occupancy));
                 let next_cost = cost + step;
                 let rec = &mut scratch.search[index];
                 if rec.generation != generation_id || next_cost + f32::EPSILON < rec.best_cost {
-                    let distance = u32::from(state.tile_x.abs_diff(target_x))
-                        + u32::from(state.tile_y.abs_diff(target_y));
-                    let estimate = next_cost + cost_floor(distance) * ASTAR_WEIGHT;
+                    let estimate = if index == sink_index {
+                        next_cost
+                    } else {
+                        next_cost
+                            + floor.wire(state.tile_x, state.tile_y, state.track) * ASTAR_WEIGHT
+                    };
                     if estimate > sink_bound {
                         continue;
                     }
@@ -815,7 +869,7 @@ mod tests {
 
     #[test]
     fn sparse_congestion_takes_the_fast_ramp() {
-        // A 4-tap moving sum on a 5x5 device (placement seed 3) leaves 5
+        // A 4-tap moving sum on a 5x5 device (placement seed 3) leaves 18
         // nodes overused after iteration 1 and 2 after iteration 2. Overuse
         // fell, so the factor doubles for iteration 3 instead of growing ×1.2.
         let device = Device::small(5, 5);
@@ -829,7 +883,7 @@ mod tests {
             .iter()
             .map(|it| (it.overused_nodes, it.present_factor))
             .collect();
-        assert_eq!(steps, [(5, 0.6), (2, 0.6 * 1.2), (0, 0.6 * 1.2 * 2.0)]);
+        assert_eq!(steps, [(18, 0.6), (2, 0.6 * 1.2), (0, 0.6 * 1.2 * 2.0)]);
     }
 
     #[test]

@@ -26,11 +26,11 @@ use tmr_fpga::tmr::par_map;
 
 /// `(variant, analysis digest)` of the small FIR on the 24x24 device.
 const PINS: [(&str, u64); 5] = [
-    ("standard", 0xe35e_30da_5e9b_cd64),
-    ("tmr_p1", 0x32b8_eeb1_8e8c_537f),
-    ("tmr_p2", 0x13a0_3dbf_ce69_b373),
-    ("tmr_p3", 0xb451_08d1_1e15_7447),
-    ("tmr_p3_nv", 0x518d_4736_78f9_4388),
+    ("standard", 0x698f_c480_3cb1_22f9),
+    ("tmr_p1", 0x664c_7c24_fc5d_5b9b),
+    ("tmr_p2", 0x8dd0_135f_fef0_02fc),
+    ("tmr_p3", 0x802b_994c_0e56_b6de),
+    ("tmr_p3_nv", 0xbdc1_103a_7729_9859),
 ];
 
 /// Representative bits kept per distinct verdict, evenly spread over the

@@ -74,13 +74,13 @@ fn campaign_fingerprints_are_pinned() {
         .seed(1)
         .build();
     let plain = CampaignBuilder::new().faults(60).cycles(8);
-    assert_eq!(flow.campaign_fingerprint(&plain), 0x5ad1_ba75_84e7_606f);
+    assert_eq!(flow.campaign_fingerprint(&plain), 0xcff6_5219_f34b_78f1);
     let streaming = CampaignBuilder::new()
         .faults(200)
         .cycles(8)
         .batch_size(64)
         .early_stop(EarlyStop::at_half_width(0.01));
-    assert_eq!(flow.campaign_fingerprint(&streaming), 0xdb8e_de8c_e036_2db8);
+    assert_eq!(flow.campaign_fingerprint(&streaming), 0x7014_1217_5182_27be);
 }
 
 #[test]

@@ -26,30 +26,31 @@ use tmr_fpga::ArtifactCache;
 
 /// `(variant, negotiation iterations, A* nodes expanded, route digest)` of
 /// the small FIR on the 24x24 device, measured with the A* router at one
-/// heuristic weight over its admissible distance floor. `tmr_p1` is the most
-/// congested variant on this tight device.
+/// heuristic weight over its admissible sink-specific floor. `tmr_p1` is the
+/// most congested variant on this tight device.
 const SCHEDULE: [(&str, usize, u64, u64); 5] = [
-    ("standard", 3, 10_591, 0xac0a_eec8_d610_0183),
-    ("tmr_p1", 13, 269_726, 0x65fa_2a50_0631_0b2f),
-    ("tmr_p2", 8, 85_053, 0x1223_05e2_833e_01f6),
-    ("tmr_p3", 6, 61_862, 0x98cc_d4bf_8c25_cbca),
-    ("tmr_p3_nv", 6, 48_048, 0xf83c_68c2_6d0f_fbd1),
+    ("standard", 5, 5_405, 0x2718_dae7_9fab_224f),
+    ("tmr_p1", 7, 66_076, 0x0497_b959_015c_601c),
+    ("tmr_p2", 6, 43_469, 0xdfb7_77f8_71ca_f1e3),
+    ("tmr_p3", 6, 29_983, 0x8021_b545_ab8b_152b),
+    ("tmr_p3_nv", 5, 24_045, 0xb721_8111_4c4c_d69a),
 ];
 
 /// The same pins for the paper's 11-tap FIR on the auto-sized 54x40
 /// XC2S200E-like device.
 const PAPER_SCHEDULE: [(&str, usize, u64, u64); 5] = [
-    ("standard", 4, 234_021, 0x2ed1_c787_86f4_30a2),
-    ("tmr_p1", 5, 1_399_101, 0xa6ee_a9e3_373f_22fa),
-    ("tmr_p2", 5, 1_185_379, 0xa0e3_8d46_619f_972e),
-    ("tmr_p3", 5, 934_969, 0x4501_96d6_4762_d2d9),
-    ("tmr_p3_nv", 4, 774_720, 0x0743_92cc_b670_d3c2),
+    ("standard", 4, 38_238, 0x4e5d_54c7_94db_ab02),
+    ("tmr_p1", 5, 263_282, 0x116c_e6f3_1726_3cb8),
+    ("tmr_p2", 5, 215_335, 0x7f26_abf8_9de0_9724),
+    ("tmr_p3", 5, 179_798, 0x53e0_0739_baf4_f86f),
+    ("tmr_p3_nv", 5, 137_230, 0x3bd8_911f_3baf_3e9d),
 ];
 
 /// The most negotiation iterations any pinned or neighbouring-device run may
-/// take, far below the router's hard limit of 250. Range-limited placement
-/// routes small `tmr_p1` on 24x24 in at most 14 iterations over placement
-/// seeds 1-16; a placer or router change that needs more is a regression.
+/// take, far below the router's hard limit of 250. Small `tmr_p1` on 24x24
+/// routes in at most 9 iterations over placement seeds 1-16 (at most 14
+/// before the sink-specific floor); a placer or router change that needs
+/// more than this budget is a regression.
 const ITERATION_BUDGET: usize = 30;
 
 /// FNV-1a over the routed trees: nets in `NetId` order, and each tree's
