@@ -15,8 +15,10 @@
 //!   architecture's "long input" PIPs), so that last hop already covers one
 //!   tile of distance and saves one wire from the bound.
 //!
-//! It is 0 on every wire of the sink's own tile, although only a handful of
-//! those wires, plus one wire in each neighbouring tile, drive the pin.
+//! The bound holds on every device the builder makes: a device without
+//! long-input PIPs only has costlier paths. But it is 0 on every wire of the
+//! sink's own tile, although only a handful of those wires, plus one wire in
+//! each neighbouring tile, drive the pin.
 //!
 //! The sink-specific map lookahead ([`Lookahead`]) knows which wires those
 //! are. Every wire's switchbox PIPs lead to the same relative
@@ -37,9 +39,11 @@
 //!   [`REACH`] tiles of the sink in both axes,
 //! * [`cost_floor`] everywhere else.
 //!
-//! The hop tables are built per route call, for the patterns its sinks use.
-//! A device without a tile that has four neighbours, such as a 2 × 2 grid,
-//! has no full stencil and keeps [`cost_floor`] everywhere.
+//! The hop tables are built per route call, for the patterns its sinks use:
+//! on the auto-sized 54 × 40 paper device a variant's sinks use at most six,
+//! of 19 × 19 × 182 bytes each. A device without a tile that has four
+//! neighbours, such as a 2 × 2 grid, has no full stencil and keeps
+//! [`cost_floor`] everywhere.
 
 use crate::route::{PIN_COST, WIRE_COST};
 use std::collections::HashMap;
@@ -74,7 +78,18 @@ struct HopTable {
     /// Half-width of the window: the farthest driver's tile offset plus
     /// [`DEPTH`], which a search of that depth cannot leave.
     radius: i32,
+    tracks: usize,
     hops: Box<[u8]>,
+}
+
+impl HopTable {
+    /// Position of `(dx, dy, track)` in `hops`; both offsets must lie in the
+    /// window.
+    #[inline]
+    fn slot(&self, dx: i32, dy: i32, track: usize) -> usize {
+        let side = (2 * self.radius + 1) as usize;
+        ((dx + self.radius) as usize * side + (dy + self.radius) as usize) * self.tracks + track
+    }
 }
 
 /// The map lookahead of one route call: the device's switchbox stencil and
@@ -135,38 +150,32 @@ impl Lookahead {
     /// hop table on first use.
     pub(crate) fn target(&mut self, device: &Device, sink: NodeId) -> Target {
         let tile = device.node_tile(sink);
-        let wires =
-            device
-                .pin_drivers(sink)
-                .iter()
-                .filter_map(|&driver| match device.node(driver) {
-                    RouteNode::Wire { tile, track } => Some((tile, track)),
-                    _ => None,
-                });
-        let mut pattern = Vec::new();
-        let mut reference = 0;
-        for (index, (wire_tile, track)) in wires.enumerate() {
-            if index == 0 {
-                reference = track;
-            }
-            pattern.push((
-                (i32::from(wire_tile.x) - i32::from(tile.x)) as i8,
-                (i32::from(wire_tile.y) - i32::from(tile.y)) as i8,
-                track_offset(reference, track, self.tracks),
-            ));
-        }
-        let table = if self.stencil.is_empty() || pattern.is_empty() {
-            NO_TABLE
-        } else {
-            pattern.sort_unstable();
-            match self.patterns.get(&pattern) {
-                Some(&table) => table,
-                None => {
-                    let table = self.tables.len() as u32;
-                    self.tables.push(self.hop_table(&pattern));
-                    self.patterns.insert(pattern, table);
-                    table
-                }
+        let drivers = device.pin_drivers(sink);
+        let first_track = drivers
+            .iter()
+            .find_map(|&driver| match device.node(driver) {
+                RouteNode::Wire { track, .. } => Some(track),
+                _ => None,
+            });
+        let Some(reference) = first_track.filter(|_| !self.stencil.is_empty()) else {
+            return Target {
+                tile,
+                table: NO_TABLE,
+                reference: 0,
+            };
+        };
+        let mut pattern: Vec<Offset> = drivers
+            .iter()
+            .filter_map(|&driver| relative(device, driver, tile, reference, self.tracks))
+            .collect();
+        pattern.sort_unstable();
+        let table = match self.patterns.get(&pattern) {
+            Some(&table) => table,
+            None => {
+                let table = self.tables.len() as u32;
+                self.tables.push(self.hop_table(&pattern));
+                self.patterns.insert(pattern, table);
+                table
             }
         };
         Target {
@@ -198,14 +207,15 @@ impl Lookahead {
             .unwrap_or(0);
         let radius = reach + i32::from(DEPTH);
         let side = (2 * radius + 1) as usize;
-        let mut hops = vec![DEPTH + 1; side * side * tracks].into_boxed_slice();
-        let index = |dx: i32, dy: i32, track: usize| {
-            ((dx + radius) as usize * side + (dy + radius) as usize) * tracks + track
+        let mut table = HopTable {
+            radius,
+            tracks,
+            hops: vec![DEPTH + 1; side * side * tracks].into_boxed_slice(),
         };
         let mut frontier: Vec<(i32, i32, usize)> = Vec::new();
         for &(dx, dy, track) in pattern {
             let entry = (i32::from(dx), i32::from(dy), usize::from(track));
-            hops[index(entry.0, entry.1, entry.2)] = 0;
+            table.hops[table.slot(entry.0, entry.1, entry.2)] = 0;
             frontier.push(entry);
         }
         let mut next = Vec::new();
@@ -219,9 +229,9 @@ impl Lookahead {
                         continue;
                     }
                     let pt = (track + tracks - usize::from(offset)) % tracks;
-                    let slot = &mut hops[index(px, py, pt)];
-                    if *slot == DEPTH + 1 {
-                        *slot = depth;
+                    let slot = table.slot(px, py, pt);
+                    if table.hops[slot] == DEPTH + 1 {
+                        table.hops[slot] = depth;
                         next.push((px, py, pt));
                     }
                 }
@@ -229,11 +239,13 @@ impl Lookahead {
             std::mem::swap(&mut frontier, &mut next);
             next.clear();
         }
-        HopTable { radius, hops }
+        table
     }
 }
 
-/// `wire` relative to the wire `track` of `tile`, if it is a wire.
+/// `wire` relative to the wire `track` of `tile`, if it is a wire: a
+/// switchbox step from that wire, or a sink's driver relative to the sink's
+/// tile and a reference track.
 fn relative(
     device: &Device,
     wire: NodeId,
@@ -254,10 +266,12 @@ fn relative(
     }
 }
 
-/// How many tracks `to` lies past `from`, modulo `tracks`.
+/// How many tracks `to` lies past `from`, modulo `tracks`; both are tracks,
+/// so below `tracks`.
 #[inline]
 fn track_offset(from: u16, to: u16, tracks: u16) -> u16 {
-    ((u32::from(to) + u32::from(tracks) - u32::from(from)) % u32::from(tracks)) as u16
+    let past = u32::from(to) + u32::from(tracks) - u32::from(from);
+    past.checked_sub(u32::from(tracks)).unwrap_or(past) as u16
 }
 
 /// The lower bound on the remaining cost to one sink, from any wire.
@@ -285,9 +299,7 @@ impl SinkFloor<'_> {
         if let Some(table) = self.table {
             if dx.abs() <= REACH && dy.abs() <= REACH {
                 let relative = usize::from(track_offset(self.reference, track, self.tracks));
-                let side = (2 * table.radius + 1) as usize;
-                let cell = (dx + table.radius) as usize * side + (dy + table.radius) as usize;
-                let hops = table.hops[cell * usize::from(self.tracks) + relative];
+                let hops = table.hops[table.slot(dx, dy, relative)];
                 return PIN_COST + f32::from(hops) * WIRE_COST;
             }
         }
