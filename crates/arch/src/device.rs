@@ -602,10 +602,13 @@ impl DeviceBuilder {
         );
 
         // 5. Each input pin's drivers, grouped by the pin's position among
-        //    the sites' input pins.
+        //    the sites' input pins. Only the pin and FF-mux passes emit PIPs
+        //    into input pins; the switchbox pass joins wires.
+        let first_ff_mux = self.pip_runs[tile_count] as usize;
+        let first_switchbox = self.pip_runs[2 * tile_count] as usize;
         let pin_drivers = {
             let (nodes, in_pins) = (&self.nodes, &self.in_pins_of_site);
-            let entering: Vec<(u32, NodeId)> = ends
+            let entering: Vec<(u32, NodeId)> = ends[..first_switchbox]
                 .iter()
                 .filter_map(|&(src, dst)| match nodes[dst.index()] {
                     RouteNode::InPin { site, pin } => Some((
@@ -626,8 +629,6 @@ impl DeviceBuilder {
         //    switchbox pass switchbox PIPs, so only a pin PIP's category
         //    needs its endpoints.
         let (nodes, sites) = (&self.nodes, &self.sites);
-        let first_ff_mux = self.pip_runs[tile_count] as usize;
-        let first_switchbox = self.pip_runs[2 * tile_count] as usize;
         let layout = ConfigLayout::build(
             &self.params,
             sites,
