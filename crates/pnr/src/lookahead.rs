@@ -108,12 +108,11 @@ pub(crate) struct Lookahead {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Target {
     tile: TileCoord,
-    /// Index into the lookahead's tables, or `NO_TABLE`.
-    table: u32,
+    /// Index into the lookahead's tables; `None` without a stencil or a
+    /// wire driver.
+    table: Option<u32>,
     reference: u16,
 }
-
-const NO_TABLE: u32 = u32::MAX;
 
 impl Lookahead {
     /// The lookahead of `device`, with its stencil read off the wires of the
@@ -160,7 +159,7 @@ impl Lookahead {
         let Some(reference) = first_track.filter(|_| !self.stencil.is_empty()) else {
             return Target {
                 tile,
-                table: NO_TABLE,
+                table: None,
                 reference: 0,
             };
         };
@@ -180,7 +179,7 @@ impl Lookahead {
         };
         Target {
             tile,
-            table,
+            table: Some(table),
             reference,
         }
     }
@@ -190,7 +189,7 @@ impl Lookahead {
         SinkFloor {
             x: target.tile.x,
             y: target.tile.y,
-            table: self.tables.get(target.table as usize),
+            table: target.table.map(|table| &self.tables[table as usize]),
             reference: target.reference,
             tracks: self.tracks,
         }
@@ -353,16 +352,6 @@ mod tests {
         }
     }
 
-    /// The auto-sized device every paper number is computed on.
-    fn paper() -> DeviceParams {
-        DeviceParams {
-            cols: 54,
-            rows: 40,
-            tracks: 182,
-            ..DeviceParams::xc2s200e_like()
-        }
-    }
-
     /// Exact cheapest remaining cost from every node to `sink`: a backward
     /// Dijkstra over incoming PIPs in which entering a node costs its
     /// `base_cost` and no path enters an input pin other than the sink.
@@ -476,7 +465,14 @@ mod tests {
             tracks: 5,
             ..DeviceParams::small(3, 3)
         };
-        for params in [DeviceParams::small(24, 24), lean(), five_tracks, paper()] {
+        // The auto-sized device every paper number is computed on.
+        let paper = DeviceParams {
+            cols: 54,
+            rows: 40,
+            tracks: 182,
+            ..DeviceParams::xc2s200e_like()
+        };
+        for params in [DeviceParams::small(24, 24), lean(), five_tracks, paper] {
             let device = Device::new(params);
             let lookahead = Lookahead::new(&device);
             assert!(!lookahead.stencil.is_empty(), "{params:?}");
@@ -526,18 +522,18 @@ mod tests {
         assert!(telemetry.converged());
     }
 
-    /// The paper device's sinks share a handful of driver patterns, so a
-    /// route call builds a handful of hop tables.
+    /// Sinks share driver patterns, so a route call builds a handful of hop
+    /// tables: every input pin of an interior tile shares one.
     #[test]
-    fn sinks_share_few_driver_patterns() {
-        let device = Device::new(paper());
+    fn interior_pins_share_one_driver_pattern() {
+        let device = Device::small(24, 24);
         let mut lookahead = Lookahead::new(&device);
-        let interior = TileCoord::new(20, 20);
+        let interior = TileCoord::new(10, 10);
         for (site, _) in device.sites().filter(|(_, s)| s.tile == interior) {
             for &pin in device.in_pins(site) {
                 let target = lookahead.target(&device, pin);
-                // A wire driver is one hop short of the sink.
                 let floor = lookahead.floor(target);
+                // A wire driver is one pin entry from the sink.
                 for &driver in device.pin_drivers(pin) {
                     if let RouteNode::Wire { tile, track } = device.node(driver) {
                         assert_eq!(floor.wire(tile.x, tile.y, track), PIN_COST);
