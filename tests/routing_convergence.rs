@@ -48,9 +48,8 @@ const PAPER_SCHEDULE: [(&str, usize, u64, u64); 5] = [
 
 /// The most negotiation iterations any pinned or neighbouring-device run may
 /// take, far below the router's hard limit of 250. Small `tmr_p1` on 24x24
-/// routes in at most 9 iterations over placement seeds 1-16 (at most 14
-/// before the sink-specific floor); a placer or router change that needs
-/// more than this budget is a regression.
+/// routes in at most 9 iterations over placement seeds 1-16; a placer or
+/// router change that needs more than this budget is a regression.
 const ITERATION_BUDGET: usize = 30;
 
 /// FNV-1a over the routed trees: nets in `NetId` order, and each tree's
