@@ -3,7 +3,7 @@
 use crate::verdict::domain_bit;
 use crate::{CriticalityReport, Verdict};
 use std::collections::BTreeMap;
-use tmr_arch::Device;
+use tmr_arch::{BitCategory, Device};
 use tmr_faultsim::{classify_touch, FaultClass, Touch};
 use tmr_netlist::{Domain, Netlist};
 use tmr_pnr::RoutedDesign;
@@ -63,31 +63,43 @@ impl StaticAnalysis {
     /// nothing per bit. Each bit's domain mask is exactly the set
     /// [`tmr_faultsim::BitEffect::affected_domains`] derives from
     /// [`tmr_faultsim::classify_bit`]'s overlay.
+    ///
+    /// Only the design-related bits are classified. Any other bit touches
+    /// nothing, so it is benign, and its class follows from its category
+    /// alone: a LUT bit's is `Lut`, a flip-flop bit's `Initialization`, a
+    /// CLB-customization bit's `Mux` and a general-routing bit's `Others`.
     pub fn run(device: &Device, routed: &RoutedDesign) -> Self {
         let mut trace_span = tmr_trace::span("analyze.static");
         let netlist = routed.netlist();
         let voted_tmr = outputs_fully_voted(netlist) && merging_confined_to_voters(netlist);
-        let bit_count = device.config_layout().bit_count();
+        let layout = device.config_layout();
+        let bit_count = layout.bit_count();
         trace_span.attr("design", netlist.name());
         trace_span.attr("bits", bit_count);
 
         let tables = DomainTables::new(device, routed);
-        let design_related = routed.design_related_bits(device).len();
-        let mut verdicts = Vec::with_capacity(bit_count);
-        let mut classes = Vec::with_capacity(bit_count);
-        let mut domain_masks = Vec::with_capacity(bit_count);
+        let related = routed.design_related_bits(device);
+        let design_related = related.len();
+        // Every bit starts untouched; the design-related ones are then
+        // classified.
+        let mut classes: Vec<FaultClass> = (0..bit_count)
+            .map(|bit| untouched_class(layout.category_at(bit)))
+            .collect();
+        let mut verdicts = vec![Verdict::Benign; bit_count];
+        let mut domain_masks = vec![0; bit_count];
         // Only design-related bits touch anything, so this never regrows.
         let mut observable = Vec::with_capacity(design_related);
-        for bit in 0..bit_count {
+        for &bit in related {
+            let bit = bit as usize;
             let (class, touch) = classify_touch(device, routed, bit);
             let mask = tables.mask(device, touch);
             let verdict = Verdict::from_domain_mask(mask, class);
             if verdict.possibly_observable(voted_tmr) {
                 observable.push(bit);
             }
-            verdicts.push(verdict);
-            classes.push(class);
-            domain_masks.push(mask);
+            verdicts[bit] = verdict;
+            classes[bit] = class;
+            domain_masks[bit] = mask;
         }
         trace_span.attr("observable", observable.len());
         trace_span.attr("design_related", design_related);
@@ -247,6 +259,17 @@ impl StaticAnalysis {
     }
 }
 
+/// The class [`classify_touch`] gives a bit that is not design-related: the
+/// bit touches nothing, so its category alone fixes its class.
+fn untouched_class(category: BitCategory) -> FaultClass {
+    match category {
+        BitCategory::LutContents => FaultClass::Lut,
+        BitCategory::FlipFlop => FaultClass::Initialization,
+        BitCategory::ClbCustomization => FaultClass::Mux,
+        BitCategory::GeneralRouting => FaultClass::Others,
+    }
+}
+
 /// The per-run tables that turn what a flip touches ([`Touch`]) into its
 /// exact affected-domain mask.
 struct DomainTables {
@@ -381,6 +404,33 @@ mod tests {
         assert!(analysis.observable_bits().len() < analysis.design_related());
         assert!(!analysis.report().defeating_bits.is_empty());
         assert!(analysis.design().contains("counter"));
+    }
+
+    /// Every bit, design-related or not, gets the class, domain mask and
+    /// verdict that classifying it gives.
+    #[test]
+    fn bits_outside_the_design_get_the_classification_they_would_get() {
+        let device = Device::small(8, 8);
+        let design = apply_tmr(&counter(4), &TmrConfig::paper_p2()).unwrap();
+        let routed = implement(&design, &device, 5);
+        let analysis = StaticAnalysis::run(&device, &routed);
+        let tables = DomainTables::new(&device, &routed);
+        let mut touched = 0;
+        for bit in 0..analysis.bit_count() {
+            let (class, touch) = classify_touch(&device, &routed, bit);
+            let mask = tables.mask(&device, touch);
+            assert_eq!(
+                (
+                    analysis.classes[bit],
+                    analysis.domain_masks[bit],
+                    analysis.verdict(bit)
+                ),
+                (class, mask, Verdict::from_domain_mask(mask, class)),
+                "bit {bit}"
+            );
+            touched += usize::from(touch != Touch::Nothing);
+        }
+        assert!(touched > 0 && touched <= analysis.design_related());
     }
 
     #[test]

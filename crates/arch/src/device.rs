@@ -2,6 +2,7 @@
 
 use crate::config::ConfigLayout;
 use crate::rows::Rows;
+use crate::switchbox::{Switchbox, SwitchboxFanout};
 use crate::{
     Fanout, NodeId, Pip, PipCategory, PipId, RouteNode, Site, SiteId, SiteKind, TileCoord,
 };
@@ -97,18 +98,20 @@ impl DeviceParams {
 /// An island-style SRAM FPGA device: sites, routing graph and configuration
 /// layout.
 ///
-/// Construction enumerates every site, routing node and PIP of the device and
-/// builds the forward adjacency ([`fanout`](Self::fanout)) the router walks,
-/// plus the [`ConfigLayout`] that assigns one configuration bit to every
-/// programmable resource.
+/// Construction enumerates every site and routing node of the device and
+/// numbers every PIP, and builds the forward adjacency
+/// ([`fanout`](Self::fanout)) the router walks, plus the [`ConfigLayout`]
+/// that assigns one configuration bit to every programmable resource.
 ///
-/// The graph keeps only what nothing can derive: a PIP is its two
-/// endpoints, and its category and configuration tile follow from them
-/// ([`pip`](Self::pip)).
+/// The graph keeps only what nothing can derive. It stores a pin or FF-mux
+/// PIP as its two endpoints, and no switchbox PIP at all: those follow the
+/// one switch-matrix rule every tile repeats, so their endpoints and fanout
+/// are computed from their ids. A PIP's category and configuration tile
+/// follow from its endpoints ([`pip`](Self::pip)).
 ///
 /// The built graph is immutable and lives behind a reference count, so a
 /// `Device` is a handle: a clone shares the graph rather than copying it (the
-/// auto-sized 54 × 40 paper device holds about 160 MiB). Flows, sweeps and
+/// auto-sized 54 × 40 paper device holds about 46 MiB). Flows, sweeps and
 /// the campaign service keep and pass clones instead of rebuilding or
 /// copying.
 #[derive(Debug, Clone)]
@@ -122,13 +125,16 @@ struct Graph {
     params: DeviceParams,
     sites: Vec<Site>,
     nodes: Vec<RouteNode>,
-    /// Each PIP's `(src, dst)`.
+    /// Each pin and FF-mux PIP's `(src, dst)`: every PIP below the first
+    /// switchbox PIP.
     pip_ends: Vec<(NodeId, NodeId)>,
+    /// The switch-matrix rule, which numbers the switchbox PIPs.
+    switchbox: Switchbox,
     /// Id of each tile's first node, its track-0 wire, in raster order: a
     /// tile's wires are consecutive nodes.
     tile_first_node: Vec<u32>,
-    /// Forward adjacency: each node's outgoing PIPs with the nodes they
-    /// drive, in increasing PIP id order.
+    /// Each node's outgoing pin and FF-mux PIPs with the nodes they drive,
+    /// in increasing PIP id order.
     fanout: Rows<Fanout>,
     out_pin_of_site: Vec<NodeId>,
     in_pins_of_site: Rows<NodeId>,
@@ -235,7 +241,7 @@ impl Device {
 
     /// Number of PIPs.
     pub fn pip_count(&self) -> usize {
-        self.graph.pip_ends.len()
+        self.graph.switchbox.pip_count()
     }
 
     /// The routing node with the given id.
@@ -284,21 +290,53 @@ impl Device {
         }
     }
 
-    /// The driving and driven node of a PIP: `(src, dst)`.
+    /// The driving and driven node of a PIP: `(src, dst)`. A pin or FF-mux
+    /// PIP's are stored; a switchbox PIP's are derived from its id.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
     #[inline]
     pub fn pip_endpoints(&self, id: PipId) -> (NodeId, NodeId) {
-        self.graph.pip_ends[id.index()]
+        let graph = &*self.graph;
+        match graph.pip_ends.get(id.index()) {
+            Some(&ends) => ends,
+            None => graph.switchbox.endpoints(id),
+        }
     }
 
     /// The PIPs leaving `node`, each with the node it drives, in increasing
-    /// PIP id order: one contiguous row of the routing graph's forward
-    /// adjacency.
-    pub fn fanout(&self, node: NodeId) -> &[Fanout] {
-        self.graph.fanout.row(node.index())
+    /// PIP id order: the stored pin PIPs, then, for a wire, its
+    /// [`switchbox_fanout`](Self::switchbox_fanout), whose ids are all
+    /// higher.
+    #[inline]
+    pub fn fanout(&self, node: NodeId) -> FanoutIter<'_> {
+        FanoutIter {
+            stored: self.graph.fanout.row(node.index()).iter(),
+            switchbox: self.switchbox_fanout(node),
+        }
+    }
+
+    /// The switchbox PIPs leaving `node`, each with the wire it drives, in
+    /// increasing PIP id order: one block of consecutive ids, whose
+    /// configuration bits are consecutive too. Empty for a pin.
+    #[inline]
+    pub fn switchbox_fanout(&self, node: NodeId) -> SwitchboxFanout<'_> {
+        let graph = &*self.graph;
+        match graph.nodes[node.index()] {
+            RouteNode::Wire { tile, track } => graph.switchbox.fanout(tile, track),
+            RouteNode::OutPin { .. } | RouteNode::InPin { .. } => SwitchboxFanout::empty(),
+        }
+    }
+
+    /// Every switchbox PIP of a wire in a tile with four neighbours, in PIP
+    /// order, as the `(dx, dy, track offset)` of its target relative to the
+    /// wire, the offset modulo the track count. Every tile uses this one
+    /// stencil; a tile on the edge only lacks the steps of its missing
+    /// neighbours. Empty on a device without a tile that has four
+    /// neighbours.
+    pub fn switchbox_stencil(&self) -> Vec<(i8, i8, u16)> {
+        self.graph.switchbox.stencil()
     }
 
     /// The output-pin node of a site.
@@ -342,6 +380,41 @@ impl Device {
     }
 }
 
+/// The PIPs leaving one node, each with the node it drives, in increasing PIP
+/// id order ([`Device::fanout`]).
+#[derive(Debug, Clone)]
+pub struct FanoutIter<'a> {
+    stored: std::slice::Iter<'a, Fanout>,
+    switchbox: SwitchboxFanout<'a>,
+}
+
+impl Iterator for FanoutIter<'_> {
+    type Item = Fanout;
+
+    #[inline]
+    fn next(&mut self) -> Option<Fanout> {
+        match self.stored.next() {
+            Some(&edge) => Some(edge),
+            None => self.switchbox.next(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.stored.len() + self.switchbox.len();
+        (len, Some(len))
+    }
+
+    /// Two plain loops, one per part.
+    #[inline]
+    fn fold<B, F: FnMut(B, Fanout) -> B>(self, init: B, mut f: F) -> B {
+        let acc = self.stored.copied().fold(init, &mut f);
+        self.switchbox.fold(acc, f)
+    }
+}
+
+impl ExactSizeIterator for FanoutIter<'_> {}
+
 /// The category and configuration tile of the PIP `src → dst`. The builder
 /// generates four endpoint shapes, and each fixes both:
 /// - output pin → wire: an output mux, in the wire's tile;
@@ -382,8 +455,9 @@ struct DeviceBuilder {
     nodes: Vec<RouteNode>,
     pip_ends: Vec<(NodeId, NodeId)>,
     /// First PIP id of every tile's pin run, then of every tile's FF-mux
-    /// run, then of every tile's switchbox run, then the PIP count: the
-    /// three generation passes below each emit their PIPs tile by tile.
+    /// run, then of every tile's switchbox run, then the PIP count: the two
+    /// generation passes below each emit their PIPs tile by tile, and the
+    /// [`Switchbox`] numbers the rest the same way.
     pip_runs: Vec<u32>,
     tile_first_node: Vec<u32>,
     /// Id of each tile's first site, plus the site count: tile `t` owns
@@ -460,7 +534,6 @@ impl DeviceBuilder {
         let p = self.params;
         let site = self.sites[site_index];
         let tile = site.tile;
-        let neighbors = tile.neighbors(p.cols, p.rows);
         let tracks = p.tracks as usize;
 
         // Output PIPs (output muxes): output pin -> a spread of tracks in the
@@ -489,7 +562,7 @@ impl DeviceBuilder {
             // One additional candidate from each neighbouring tile (long
             // inputs: wire segments spanning into the CLB) — part of the
             // general routing, and essential for routability.
-            for (n, &neighbor) in neighbors.iter().enumerate() {
+            for (n, neighbor) in tile.neighbors(p.cols, p.rows).enumerate() {
                 let track = ((pin_base + n * 7 + 2) % tracks) as u16;
                 let wire = self.wire(neighbor, track);
                 self.add_pip(wire, pin_node);
@@ -527,7 +600,7 @@ impl DeviceBuilder {
 
         // 2. PIPs, in three passes over the tiles in raster order, so PIP
         //    ids (and therefore configuration-bit addresses) are stable and
-        //    each pass emits one run of PIPs per tile. First the sites' pin
+        //    each pass takes one run of ids per tile. First the sites' pin
         //    PIPs: sites were created tile by tile.
         let tile_count = self.tile_first_node.len();
         for t in 0..tile_count {
@@ -560,37 +633,13 @@ impl DeviceBuilder {
             }
         }
 
-        // 3. Switch matrices: same-tile and neighbour track-to-track PIPs.
-        let same_offsets = [1usize, 5, 13, 7, 3];
-        let neigh_offsets = [0usize, 3, 9, 17, 6];
-        for y in 0..p.rows {
-            for x in 0..p.cols {
-                self.start_run();
-                let tile = TileCoord::new(x, y);
-                let neighbors = tile.neighbors(p.cols, p.rows);
-                let tracks = p.tracks as usize;
-                for track in 0..p.tracks {
-                    let src = self.wire(tile, track);
-                    for &off in same_offsets.iter().take(p.sb_same_tile as usize) {
-                        let dst_track = ((track as usize + off) % tracks) as u16;
-                        let dst = self.wire(tile, dst_track);
-                        if dst != src {
-                            self.add_pip(src, dst);
-                        }
-                    }
-                    for &neighbor in &neighbors {
-                        for &off in neigh_offsets.iter().take(p.sb_neighbor as usize) {
-                            let dst_track = ((track as usize + off) % tracks) as u16;
-                            let dst = self.wire(neighbor, dst_track);
-                            self.add_pip(src, dst);
-                        }
-                    }
-                }
-            }
-        }
-        self.start_run();
+        // 3. Switch matrices: same-tile and neighbour track-to-track PIPs,
+        //    numbered by their rule and not stored.
+        let first_switchbox = self.pip_ends.len();
+        let switchbox = Switchbox::new(&p, first_switchbox as u32, &self.tile_first_node);
+        self.pip_runs.extend(switchbox.run_starts());
 
-        // 4. Forward adjacency.
+        // 4. Forward adjacency of the stored PIPs.
         let ends = &self.pip_ends;
         let fanout = Rows::group(
             self.nodes.len(),
@@ -603,12 +652,11 @@ impl DeviceBuilder {
 
         // 5. Each input pin's drivers, grouped by the pin's position among
         //    the sites' input pins. Only the pin and FF-mux passes emit PIPs
-        //    into input pins; the switchbox pass joins wires.
+        //    into input pins; the switchbox joins wires.
         let first_ff_mux = self.pip_runs[tile_count] as usize;
-        let first_switchbox = self.pip_runs[2 * tile_count] as usize;
         let pin_drivers = {
             let (nodes, in_pins) = (&self.nodes, &self.in_pins_of_site);
-            let entering: Vec<(u32, NodeId)> = ends[..first_switchbox]
+            let entering: Vec<(u32, NodeId)> = ends
                 .iter()
                 .filter_map(|&(src, dst)| match nodes[dst.index()] {
                     RouteNode::InPin { site, pin } => Some((
@@ -626,7 +674,7 @@ impl DeviceBuilder {
         };
 
         // 6. Configuration layout. The FF-mux pass emits input muxes and the
-        //    switchbox pass switchbox PIPs, so only a pin PIP's category
+        //    switchbox numbers switchbox PIPs, so only a pin PIP's category
         //    needs its endpoints.
         let (nodes, sites) = (&self.nodes, &self.sites);
         let layout = ConfigLayout::build(
@@ -649,6 +697,7 @@ impl DeviceBuilder {
             sites: self.sites,
             nodes: self.nodes,
             pip_ends: self.pip_ends,
+            switchbox,
             tile_first_node: self.tile_first_node,
             fanout,
             out_pin_of_site: self.out_pin_of_site,
@@ -699,9 +748,10 @@ mod tests {
         let mut count = 0;
         for n in 0..d.node_count() {
             let id = NodeId::from_index(n);
-            let row = d.fanout(id);
+            let row: Vec<Fanout> = d.fanout(id).collect();
+            assert_eq!(row.len(), d.fanout(id).len());
             count += row.len();
-            for entry in row {
+            for entry in &row {
                 let pip = d.pip(entry.pip);
                 assert_eq!((pip.src, pip.dst), (id, entry.dst));
             }
@@ -727,7 +777,7 @@ mod tests {
                 );
             }
             assert!(
-                !d.fanout(d.out_pin(id)).is_empty(),
+                d.fanout(d.out_pin(id)).len() > 0,
                 "output pin of {site} drives no wires"
             );
         }
@@ -739,7 +789,6 @@ mod tests {
         let site = d.lut_sites()[0];
         let tracks: HashSet<_> = d
             .fanout(d.out_pin(site))
-            .iter()
             .map(|entry| entry.dst)
             .filter(|&n| d.node(n).is_wire())
             .collect();
@@ -911,14 +960,8 @@ mod tests {
                 0x5313_9347_1dc6_2489,
             ]
         );
-        let paper = DeviceParams {
-            cols: 54,
-            rows: 40,
-            tracks: 182,
-            ..DeviceParams::xc2s200e_like()
-        };
         assert_eq!(
-            graph_digests(&Device::new(paper)),
+            graph_digests(&Device::new(paper())),
             [
                 0xda6e_785d_9989_4079,
                 0xd110_ea16_0cd2_eb31,
@@ -984,17 +1027,16 @@ mod tests {
     /// it, gathered by a scan of all PIPs in id order.
     #[test]
     fn pin_drivers_match_a_reverse_scan_of_the_pips() {
-        let paper = DeviceParams {
-            cols: 54,
-            rows: 40,
-            tracks: 182,
-            ..DeviceParams::xc2s200e_like()
-        };
         let five_tracks = DeviceParams {
             tracks: 5,
             ..DeviceParams::small(3, 3)
         };
-        for params in [DeviceParams::small(24, 24), lean(6, 6), five_tracks, paper] {
+        for params in [
+            DeviceParams::small(24, 24),
+            lean(6, 6),
+            five_tracks,
+            paper(),
+        ] {
             let d = Device::new(params);
             let mut entering: Vec<(NodeId, NodeId)> = (0..d.pip_count())
                 .map(|p| d.pip_endpoints(PipId::from_index(p)))
@@ -1052,8 +1094,165 @@ mod tests {
     fn clones_share_the_graph() {
         let d = Device::small(3, 3);
         let clone = d.clone();
-        let node = d.out_pin(d.lut_sites()[0]);
-        assert!(std::ptr::eq(d.fanout(node), clone.fanout(node)));
+        let site = d.lut_sites()[0];
+        assert!(std::ptr::eq(d.in_pins(site), clone.in_pins(site)));
         assert!(std::ptr::eq(d.config_layout(), clone.config_layout()));
+    }
+
+    /// The switchbox pass the builder ran when it still stored switchbox
+    /// PIPs, written out on its own: it calls `emit` with every switchbox
+    /// PIP's `(src, dst)`, in id order.
+    fn stored_switchbox_pass(d: &Device, mut emit: impl FnMut(NodeId, NodeId)) {
+        let p = *d.params();
+        let wire = |tile, track| {
+            d.node_id(RouteNode::Wire { tile, track })
+                .expect("the grid has the wire")
+        };
+        let same_offsets = [1usize, 5, 13, 7, 3];
+        let neigh_offsets = [0usize, 3, 9, 17, 6];
+        let tracks = p.tracks as usize;
+        for y in 0..p.rows {
+            for x in 0..p.cols {
+                let tile = TileCoord::new(x, y);
+                // West, east, south, north.
+                let neighbors: Vec<TileCoord> = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+                    .into_iter()
+                    .map(|(dx, dy)| (i32::from(x) + dx, i32::from(y) + dy))
+                    .filter(|&(nx, ny)| {
+                        (0..i32::from(p.cols)).contains(&nx) && (0..i32::from(p.rows)).contains(&ny)
+                    })
+                    .map(|(nx, ny)| TileCoord::new(nx as u16, ny as u16))
+                    .collect();
+                for track in 0..p.tracks {
+                    let src = wire(tile, track);
+                    for &off in same_offsets.iter().take(p.sb_same_tile as usize) {
+                        let dst = wire(tile, ((track as usize + off) % tracks) as u16);
+                        if dst != src {
+                            emit(src, dst);
+                        }
+                    }
+                    for &neighbor in &neighbors {
+                        for &off in neigh_offsets.iter().take(p.sb_neighbor as usize) {
+                            emit(
+                                src,
+                                wire(neighbor, ((track as usize + off) % tracks) as u16),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The auto-sized device every paper number is computed on.
+    fn paper() -> DeviceParams {
+        DeviceParams {
+            cols: 54,
+            rows: 40,
+            tracks: 182,
+            ..DeviceParams::xc2s200e_like()
+        }
+    }
+
+    /// The derived switchbox gives every switchbox PIP the endpoints the
+    /// stored pass gave it, and every node the fanout, ids and order, the
+    /// stored graph gave it; the stencil holds every switchbox step. Besides
+    /// the pinned presets this covers 4 tracks, where same-tile offsets 1, 5
+    /// and 13 land on one track so three PIPs share endpoints, and switchbox
+    /// counts above the five offsets each list holds.
+    #[test]
+    fn the_derived_switchbox_matches_the_stored_pass() {
+        let presets = [
+            DeviceParams::small(24, 24),
+            DeviceParams::xc2s200e_like(),
+            paper(),
+            DeviceParams {
+                in_pin_candidates: 0,
+                ..DeviceParams::small(1, 1)
+            },
+            DeviceParams {
+                tracks: 5,
+                ..DeviceParams::small(3, 3)
+            },
+            DeviceParams::small(2, 1),
+            DeviceParams {
+                tracks: 4,
+                ..DeviceParams::small(4, 3)
+            },
+            DeviceParams {
+                sb_same_tile: 7,
+                sb_neighbor: 9,
+                ..DeviceParams::small(5, 4)
+            },
+        ];
+        for params in presets {
+            let d = Device::new(params);
+            let first = d.graph.pip_ends.len();
+            let mut stencil = d.switchbox_stencil();
+            stencil.sort_unstable();
+            assert_eq!(stencil.is_empty(), params.cols < 3 || params.rows < 3);
+            let mut id = first;
+            let mut block: Vec<Fanout> = Vec::new();
+            let mut last_src: Option<NodeId> = None;
+            // Every node's fanout, in node order: a wire's stored-pass PIPs
+            // are one block, and blocks come in source order.
+            let mut checked = 0;
+            let mut check_up_to = |end: usize, block: &[Fanout], src: Option<NodeId>| {
+                while checked < end {
+                    let node = NodeId::from_index(checked);
+                    let expected = match src {
+                        Some(src) if src == node => block,
+                        _ => &[],
+                    };
+                    let stored = d.graph.fanout.row(checked);
+                    assert_eq!(
+                        d.fanout(node).collect::<Vec<_>>(),
+                        [stored, expected].concat(),
+                        "{params:?}: fanout of {node}"
+                    );
+                    assert_eq!(d.switchbox_fanout(node).len(), expected.len());
+                    checked += 1;
+                }
+            };
+            stored_switchbox_pass(&d, |src, dst| {
+                let pip = PipId::from_index(id);
+                assert_eq!(
+                    d.pip_endpoints(pip),
+                    (src, dst),
+                    "{params:?}: endpoints of {pip}"
+                );
+                if last_src != Some(src) {
+                    assert!(last_src < Some(src), "{params:?}: {src} out of order");
+                    check_up_to(src.index(), &block, last_src);
+                    block.clear();
+                    last_src = Some(src);
+                }
+                block.push(Fanout { dst, pip });
+                if !stencil.is_empty() {
+                    let (
+                        RouteNode::Wire { tile, track },
+                        RouteNode::Wire {
+                            tile: to,
+                            track: to_track,
+                        },
+                    ) = (d.node(src), d.node(dst))
+                    else {
+                        panic!("{params:?}: {pip} joins no two wires");
+                    };
+                    let step = (
+                        (i32::from(to.x) - i32::from(tile.x)) as i8,
+                        (i32::from(to.y) - i32::from(tile.y)) as i8,
+                        (to_track + params.tracks - track) % params.tracks,
+                    );
+                    assert!(
+                        stencil.binary_search(&step).is_ok(),
+                        "{params:?}: {pip} is no stencil step"
+                    );
+                }
+                id += 1;
+            });
+            check_up_to(d.node_count(), &block, last_src);
+            assert_eq!(id, d.pip_count(), "{params:?}");
+        }
     }
 }

@@ -28,22 +28,18 @@ impl TileCoord {
         dx + dy
     }
 
-    /// The four cardinal neighbours that lie within a `cols` × `rows` grid.
-    pub fn neighbors(self, cols: u16, rows: u16) -> Vec<TileCoord> {
-        let mut out = Vec::with_capacity(4);
-        if self.x > 0 {
-            out.push(TileCoord::new(self.x - 1, self.y));
-        }
-        if self.x + 1 < cols {
-            out.push(TileCoord::new(self.x + 1, self.y));
-        }
-        if self.y > 0 {
-            out.push(TileCoord::new(self.x, self.y - 1));
-        }
-        if self.y + 1 < rows {
-            out.push(TileCoord::new(self.x, self.y + 1));
-        }
-        out
+    /// The cardinal neighbours that lie within a `cols` × `rows` grid, in
+    /// the order west, east, south, north. Allocates nothing.
+    pub fn neighbors(self, cols: u16, rows: u16) -> impl Iterator<Item = TileCoord> {
+        let Self { x, y } = self;
+        [
+            (x > 0).then(|| TileCoord::new(x - 1, y)),
+            (x + 1 < cols).then(|| TileCoord::new(x + 1, y)),
+            (y > 0).then(|| TileCoord::new(x, y - 1)),
+            (y + 1 < rows).then(|| TileCoord::new(x, y + 1)),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// Returns `true` if the tile lies on the perimeter of a `cols` × `rows`
@@ -75,11 +71,14 @@ mod tests {
     #[test]
     fn neighbors_respect_grid_bounds() {
         let corner = TileCoord::new(0, 0);
-        assert_eq!(corner.neighbors(4, 4).len(), 2);
+        assert_eq!(corner.neighbors(4, 4).count(), 2);
         let center = TileCoord::new(1, 1);
-        assert_eq!(center.neighbors(4, 4).len(), 4);
+        assert_eq!(
+            center.neighbors(4, 4).collect::<Vec<_>>(),
+            [(0, 1), (2, 1), (1, 0), (1, 2)].map(|(x, y)| TileCoord::new(x, y))
+        );
         let edge = TileCoord::new(3, 1);
-        assert_eq!(edge.neighbors(4, 4).len(), 3);
+        assert_eq!(edge.neighbors(4, 4).count(), 3);
     }
 
     #[test]

@@ -47,11 +47,13 @@ mod mbu;
 mod node;
 mod rows;
 mod site;
+mod switchbox;
 
 pub use bitstream::Bitstream;
 pub use config::{BitAddr, BitCategory, ConfigLayout, ConfigResource};
-pub use device::{Device, DeviceParams};
+pub use device::{Device, DeviceParams, FanoutIter};
 pub use geom::TileCoord;
 pub use mbu::{BitGeometry, MbuPattern};
 pub use node::{Fanout, NodeId, Pip, PipCategory, PipId, RouteNode};
 pub use site::{Site, SiteId, SiteKind, LUT_INPUTS};
+pub use switchbox::SwitchboxFanout;

@@ -18,7 +18,7 @@ use tmr_pnr::RoutedDesign;
 /// It borrows the routed design's cached scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultList<'a> {
-    bits: &'a [usize],
+    bits: &'a [u32],
 }
 
 impl<'a> FaultList<'a> {
@@ -32,7 +32,7 @@ impl<'a> FaultList<'a> {
     }
 
     /// All eligible bit indices, in configuration-memory order.
-    pub fn bits(&self) -> &'a [usize] {
+    pub fn bits(&self) -> &'a [u32] {
         self.bits
     }
 
@@ -65,7 +65,10 @@ impl<'a> FaultList<'a> {
                 chosen.insert(limit);
             }
         }
-        let mut bits: Vec<usize> = chosen.into_iter().map(|index| self.bits[index]).collect();
+        let mut bits: Vec<usize> = chosen
+            .into_iter()
+            .map(|index| self.bits[index] as usize)
+            .collect();
         bits.sort_unstable();
         bits
     }
@@ -161,7 +164,10 @@ mod tests {
         // Every bit that is set in the bitstream belongs to a design resource,
         // so it must be in the fault list.
         for bit in routed.bitstream().iter_ones() {
-            assert!(list.bits().contains(&bit), "programmed bit {bit} missing");
+            assert!(
+                list.bits().contains(&(bit as u32)),
+                "programmed bit {bit} missing"
+            );
         }
         // The list is larger than the programmed bits: it also contains the
         // zero bits of resources adjacent to the design (candidate bridges).
@@ -252,7 +258,7 @@ mod tests {
             assert!(fault.windows(2).all(|pair| pair[0] < pair[1]));
             for &bit in fault {
                 assert!(seen.insert(bit), "intervals draw disjoint bits");
-                assert!(list.bits().binary_search(&bit).is_ok());
+                assert!(list.bits().binary_search(&(bit as u32)).is_ok());
             }
         }
         // Anchors ascend: the merged result order is the fault-list order.
@@ -269,7 +275,7 @@ mod tests {
         // A 10-bit fault list with 4 upsets per scrub: asking for 3 intervals
         // samples all 10 bits — 2 full intervals plus a 2-bit partial one,
         // never dropping sampled bits.
-        let ten: Vec<usize> = full.bits().iter().copied().take(10).collect();
+        let ten: Vec<u32> = full.bits().iter().copied().take(10).collect();
         let list = FaultList { bits: &ten };
         let model = FaultModel::Accumulate {
             upsets_per_scrub: 4,
@@ -279,7 +285,7 @@ mod tests {
             faults.iter().map(Vec::len).collect::<Vec<_>>(),
             vec![4, 4, 2]
         );
-        let mut injected: Vec<usize> = faults.iter().flatten().copied().collect();
+        let mut injected: Vec<u32> = faults.iter().flatten().map(|&bit| bit as u32).collect();
         injected.sort_unstable();
         assert_eq!(injected, ten, "every sampled bit is injected exactly once");
         assert!(faults.windows(2).all(|pair| pair[0][0] < pair[1][0]));

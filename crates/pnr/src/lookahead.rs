@@ -22,8 +22,9 @@
 //!
 //! The sink-specific map lookahead ([`Lookahead`]) knows which wires those
 //! are. Every wire's switchbox PIPs lead to the same relative
-//! `(dx, dy, track offset)` targets, its *stencil*: the builder uses the
-//! same offsets in every tile, and edge tiles only lose neighbours. A sink's
+//! `(dx, dy, track offset)` targets, its *stencil*
+//! ([`Device::switchbox_stencil`]): the device applies one switch-matrix
+//! rule in every tile, and edge tiles only lose neighbours. A sink's
 //! wire drivers, taken relative to the sink's tile and to the first driver's
 //! track, form its *driver pattern*, and most sinks share one of a few
 //! patterns. A breadth-first search backward from a pattern over the
@@ -115,30 +116,14 @@ pub(crate) struct Target {
 }
 
 impl Lookahead {
-    /// The lookahead of `device`, with its stencil read off the wires of the
-    /// first tile that has four neighbours and no hop table yet.
+    /// The lookahead of `device`, with the device's stencil and no hop table
+    /// yet.
     pub(crate) fn new(device: &Device) -> Self {
-        let tracks = device.params().tracks;
-        let (cols, rows) = (device.cols(), device.rows());
-        let mut stencil = Vec::new();
-        if cols >= 3 && rows >= 3 {
-            let tile = TileCoord::new(1, 1);
-            for track in 0..tracks {
-                let wire = device
-                    .node_id(RouteNode::Wire { tile, track })
-                    .expect("the tile has every track");
-                stencil.extend(
-                    device
-                        .fanout(wire)
-                        .iter()
-                        .filter_map(|edge| relative(device, edge.dst, tile, track, tracks)),
-                );
-            }
-            stencil.sort_unstable();
-            stencil.dedup();
-        }
+        let mut stencil = device.switchbox_stencil();
+        stencil.sort_unstable();
+        stencil.dedup();
         Self {
-            tracks,
+            tracks: device.params().tracks,
             stencil,
             patterns: HashMap::new(),
             tables: Vec::new(),
@@ -242,9 +227,8 @@ impl Lookahead {
     }
 }
 
-/// `wire` relative to the wire `track` of `tile`, if it is a wire: a
-/// switchbox step from that wire, or a sink's driver relative to the sink's
-/// tile and a reference track.
+/// `wire` relative to the wire `track` of `tile`, if it is a wire: a sink's
+/// driver relative to the sink's tile and a reference track.
 fn relative(
     device: &Device,
     wire: NodeId,
@@ -454,40 +438,6 @@ mod tests {
                 100.0 * exact as f64 / pairs.max(1) as f64
             );
             assert!(pairs > 0, "{name}: the oracle checked no pair");
-        }
-    }
-
-    /// Every switchbox PIP, taken relative to its source wire, is a stencil
-    /// step: so hop counts over the stencil are lower bounds on the device.
-    #[test]
-    fn the_stencil_covers_every_switchbox_pip() {
-        let five_tracks = DeviceParams {
-            tracks: 5,
-            ..DeviceParams::small(3, 3)
-        };
-        // The auto-sized device every paper number is computed on.
-        let paper = DeviceParams {
-            cols: 54,
-            rows: 40,
-            tracks: 182,
-            ..DeviceParams::xc2s200e_like()
-        };
-        for params in [DeviceParams::small(24, 24), lean(), five_tracks, paper] {
-            let device = Device::new(params);
-            let lookahead = Lookahead::new(&device);
-            assert!(!lookahead.stencil.is_empty(), "{params:?}");
-            for index in 0..device.pip_count() {
-                let (src, dst) = device.pip_endpoints(PipId::from_index(index));
-                let RouteNode::Wire { tile, track } = device.node(src) else {
-                    continue;
-                };
-                if let Some(step) = relative(&device, dst, tile, track, params.tracks) {
-                    assert!(
-                        lookahead.stencil.binary_search(&step).is_ok(),
-                        "{params:?}: PIP {src} -> {dst} is no stencil step"
-                    );
-                }
-            }
         }
     }
 

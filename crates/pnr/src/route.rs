@@ -7,11 +7,12 @@
 //!   admissible floor: near the sink, the switchbox hops from each wire to
 //!   the pin's own drivers (`lookahead::Lookahead`, built per call for the
 //!   driver patterns of its sinks), elsewhere the distance floor
-//!   `lookahead::cost_floor`. Expansions walk the device's own fanout rows
-//!   ([`Device::fanout`]); the open list is a 4-ary heap over packed keys
-//!   that the partial tree seeds with one heapify. All search state lives in
-//!   generation-stamped scratch arrays indexed by node id, so routing a net
-//!   allocates nothing.
+//!   `lookahead::cost_floor`. Expansions walk the device's fanout
+//!   ([`Device::fanout`]): each node's stored pin PIPs, then a wire's
+//!   switchbox PIPs, computed from the switch-matrix rule. The open list is
+//!   a 4-ary heap over packed keys that the partial tree seeds with one
+//!   heapify. All search state lives in generation-stamped scratch arrays
+//!   indexed by node id, so routing a net allocates nothing.
 //! * **Net-by-net negotiation.** Each PathFinder iteration walks the nets
 //!   in order. A net whose tree is missing or touches an overused node is
 //!   ripped up, rerouted against the live occupancy and committed before the
@@ -651,14 +652,16 @@ fn route_net(
                 reached = true;
                 break;
             }
-            for edge in device.fanout(node) {
+            // `for_each` walks the stored pin PIPs and the switchbox steps in
+            // two plain loops.
+            device.fanout(node).for_each(|edge| {
                 let index = edge.dst.index();
                 let state = states[index];
                 // Never route through another cell's input pin; only the
                 // target sink pin is enterable. No PIP enters an output pin,
                 // so every other node is a wire.
                 if state.track == IN_PIN && index != sink_index {
-                    continue;
+                    return;
                 }
                 let step = state.cost_static * (1.0 + present_factor * f32::from(state.occupancy));
                 let next_cost = cost + step;
@@ -671,7 +674,7 @@ fn route_net(
                             + floor.wire(state.tile_x, state.tile_y, state.track) * ASTAR_WEIGHT
                     };
                     if estimate > sink_bound {
-                        continue;
+                        return;
                     }
                     *rec = SearchRec {
                         best_cost: next_cost,
@@ -683,7 +686,7 @@ fn route_net(
                     }
                     scratch.queue.push(estimate, next_cost, edge.dst);
                 }
-            }
+            });
         }
 
         if !reached {

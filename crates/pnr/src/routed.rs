@@ -61,7 +61,7 @@ pub struct RoutedDesign {
     /// The net occupying each routing node, indexed by node up to the
     /// highest node any tree uses; [`NO_NET`] marks a free node.
     node_net: Vec<u32>,
-    design_bits: std::sync::OnceLock<Vec<usize>>,
+    design_bits: std::sync::OnceLock<Vec<u32>>,
 }
 
 /// The [`RoutedDesign`] node-table entry of a node no net uses.
@@ -117,7 +117,7 @@ impl RoutedDesign {
         let mut report = BitReport::default();
         let layout = device.config_layout();
         for &bit in self.design_related_bits(device) {
-            match layout.category_at(bit) {
+            match layout.category_at(bit as usize) {
                 BitCategory::GeneralRouting => report.routing_bits += 1,
                 BitCategory::ClbCustomization => report.clb_mux_bits += 1,
                 BitCategory::LutContents => report.lut_bits += 1,
@@ -147,20 +147,58 @@ impl RoutedDesign {
     /// [`RoutedDesign::resource_is_design_related`]. This is the fault-list
     /// population of the paper's Fault List Manager.
     ///
-    /// The scan is computed once per routed design and cached: the dense
-    /// node table and the placement's dense site table make the pass over
-    /// the (large) configuration memory cost two array probes per bit, and
-    /// repeated campaigns on the same design (sweeps, streaming benches,
-    /// static analysis) reuse the list for free.
-    pub fn design_related_bits(&self, device: &Device) -> &[usize] {
+    /// The scan is computed once per routed design and cached, and repeated
+    /// campaigns on the same design (sweeps, streaming benches, static
+    /// analysis) reuse the list for free. It walks the configuration memory
+    /// in bit order. A wire's switchbox PIPs take consecutive bits
+    /// ([`Device::switchbox_fanout`]), so the scan takes each such block at
+    /// once: every bit of it if the wire is used, else the bits of the PIPs
+    /// whose target is. Any other bit costs a few array probes.
+    pub fn design_related_bits(&self, device: &Device) -> &[u32] {
         self.design_bits.get_or_init(|| {
             let layout = device.config_layout();
-            (0..layout.bit_count())
-                .filter(|&bit| {
-                    let resource = layout.resource_at(bit).expect("bit in range");
-                    self.resource_is_design_related(device, &resource)
-                })
-                .collect()
+            let used = |node: NodeId| self.net_of_node(node).is_some();
+            let mut bits = Vec::new();
+            let mut bit = 0;
+            while bit < layout.bit_count() {
+                let related = match layout.resource_at(bit).expect("bit in range") {
+                    ConfigResource::Pip(pip) => {
+                        let (src, dst) = device.pip_endpoints(pip);
+                        if device.node(src).is_wire() && device.node(dst).is_wire() {
+                            // A switchbox PIP: the walk meets the first of
+                            // its source's block.
+                            let block = device.switchbox_fanout(src);
+                            debug_assert_eq!(block.clone().next().map(|edge| edge.pip), Some(pip));
+                            let len = block.len();
+                            if used(src) {
+                                bits.extend(bit as u32..(bit + len) as u32);
+                            } else {
+                                // Without a branch: write every bit, keep
+                                // those whose target is used.
+                                let start = bits.len();
+                                bits.resize(start + len, 0);
+                                let mut kept = start;
+                                for (next, edge) in (bit as u32..).zip(block) {
+                                    bits[kept] = next;
+                                    kept += usize::from(used(edge.dst));
+                                }
+                                bits.truncate(kept);
+                            }
+                            bit += len;
+                            continue;
+                        }
+                        used(src) || used(dst)
+                    }
+                    ConfigResource::LutBit { site, .. } | ConfigResource::FfInit { site } => {
+                        self.placement.cell_at(site).is_some()
+                    }
+                };
+                if related {
+                    bits.push(bit as u32);
+                }
+                bit += 1;
+            }
+            bits
         })
     }
 
@@ -390,6 +428,53 @@ mod tests {
         assert!(expected.routing_bits > 0 && expected.clb_mux_bits > 0);
         assert!(expected.lut_bits > 0 && expected.ff_bits > 0);
         assert_eq!(routed.bit_report(&device), expected);
+    }
+
+    /// The scan the block walk replaced: every bit's resource, one at a
+    /// time.
+    fn per_bit_scan(device: &Device, routed: &RoutedDesign) -> Vec<u32> {
+        let layout = device.config_layout();
+        (0..layout.bit_count())
+            .filter(|&bit| {
+                let resource = layout.resource_at(bit).expect("bit in range");
+                routed.resource_is_design_related(device, &resource)
+            })
+            .map(|bit| bit as u32)
+            .collect()
+    }
+
+    #[test]
+    fn the_block_walk_finds_the_bits_of_a_per_bit_scan() {
+        use tmr_arch::DeviceParams;
+        use tmr_core::{apply_tmr, TmrConfig};
+        // The lean preset the fuzzer rotates in, and the auto-sized device
+        // every paper number is computed on.
+        let lean = DeviceParams {
+            tracks: 8,
+            out_pin_candidates: 4,
+            in_pin_candidates: 2,
+            sb_same_tile: 2,
+            sb_neighbor: 2,
+            ..DeviceParams::small(8, 8)
+        };
+        let paper = DeviceParams {
+            cols: 54,
+            rows: 40,
+            tracks: 182,
+            ..DeviceParams::xc2s200e_like()
+        };
+        let tmr = apply_tmr(&moving_sum(3, 4, 6), &TmrConfig::paper_p2()).unwrap();
+        for (params, design) in [
+            (DeviceParams::small(24, 24), &tmr),
+            (lean, &counter(4)),
+            (paper, &tmr),
+        ] {
+            let device = Device::new(params);
+            let routed = place_and_route(&device, &mapped(design), 3).unwrap();
+            let bits = routed.design_related_bits(&device);
+            assert_eq!(bits, per_bit_scan(&device, &routed), "{params:?}");
+            assert!(routed.bit_report(&device).routing_bits > 0, "{params:?}");
+        }
     }
 
     #[test]
