@@ -111,7 +111,7 @@ impl DeviceParams {
 ///
 /// The built graph is immutable and lives behind a reference count, so a
 /// `Device` is a handle: a clone shares the graph rather than copying it (the
-/// auto-sized 54 × 40 paper device holds about 46 MiB). Flows, sweeps and
+/// auto-sized 54 × 40 paper device holds about 47 MiB). Flows, sweeps and
 /// the campaign service keep and pass clones instead of rebuilding or
 /// copying.
 #[derive(Debug, Clone)]

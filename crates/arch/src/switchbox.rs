@@ -58,9 +58,6 @@ struct TileRun {
     first_pip: u32,
     /// PIPs per track: the steps of a tile with this many neighbours.
     per_track: u32,
-    /// `⌈2³² / per_track⌉`, which divides by `per_track` with a multiply
-    /// (see [`TileRun::track_and_step`]).
-    reciprocal: u64,
     /// The first node of the tile, then of each neighbour: a tile's wires
     /// are its first nodes.
     first_node: [u32; 5],
@@ -110,7 +107,6 @@ impl Switchbox {
                 tiles.push(TileRun {
                     first_pip: fits(next),
                     per_track,
-                    reciprocal: (1u64 << 32).div_ceil(u64::from(per_track.max(1))),
                     first_node,
                 });
                 next += u64::from(tracks) * u64::from(per_track);
@@ -191,7 +187,8 @@ impl Switchbox {
             tile += 1;
         }
         let run = &self.tiles[tile];
-        let (track, step) = run.track_and_step(id - run.first_pip);
+        let within = id - run.first_pip;
+        let (track, step) = (within / run.per_track, within % run.per_track);
         let (target, offset) = self.steps[step as usize];
         let src = run.first_node[0] + track;
         let dst =
@@ -222,23 +219,6 @@ impl Switchbox {
                 (dx, dy, offset)
             })
             .collect()
-    }
-}
-
-impl TileRun {
-    /// The track and step of the run's PIP `within` past its first:
-    /// `within / per_track` and the remainder.
-    ///
-    /// The quotient is `within × ⌈2³² / per_track⌉ / 2³²`, rounded down.
-    /// The rounded-up reciprocal overshoots `1 / per_track` by less than
-    /// `2⁻³²`, so the product overshoots the true quotient by less than
-    /// `within / 2³²`, below `2⁻¹¹`: a run has fewer than 2¹⁶ tracks of at
-    /// most 25 steps. That never reaches the next integer, which lies at
-    /// least `1 / per_track ≥ 1 / 25` above the true quotient.
-    #[inline]
-    fn track_and_step(&self, within: u32) -> (u32, u32) {
-        let track = ((u64::from(within) * self.reciprocal) >> 32) as u32;
-        (track, within - track * self.per_track)
     }
 }
 
