@@ -3,7 +3,7 @@
 use crate::verdict::domain_bit;
 use crate::{CriticalityReport, Verdict};
 use std::collections::BTreeMap;
-use tmr_arch::{BitCategory, Device};
+use tmr_arch::Device;
 use tmr_faultsim::{classify_touch, FaultClass, Touch};
 use tmr_netlist::{Domain, Netlist};
 use tmr_pnr::RoutedDesign;
@@ -12,12 +12,13 @@ use tmr_sim::OutputGroups;
 /// The result of statically analyzing every configuration bit of a routed
 /// design.
 ///
-/// [`StaticAnalysis::run`] walks the complete configuration space — not a
-/// random sample — and classifies each bit with `tmr-faultsim`'s
-/// classification rules ([`classify_touch`]) used *purely structurally*:
+/// [`StaticAnalysis::run`] covers the complete configuration space — not a
+/// random sample. It classifies the design-related bits with
+/// `tmr-faultsim`'s rules ([`classify_touch`]) used *purely structurally*:
 /// no fault overlay is built or simulated, only the TMR domains of what the
 /// flip touches (a cell, the sinks below an opened PIP, shorted or victim
-/// nets) are inspected. This gives exhaustive coverage of the
+/// nets) are inspected, and it keeps the bits whose flip affects some
+/// domain; every other bit is benign. This gives exhaustive coverage of the
 /// domain-crossing bits (the paper's voter-defeating upsets) at a few tens
 /// of nanoseconds per bit, where the dynamic campaign pays a full
 /// multi-cycle simulation per sampled bit.
@@ -42,15 +43,28 @@ use tmr_sim::OutputGroups;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticAnalysis {
     design: String,
-    verdicts: Vec<Verdict>,
-    classes: Vec<FaultClass>,
-    /// The *exact* affected-domain set of each bit, as a [`domain_bit`]
-    /// mask — verdicts are lossy (`SingleDomain` keeps only the least
-    /// protected domain), so cluster merging works on these instead.
-    domain_masks: Vec<u8>,
+    bit_count: usize,
+    /// The bits whose flip affects some domain, in bit order.
+    touched: Vec<Touched>,
     design_related: usize,
     voted_tmr: bool,
     observable: Vec<usize>,
+}
+
+/// One bit whose flip affects some domain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Touched {
+    bit: u32,
+    /// The *exact* affected-domain set as a non-zero [`domain_bit`] mask,
+    /// which cluster merging reads: a `SingleDomain` verdict is lossy.
+    mask: u8,
+    class: FaultClass,
+}
+
+impl Touched {
+    fn verdict(&self) -> Verdict {
+        Verdict::from_domain_mask(self.mask, self.class)
+    }
 }
 
 impl StaticAnalysis {
@@ -64,52 +78,41 @@ impl StaticAnalysis {
     /// [`tmr_faultsim::BitEffect::affected_domains`] derives from
     /// [`tmr_faultsim::classify_bit`]'s overlay.
     ///
-    /// Only the design-related bits are classified. Any other bit touches
-    /// nothing, so it is benign, and its class follows from its category
-    /// alone: a LUT bit's is `Lut`, a flip-flop bit's `Initialization`, a
-    /// CLB-customization bit's `Mux` and a general-routing bit's `Others`.
+    /// Only the design-related bits are classified, and only those whose
+    /// mask is non-empty are kept: every other bit is benign.
     pub fn run(device: &Device, routed: &RoutedDesign) -> Self {
         let mut trace_span = tmr_trace::span("analyze.static");
         let netlist = routed.netlist();
         let voted_tmr = outputs_fully_voted(netlist) && merging_confined_to_voters(netlist);
-        let layout = device.config_layout();
-        let bit_count = layout.bit_count();
+        let bit_count = device.config_layout().bit_count();
         trace_span.attr("design", netlist.name());
         trace_span.attr("bits", bit_count);
 
         let tables = DomainTables::new(device, routed);
         let related = routed.design_related_bits(device);
-        let design_related = related.len();
-        // Every bit starts untouched; the design-related ones are then
-        // classified.
-        let mut classes: Vec<FaultClass> = (0..bit_count)
-            .map(|bit| untouched_class(layout.category_at(bit)))
-            .collect();
-        let mut verdicts = vec![Verdict::Benign; bit_count];
-        let mut domain_masks = vec![0; bit_count];
+        let mut touched = Vec::new();
         // Only design-related bits touch anything, so this never regrows.
-        let mut observable = Vec::with_capacity(design_related);
+        let mut observable = Vec::with_capacity(related.len());
         for &bit in related {
-            let bit = bit as usize;
-            let (class, touch) = classify_touch(device, routed, bit);
+            let (class, touch) = classify_touch(device, routed, bit as usize);
             let mask = tables.mask(device, touch);
-            let verdict = Verdict::from_domain_mask(mask, class);
-            if verdict.possibly_observable(voted_tmr) {
-                observable.push(bit);
+            if mask == 0 {
+                continue;
             }
-            verdicts[bit] = verdict;
-            classes[bit] = class;
-            domain_masks[bit] = mask;
+            let record = Touched { bit, mask, class };
+            if record.verdict().possibly_observable(voted_tmr) {
+                observable.push(bit as usize);
+            }
+            touched.push(record);
         }
         trace_span.attr("observable", observable.len());
-        trace_span.attr("design_related", design_related);
+        trace_span.attr("design_related", related.len());
 
         Self {
             design: netlist.name().to_string(),
-            verdicts,
-            classes,
-            domain_masks,
-            design_related,
+            bit_count,
+            touched,
+            design_related: related.len(),
             voted_tmr,
             observable,
         }
@@ -122,7 +125,7 @@ impl StaticAnalysis {
 
     /// Number of analyzed configuration bits (the whole configuration space).
     pub fn bit_count(&self) -> usize {
-        self.verdicts.len()
+        self.bit_count
     }
 
     /// Number of design-related bits (the dynamic campaign's fault list).
@@ -137,13 +140,24 @@ impl StaticAnalysis {
         self.voted_tmr
     }
 
+    /// The record of `bit` if its flip affects some domain; panics if `bit`
+    /// is outside the configuration space.
+    fn record(&self, bit: usize) -> Option<&Touched> {
+        assert!(
+            bit < self.bit_count,
+            "bit {bit} is outside the configuration space"
+        );
+        let found = self.touched.binary_search_by_key(&bit, |t| t.bit as usize);
+        found.ok().map(|index| &self.touched[index])
+    }
+
     /// The verdict of one configuration bit.
     ///
     /// # Panics
     ///
     /// Panics if `bit` is outside the configuration space.
     pub fn verdict(&self, bit: usize) -> Verdict {
-        self.verdicts[bit]
+        self.record(bit).map_or(Verdict::Benign, Touched::verdict)
     }
 
     /// The merged verdict of a multi-bit fault (an MBU cluster, or the
@@ -166,12 +180,14 @@ impl StaticAnalysis {
         let mut mask = 0u8;
         let mut class: Option<FaultClass> = None;
         for &bit in bits {
-            if self.verdicts[bit] != Verdict::Benign && class.is_none() {
-                class = Some(self.classes[bit]);
+            if let Some(record) = self.record(bit) {
+                mask |= record.mask;
+                class.get_or_insert(record.class);
             }
-            mask |= self.domain_masks[bit];
         }
-        Verdict::from_domain_mask(mask, class.unwrap_or(self.classes[bits[0]]))
+        class.map_or(Verdict::Benign, |class| {
+            Verdict::from_domain_mask(mask, class)
+        })
     }
 
     /// Whether a multi-bit fault could be observable at the voted outputs —
@@ -189,9 +205,10 @@ impl StaticAnalysis {
 
     /// The single-domain tags justifying multi-bit campaign pruning: every
     /// statically *non-observable* bit that is confined to exactly one
-    /// redundant domain, with that domain. Empty unless the design satisfies
-    /// the structural TMR preconditions ([`StaticAnalysis::voted_tmr`]) —
-    /// without them nothing is maskable and nothing may be pruned.
+    /// redundant domain, with that domain, in bit order. Empty unless the
+    /// design satisfies the structural TMR preconditions
+    /// ([`StaticAnalysis::voted_tmr`]) — without them nothing is maskable
+    /// and nothing may be pruned.
     ///
     /// Handed to [`tmr_faultsim::CampaignBuilder::maskable_domains`] by
     /// [`crate::PruneWith::prune_with`]: the campaign skips a
@@ -199,20 +216,14 @@ impl StaticAnalysis {
     /// common tag, and degrades conservatively (simulates) for any bit
     /// missing here.
     pub fn maskable_domains(&self) -> impl Iterator<Item = (usize, Domain)> + '_ {
-        self.verdicts
+        self.touched
             .iter()
-            .enumerate()
-            .filter_map(move |(bit, verdict)| match *verdict {
+            .filter_map(move |record| match record.verdict() {
                 Verdict::SingleDomain(domain) if self.voted_tmr && domain.is_redundant() => {
-                    Some((bit, domain))
+                    Some((record.bit as usize, domain))
                 }
                 _ => None,
             })
-    }
-
-    /// All verdicts, indexed by bit.
-    pub fn verdicts(&self) -> &[Verdict] {
-        &self.verdicts
     }
 
     /// The sorted list of statically-possibly-observable bits — the
@@ -223,15 +234,14 @@ impl StaticAnalysis {
         &self.observable
     }
 
-    /// Aggregates the verdict map into a [`CriticalityReport`].
+    /// Aggregates the verdicts into a [`CriticalityReport`].
     pub fn report(&self) -> CriticalityReport {
-        let mut benign = 0;
         let mut single_domain: BTreeMap<Domain, usize> = BTreeMap::new();
         let mut crossing: BTreeMap<(Domain, Domain), BTreeMap<FaultClass, usize>> = BTreeMap::new();
         let mut defeating_bits = Vec::new();
-        for (bit, verdict) in self.verdicts.iter().enumerate() {
-            match *verdict {
-                Verdict::Benign => benign += 1,
+        for record in &self.touched {
+            match record.verdict() {
+                Verdict::Benign => unreachable!("a recorded bit affects some domain"),
                 Verdict::SingleDomain(domain) => {
                     *single_domain.entry(domain).or_insert(0) += 1;
                 }
@@ -241,32 +251,21 @@ impl StaticAnalysis {
                         .or_default()
                         .entry(class)
                         .or_insert(0) += 1;
-                    defeating_bits.push(bit);
+                    defeating_bits.push(record.bit as usize);
                 }
             }
         }
         CriticalityReport {
             design: self.design.clone(),
-            total_bits: self.verdicts.len(),
+            total_bits: self.bit_count,
             design_related: self.design_related,
             observable: self.observable.len(),
             voted_tmr: self.voted_tmr,
-            benign,
+            benign: self.bit_count - self.touched.len(),
             single_domain,
             crossing,
             defeating_bits,
         }
-    }
-}
-
-/// The class [`classify_touch`] gives a bit that is not design-related: the
-/// bit touches nothing, so its category alone fixes its class.
-fn untouched_class(category: BitCategory) -> FaultClass {
-    match category {
-        BitCategory::LutContents => FaultClass::Lut,
-        BitCategory::FlipFlop => FaultClass::Initialization,
-        BitCategory::ClbCustomization => FaultClass::Mux,
-        BitCategory::GeneralRouting => FaultClass::Others,
     }
 }
 
@@ -378,6 +377,7 @@ fn merging_confined_to_voters(netlist: &Netlist) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmr_arch::DeviceParams;
     use tmr_core::{apply_tmr, TmrConfig};
     use tmr_designs::counter;
     use tmr_faultsim::classify_bit;
@@ -406,31 +406,59 @@ mod tests {
         assert!(analysis.design().contains("counter"));
     }
 
-    /// Every bit, design-related or not, gets the class, domain mask and
-    /// verdict that classifying it gives.
+    /// Every bit's verdict is the one classifying it gives, and exactly the
+    /// bits whose flip affects some domain are recorded, with their exact
+    /// domain mask and class.
     #[test]
-    fn bits_outside_the_design_get_the_classification_they_would_get() {
-        let device = Device::small(8, 8);
+    fn records_hold_exactly_the_bits_classifying_finds_affecting_a_domain() {
+        let lean = DeviceParams {
+            tracks: 8,
+            out_pin_candidates: 4,
+            in_pin_candidates: 2,
+            sb_same_tile: 2,
+            sb_neighbor: 2,
+            ..DeviceParams::small(8, 8)
+        };
         let design = apply_tmr(&counter(4), &TmrConfig::paper_p2()).unwrap();
-        let routed = implement(&design, &device, 5);
-        let analysis = StaticAnalysis::run(&device, &routed);
-        let tables = DomainTables::new(&device, &routed);
-        let mut touched = 0;
-        for bit in 0..analysis.bit_count() {
-            let (class, touch) = classify_touch(&device, &routed, bit);
-            let mask = tables.mask(&device, touch);
-            assert_eq!(
-                (
-                    analysis.classes[bit],
-                    analysis.domain_masks[bit],
-                    analysis.verdict(bit)
-                ),
-                (class, mask, Verdict::from_domain_mask(mask, class)),
-                "bit {bit}"
-            );
-            touched += usize::from(touch != Touch::Nothing);
+        for params in [DeviceParams::small(8, 8), lean] {
+            let device = Device::new(params);
+            let routed = implement(&design, &device, 5);
+            let analysis = StaticAnalysis::run(&device, &routed);
+            let tables = DomainTables::new(&device, &routed);
+            let mut records = analysis.touched.iter();
+            for bit in 0..analysis.bit_count() {
+                let (class, touch) = classify_touch(&device, &routed, bit);
+                let mask = tables.mask(&device, touch);
+                let verdict = Verdict::from_domain_mask(mask, class);
+                assert_eq!(analysis.verdict(bit), verdict, "bit {bit}");
+                if mask != 0 {
+                    let expected = Touched {
+                        bit: bit as u32,
+                        mask,
+                        class,
+                    };
+                    assert_eq!(records.next(), Some(&expected), "bit {bit}");
+                }
+            }
+            assert_eq!(records.next(), None, "every record is a classified bit");
+            assert!(!analysis.touched.is_empty(), "{params:?}");
         }
-        assert!(touched > 0 && touched <= analysis.design_related());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn the_verdict_of_a_bit_past_the_configuration_space_panics() {
+        let device = Device::small(5, 5);
+        let analysis = StaticAnalysis::run(&device, &implement(&counter(4), &device, 5));
+        analysis.verdict(analysis.bit_count());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn the_verdict_of_a_fault_past_the_configuration_space_panics() {
+        let device = Device::small(5, 5);
+        let analysis = StaticAnalysis::run(&device, &implement(&counter(4), &device, 5));
+        analysis.verdict_for_fault(&[analysis.bit_count()]);
     }
 
     #[test]

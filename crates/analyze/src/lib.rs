@@ -11,14 +11,16 @@
 //! crate discovers them *statically*, in the spirit of dependability-model-
 //! driven TMR evaluation, by walking the routed design's structure:
 //!
-//! * [`StaticAnalysis::run`] classifies **every** configuration bit into a
+//! * [`StaticAnalysis::run`] gives **every** configuration bit a
 //!   [`Verdict`] — [`Verdict::Benign`], [`Verdict::SingleDomain`] or
-//!   [`Verdict::DomainCrossing`] — in one allocation-free pass: each bit's
-//!   class and what its flip touches come from
-//!   [`tmr_faultsim::classify_touch`] (the rules
+//!   [`Verdict::DomainCrossing`] — from one pass over the design-related
+//!   bits that hashes nothing: each bit's class and what its flip touches
+//!   come from [`tmr_faultsim::classify_touch`] (the rules
 //!   [`tmr_faultsim::classify_bit`] builds its overlays from), and per-run
-//!   tables map that to the exact set of affected TMR domains (no simulator
-//!   run, exhaustive whole-bitstream coverage);
+//!   tables map that to the exact set of affected TMR domains. Every other
+//!   bit touches nothing, so it is benign, and the analysis keeps only the
+//!   bits whose flip affects some domain (no simulator run, exhaustive
+//!   whole-bitstream coverage);
 //! * [`CriticalityReport`] aggregates the verdict map into per-domain-pair ×
 //!   per-effect-class counts plus the TMR-defeating bit set, with text
 //!   ([`std::fmt::Display`]) and dependency-free JSON ([`Json`]) rendering;

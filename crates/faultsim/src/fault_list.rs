@@ -46,14 +46,16 @@ impl<'a> FaultList<'a> {
         self.bits.is_empty()
     }
 
-    /// Draws `count` distinct bits uniformly at random (or every bit if
-    /// `count` exceeds the list size), reproducibly for a given seed. The
-    /// paper injected roughly 10 % of the configuration memory, selected
-    /// randomly from the fault list.
+    /// Draws `count` distinct bits uniformly at random, reproducibly for a
+    /// given seed, in configuration-memory order; a `count` at or past the
+    /// list size returns the whole list. The paper injected roughly 10 % of
+    /// the configuration memory, selected randomly from the fault list.
     pub fn sample(&self, count: usize, seed: u64) -> Vec<usize> {
-        let mut rng = StdRng::seed_from_u64(seed);
         let len = self.bits.len();
-        let count = count.min(len);
+        if count >= len {
+            return self.bits.iter().map(|&bit| bit as usize).collect();
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
         // Floyd's algorithm draws `count` distinct indices with `count` RNG
         // calls; shuffling the whole fault list (hundreds of thousands of
         // bits on real devices) to keep a few hundred would dominate the
@@ -185,7 +187,8 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 100.min(list.len()));
         let all = list.sample(usize::MAX, 3);
-        assert_eq!(all.len(), list.len());
+        let bits: Vec<usize> = list.bits().iter().map(|&bit| bit as usize).collect();
+        assert_eq!(all, bits, "a count past the list returns the whole list");
         // Distinct bits.
         let mut dedup = a.clone();
         dedup.dedup();

@@ -201,8 +201,9 @@ struct RouteContext<'a> {
 /// Everything the expansion loop needs to price and locate one node, packed
 /// into a single 12-byte record so each neighbour touch costs one cache line
 /// instead of five (`cost_static`, `occupancy`, `track`, `tile_x`, `tile_y`
-/// used to live in separate arrays). `cost_static` (base + history) is
-/// refreshed once per iteration, `occupancy` at every rip-up and commit.
+/// used to live in separate arrays). `cost_static` starts at the base cost
+/// and gains each overused node's history cost once per iteration;
+/// `occupancy` changes at every rip-up and commit.
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
     /// Congestion-free cost of the node this iteration: base + history.
@@ -298,15 +299,13 @@ fn route_inner(
         device.params().tracks < OUT_PIN,
         "track ids fit below the pin sentinels"
     );
-    let mut base = vec![0f32; node_count];
     let mut states = Vec::with_capacity(node_count);
-    for (index, base_slot) in base.iter_mut().enumerate() {
+    for index in 0..node_count {
         let id = NodeId::from_index(index);
         let tile = device.node_tile(id);
         let node = device.node(id);
-        *base_slot = base_cost(&node);
         states.push(NodeState {
-            cost_static: *base_slot,
+            cost_static: base_cost(&node),
             occupancy: 0,
             track: match node {
                 RouteNode::Wire { track, .. } => track,
@@ -325,7 +324,6 @@ fn route_inner(
         lookahead,
     };
 
-    let mut history = vec![0f32; node_count];
     let mut scratch = RouterScratch::new(node_count);
     let mut trees: Vec<Option<RouteTree>> = (0..nets.len()).map(|_| None).collect();
     let mut present_factor = PRESENT_FACTOR;
@@ -353,8 +351,15 @@ fn route_inner(
             }
         }
 
+        // Count the overused nodes and charge each its history cost.
         let previous = overused;
-        overused = states.iter().filter(|s| s.occupancy > 1).count();
+        overused = 0;
+        for state in &mut states {
+            if state.occupancy > 1 {
+                overused += 1;
+                state.cost_static += (HISTORY_INCREMENT * f64::from(state.occupancy - 1)) as f32;
+            }
+        }
         let nodes_expanded = std::mem::take(&mut scratch.nodes_expanded);
         telemetry.iterations.push(RouteIteration {
             iteration,
@@ -388,13 +393,6 @@ fn route_inner(
         }
         if iteration == options.max_iterations {
             break;
-        }
-        for node in 0..node_count {
-            let occ = states[node].occupancy;
-            if occ > 1 {
-                history[node] += (HISTORY_INCREMENT * f64::from(occ - 1)) as f32;
-            }
-            states[node].cost_static = base[node] + history[node];
         }
         falling &= iteration == 1 || overused < previous;
         let growth = if iteration > 1 && falling {

@@ -86,8 +86,11 @@ impl Fnv {
 /// configuration memory.
 fn clusters(analysis: &StaticAnalysis) -> Vec<Vec<usize>> {
     let mut by_verdict: BTreeMap<Verdict, Vec<usize>> = BTreeMap::new();
-    for (bit, &verdict) in analysis.verdicts().iter().enumerate() {
-        by_verdict.entry(verdict).or_default().push(bit);
+    for bit in 0..analysis.bit_count() {
+        by_verdict
+            .entry(analysis.verdict(bit))
+            .or_default()
+            .push(bit);
     }
     let mut representatives = Vec::new();
     for bits in by_verdict.values() {
@@ -123,8 +126,8 @@ fn digest(analysis: &StaticAnalysis) -> u64 {
     hash.bytes(&[u8::from(analysis.voted_tmr())]);
     hash.word(analysis.design_related());
     hash.word(analysis.bit_count());
-    for &verdict in analysis.verdicts() {
-        hash.verdict(verdict);
+    for bit in 0..analysis.bit_count() {
+        hash.verdict(analysis.verdict(bit));
     }
     hash.word(analysis.observable_bits().len());
     for &bit in analysis.observable_bits() {
