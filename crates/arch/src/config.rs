@@ -291,6 +291,14 @@ impl ConfigLayout {
         self.run_starts[self.run_starts.len() - 1] as usize
     }
 
+    /// The bits of the switchbox run of the tile with raster index `tile`.
+    pub(crate) fn switchbox_bits(&self, tile: usize) -> std::ops::Range<usize> {
+        let tile_count = self.run_bits.len() / 3;
+        let run = 2 * tile_count + tile;
+        let start = self.run_bits[run] as usize;
+        start..start + (self.run_starts[run + 1] - self.run_starts[run]) as usize
+    }
+
     /// Number of configuration bits per category.
     pub fn counts_by_category(&self) -> BTreeMap<BitCategory, usize> {
         let mut counts = BTreeMap::new();

@@ -329,6 +329,43 @@ impl Device {
         }
     }
 
+    /// The configuration bits of the switchbox PIPs entering `wire`, each
+    /// once and in no set order: the switch-matrix rule run backwards.
+    /// Empty for a pin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn switchbox_fanin_bits(&self, wire: NodeId) -> impl Iterator<Item = usize> + '_ {
+        let graph = &*self.graph;
+        let wire = match graph.nodes[wire.index()] {
+            RouteNode::Wire { tile, track } => Some((tile, track)),
+            RouteNode::OutPin { .. } | RouteNode::InPin { .. } => None,
+        };
+        wire.into_iter()
+            .flat_map(|(tile, track)| graph.switchbox.fanin(tile, track))
+            .flat_map(|(source, pips)| {
+                let start = graph.layout.switchbox_bits(source).start;
+                pips.map(move |pip| start + pip as usize)
+            })
+    }
+
+    /// The configuration bits of `tile`'s switchbox PIPs: one block per
+    /// wire, in track order, each as long as the wire's
+    /// [`switchbox_fanout`](Self::switchbox_fanout) and in its PIP order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile lies outside the grid.
+    pub fn switchbox_bits(&self, tile: TileCoord) -> std::ops::Range<usize> {
+        let params = &self.graph.params;
+        assert!(
+            tile.x < params.cols && tile.y < params.rows,
+            "{tile} is off the grid"
+        );
+        self.graph.layout.switchbox_bits(params.tile_index(tile))
+    }
+
     /// Every switchbox PIP of a wire in a tile with four neighbours, in PIP
     /// order, as the `(dx, dy, track offset)` of its target relative to the
     /// wire, the offset modulo the track count. Every tile uses this one
@@ -1253,6 +1290,76 @@ mod tests {
             });
             check_up_to(d.node_count(), &block, last_src);
             assert_eq!(id, d.pip_count(), "{params:?}");
+        }
+    }
+
+    /// Each wire's fan-in bits are exactly the bits of the switchbox PIPs
+    /// that target it, each once, and each tile's switchbox bits are its
+    /// wires' fanout blocks in track order. Besides the pinned presets this
+    /// covers 4 tracks, where same-tile offsets 1, 5 and 13 land on one
+    /// track so one wire enters another through three PIPs, and a 2 × 2
+    /// grid; like the pinned 1 × 1 grid, it has no tile with four
+    /// neighbours.
+    #[test]
+    fn switchbox_fanin_bits_run_the_rule_backwards() {
+        let presets = [
+            DeviceParams::small(24, 24),
+            DeviceParams::xc2s200e_like(),
+            paper(),
+            DeviceParams {
+                in_pin_candidates: 0,
+                ..DeviceParams::small(1, 1)
+            },
+            DeviceParams {
+                tracks: 5,
+                ..DeviceParams::small(3, 3)
+            },
+            DeviceParams::small(2, 1),
+            DeviceParams {
+                tracks: 4,
+                ..DeviceParams::small(4, 3)
+            },
+            DeviceParams::small(2, 2),
+        ];
+        for params in presets {
+            let d = Device::new(params);
+            let layout = d.config_layout();
+            let first_switchbox = d.graph.pip_ends.len();
+            // The target and bit of every switchbox PIP, by target, then bit.
+            let mut entering: Vec<(usize, usize)> = (0..layout.bit_count())
+                .filter_map(|bit| match layout.resource_at(bit) {
+                    Some(ConfigResource::Pip(pip)) if pip.index() >= first_switchbox => {
+                        Some((d.pip_endpoints(pip).1.index(), bit))
+                    }
+                    _ => None,
+                })
+                .collect();
+            entering.sort_unstable();
+            let mut rows = entering.chunk_by(|a, b| a.0 == b.0).peekable();
+            for n in 0..d.node_count() {
+                let expected: Vec<usize> = rows
+                    .next_if(|row| row[0].0 == n)
+                    .map_or_else(Vec::new, |row| row.iter().map(|&(_, bit)| bit).collect());
+                let mut bits: Vec<usize> = d.switchbox_fanin_bits(NodeId::from_index(n)).collect();
+                bits.sort_unstable();
+                assert_eq!(bits, expected, "{params:?}: fan-in of node {n}");
+            }
+            assert!(rows.next().is_none(), "{params:?}");
+            for tile in d.tiles() {
+                let mut bits = d.switchbox_bits(tile);
+                for track in 0..params.tracks {
+                    let wire = d.node_id(RouteNode::Wire { tile, track }).unwrap();
+                    for edge in d.switchbox_fanout(wire) {
+                        let bit = bits.next().expect("the run holds the block");
+                        assert_eq!(
+                            layout.resource_at(bit),
+                            Some(ConfigResource::Pip(edge.pip)),
+                            "{params:?}: {tile}"
+                        );
+                    }
+                }
+                assert_eq!(bits.next(), None, "{params:?}: {tile}");
+            }
         }
     }
 }

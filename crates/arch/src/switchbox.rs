@@ -42,6 +42,10 @@ pub(crate) struct Switchbox {
     /// count. A tile with `n` neighbours takes the first
     /// `same + n × near` of them.
     steps: Vec<(u8, u16)>,
+    /// The same-tile steps: the first `same` of `steps`.
+    same: usize,
+    /// The steps towards each neighbour, which follow the same-tile steps.
+    near: usize,
     /// Each tile's run, in raster order.
     tiles: Vec<TileRun>,
     first_pip: u32,
@@ -132,6 +136,8 @@ impl Switchbox {
             rows: params.rows,
             tracks,
             steps,
+            same: same.len(),
+            near: near.len(),
             tiles,
             first_pip,
             pip_count,
@@ -152,10 +158,16 @@ impl Switchbox {
         self.pip_count as usize
     }
 
+    /// Raster index of a tile.
+    #[inline]
+    fn tile_index(&self, tile: TileCoord) -> usize {
+        usize::from(tile.y) * usize::from(self.cols) + usize::from(tile.x)
+    }
+
     /// The switchbox PIPs leaving the wire `track` of `tile`.
     #[inline]
     pub(crate) fn fanout(&self, tile: TileCoord, track: u16) -> SwitchboxFanout<'_> {
-        let run = &self.tiles[usize::from(tile.y) * usize::from(self.cols) + usize::from(tile.x)];
+        let run = &self.tiles[self.tile_index(tile)];
         SwitchboxFanout {
             steps: self.steps[..run.per_track as usize].iter(),
             first_node: run.first_node,
@@ -163,6 +175,45 @@ impl Switchbox {
             tracks: self.tracks,
             next_pip: run.first_pip + u32::from(track) * run.per_track,
         }
+    }
+
+    /// The switchbox PIPs entering the wire `track` of `tile`, each once:
+    /// the rule run backwards. They come from at most five tiles, each
+    /// yielded as its raster index and the PIPs' positions in its run. The
+    /// wire's own tile reaches it through the same-tile steps. Each
+    /// neighbour reaches it through its steps towards `tile`, which follow
+    /// its same-tile steps and its steps towards the neighbours it lists
+    /// before `tile`.
+    pub(crate) fn fanin(
+        &self,
+        tile: TileCoord,
+        track: u16,
+    ) -> impl Iterator<Item = (usize, impl Iterator<Item = u32> + '_)> + '_ {
+        let index = self.tile_index(tile);
+        let first_node = self.tiles[index].first_node[0];
+        let from_neighbors = tile.neighbors(self.cols, self.rows).map(move |neighbor| {
+            let source = self.tile_index(neighbor);
+            let position = self.tiles[source].first_node[1..]
+                .iter()
+                .position(|&node| node == first_node)
+                .expect("tiles are each other's neighbours");
+            let first = self.same + position * self.near;
+            (source, first..first + self.near)
+        });
+        std::iter::once((index, 0..self.same))
+            .chain(from_neighbors)
+            .map(move |(source, steps)| {
+                let per_track = self.tiles[source].per_track;
+                let pips = steps.map(move |step| {
+                    let offset = u32::from(self.steps[step].1);
+                    let from = wrap(
+                        u32::from(track) + u32::from(self.tracks) - offset,
+                        self.tracks,
+                    );
+                    from * per_track + step as u32
+                });
+                (source, pips)
+            })
     }
 
     /// The `(src, dst)` of the switchbox PIP `pip`: its tile from the run

@@ -15,8 +15,12 @@
 //! reads `iterations / expansions`; the last row and column hold totals.
 //! Routes are sequential and deterministic, so the output does not depend
 //! on the CPU count. Exit status is 1 if any variant fails to converge.
+//!
+//! Stderr reports the route time summed over the runs' telemetry and the
+//! census's own wall time, so stdout stays the same from run to run.
 
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 use tmr_arch::Device;
 use tmr_bench::markdown_table;
 use tmr_core::par_map;
@@ -29,9 +33,11 @@ struct Census {
     iterations: usize,
     expansions: u64,
     converged: bool,
+    route_time: Duration,
 }
 
 fn main() -> ExitCode {
+    let started = Instant::now();
     let arguments: Vec<String> = std::env::args().skip(1).collect();
     let [scale, first, last] = arguments.as_slice() else {
         return usage();
@@ -78,6 +84,7 @@ fn main() -> ExitCode {
             iterations: telemetry.iteration_count(),
             expansions: telemetry.total_nodes_expanded(),
             converged: routes.is_ok(),
+            route_time: telemetry.total_elapsed(),
         }
     });
 
@@ -110,6 +117,13 @@ fn main() -> ExitCode {
     headers.extend(names.iter().map(String::as_str));
     headers.push("all variants");
     print!("{}", markdown_table(&headers, &rows));
+    let route_time: Duration = census.iter().map(|run| run.route_time).sum();
+    eprintln!(
+        "route time {:.3} s summed over {} runs; census wall time {:.3} s",
+        route_time.as_secs_f64(),
+        census.len(),
+        started.elapsed().as_secs_f64()
+    );
 
     let failed = census.iter().filter(|run| !run.converged).count();
     if failed > 0 {

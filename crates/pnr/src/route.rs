@@ -10,15 +10,21 @@
 //!   `lookahead::cost_floor`. Expansions walk the device's fanout
 //!   ([`Device::fanout`]): each node's stored pin PIPs, then a wire's
 //!   switchbox PIPs, computed from the switch-matrix rule. The open list is
-//!   a 4-ary heap over packed keys that the partial tree seeds with one
-//!   heapify. All search state lives in generation-stamped scratch arrays
-//!   indexed by node id, so routing a net allocates nothing.
+//!   a 4-ary heap over packed keys. All search state lives in one
+//!   generation-stamped record per node, so routing a net allocates
+//!   nothing. A node that joins the net's tree gets a record that no
+//!   relaxation improves for the rest of the net, and a dense list holds
+//!   the tree with what its seed keys need: each sink search seeds the heap
+//!   from that list with one heapify, without touching a node's records.
 //! * **Net-by-net negotiation.** Each PathFinder iteration walks the nets
 //!   in order. A net whose tree is missing or touches an overused node is
 //!   ripped up, rerouted against the live occupancy and committed before the
 //!   walk moves on, so every later check and reroute sees it.
 //! * **Partial rip-up.** A congested net keeps the subtree serving the sinks
 //!   whose paths avoid every overused node and re-searches only the rest.
+//!   The tree's entering PIPs go into the search records, and a walk from
+//!   each sink stops at the first node whose verdict is known, so the
+//!   rip-up costs one step per tree node: no sort and no search.
 //! * **Congestion pricing.** Node costs follow the PathFinder schedule: a
 //!   present-congestion factor plus an accumulated history cost on every
 //!   overused node. The factor reacts to the router's own overuse counts:
@@ -232,16 +238,34 @@ struct SearchRec {
     prev_pip: u32,
 }
 
-/// Reusable search state, all indexed by node id and invalidated in O(1)
-/// with generation stamps.
+/// The [`SearchRec::generation`] of a node of the tree being routed: for
+/// the whole [`route_net`] call its record reads cost 0 and no entering
+/// PIP. Every search's generation is lower, and a relaxation improves a
+/// record only of an older generation or at a lower cost, so it never
+/// improves a tree node's.
+const IN_TREE: u32 = u32::MAX;
+
+/// A node of the tree being routed, with the fields of its [`NodeState`]
+/// that price it as a search seed.
+#[derive(Debug, Clone, Copy)]
+struct TreeNode {
+    node: NodeId,
+    track: u16,
+    tile_x: u16,
+    tile_y: u16,
+}
+
+/// Reusable search state: the search records, indexed by node id and
+/// invalidated in O(1) with generation stamps, and lists sized by a tree.
 struct RouterScratch {
     search: Vec<SearchRec>,
-    /// Tree-membership stamps: `in_tree[i] == tree_generation` iff node `i`
-    /// is part of the net currently being routed.
-    in_tree: Vec<u32>,
+    /// The nodes of the tree being routed, in tree order, each marked
+    /// [`IN_TREE`] in `search` until [`route_net`] returns.
+    tree: Vec<TreeNode>,
+    /// The path a rip-up walks from a sink.
+    path: Vec<NodeId>,
     queue: OpenList,
     current_generation: u32,
-    tree_generation: u32,
     nodes_expanded: u64,
 }
 
@@ -256,11 +280,40 @@ impl RouterScratch {
                 };
                 node_count
             ],
-            in_tree: vec![0; node_count],
+            tree: Vec::new(),
+            path: Vec::new(),
             queue: OpenList::default(),
             current_generation: 0,
-            tree_generation: 0,
             nodes_expanded: 0,
+        }
+    }
+
+    /// A generation no record holds yet.
+    fn next_generation(&mut self) -> u32 {
+        self.current_generation += 1;
+        debug_assert!(self.current_generation < IN_TREE);
+        self.current_generation
+    }
+
+    /// Adds `node` to the tree being routed and marks it [`IN_TREE`].
+    fn join_tree(&mut self, node: NodeId, state: &NodeState) {
+        self.search[node.index()] = SearchRec {
+            best_cost: 0.0,
+            generation: IN_TREE,
+            prev_pip: u32::MAX,
+        };
+        self.tree.push(TreeNode {
+            node,
+            track: state.track,
+            tile_x: state.tile_x,
+            tile_y: state.tile_y,
+        });
+    }
+
+    /// Clears the [`IN_TREE`] marks and empties the tree.
+    fn leave_tree(&mut self) {
+        for member in self.tree.drain(..) {
+            self.search[member.node.index()].generation = 0;
         }
     }
 }
@@ -294,28 +347,7 @@ fn route_inner(
     const PRESENT_FACTOR_FAST_GROWTH: f64 = 2.0;
     const PRESENT_FACTOR_MAX: f64 = 32.0;
     const HISTORY_INCREMENT: f64 = 1.5;
-    let node_count = device.node_count();
-    assert!(
-        device.params().tracks < OUT_PIN,
-        "track ids fit below the pin sentinels"
-    );
-    let mut states = Vec::with_capacity(node_count);
-    for index in 0..node_count {
-        let id = NodeId::from_index(index);
-        let tile = device.node_tile(id);
-        let node = device.node(id);
-        states.push(NodeState {
-            cost_static: base_cost(&node),
-            occupancy: 0,
-            track: match node {
-                RouteNode::Wire { track, .. } => track,
-                RouteNode::InPin { .. } => IN_PIN,
-                RouteNode::OutPin { .. } => OUT_PIN,
-            },
-            tile_x: tile.x,
-            tile_y: tile.y,
-        });
-    }
+    let mut states = node_states(device);
     let mut lookahead = Lookahead::new(device);
     let nets = collect_terminals(device, netlist, placement, &mut lookahead);
     let ctx = RouteContext {
@@ -324,7 +356,7 @@ fn route_inner(
         lookahead,
     };
 
-    let mut scratch = RouterScratch::new(node_count);
+    let mut scratch = RouterScratch::new(device.node_count());
     let mut trees: Vec<Option<RouteTree>> = (0..nets.len()).map(|_| None).collect();
     let mut present_factor = PRESENT_FACTOR;
     let mut overused = 0;
@@ -409,6 +441,33 @@ fn route_inner(
     })
 }
 
+/// Every node's state before the first iteration: its base cost, no
+/// occupant.
+fn node_states(device: &Device) -> Vec<NodeState> {
+    assert!(
+        device.params().tracks < OUT_PIN,
+        "track ids fit below the pin sentinels"
+    );
+    (0..device.node_count())
+        .map(|index| {
+            let id = NodeId::from_index(index);
+            let tile = device.node_tile(id);
+            let node = device.node(id);
+            NodeState {
+                cost_static: base_cost(&node),
+                occupancy: 0,
+                track: match node {
+                    RouteNode::Wire { track, .. } => track,
+                    RouteNode::InPin { .. } => IN_PIN,
+                    RouteNode::OutPin { .. } => OUT_PIN,
+                },
+                tile_x: tile.x,
+                tile_y: tile.y,
+            }
+        })
+        .collect()
+}
+
 /// Whether a net must be (re)routed: it has no tree yet, or its tree
 /// touches an overused node.
 fn needs_reroute(tree: Option<&RouteTree>, states: &[NodeState]) -> bool {
@@ -433,7 +492,7 @@ fn reroute(
     let start = match tree.take() {
         Some(old) => {
             *ripped_up += 1;
-            let start = prune_tree(ctx.device, &old, states);
+            let start = prune_tree(ctx.device, &old, states, scratch);
             for node in &old.nodes {
                 states[node.index()].occupancy -= 1;
             }
@@ -458,64 +517,64 @@ fn reroute(
 /// every overused node. The pruned tree (sinks cleared — [`route_net`]
 /// re-collects them) becomes the search seed for the net's reroute, so only
 /// the congested branches are searched again.
-fn prune_tree(device: &Device, old: &RouteTree, states: &[NodeState]) -> RouteTree {
-    // Each non-source tree node is entered by exactly one tree PIP; index
-    // them by destination for the backwalks below.
-    let mut parent: Vec<(u32, PipId)> = old
-        .pips
-        .iter()
-        .map(|&pip| (device.pip_endpoints(pip).1.index() as u32, pip))
-        .collect();
-    parent.sort_unstable_by_key(|&(dst, _)| dst);
-
-    let mut keep_nodes: Vec<u32> = vec![old.source.index() as u32];
-    let mut keep_pips: Vec<u32> = Vec::new();
-    let mut path_nodes: Vec<u32> = Vec::new();
-    let mut path_pips: Vec<u32> = Vec::new();
-    for &(sink, _, _) in &old.sinks {
-        path_nodes.clear();
-        path_pips.clear();
-        let mut node = sink;
-        let clean = loop {
-            if states[node.index()].occupancy > 1 {
-                break false;
-            }
-            path_nodes.push(node.index() as u32);
-            let entry = parent
-                .binary_search_by_key(&(node.index() as u32), |&(dst, _)| dst)
-                .ok()
-                .map(|found| parent[found].1);
-            match entry {
-                Some(pip) => {
-                    path_pips.push(pip.index() as u32);
-                    node = device.pip_endpoints(pip).0;
-                }
-                None => break true,
-            }
+///
+/// A tree lists its source first, and each later node is entered by the
+/// PIP at its own position less one. Each node's search record takes its
+/// entering PIP under a fresh generation. A walk from each sink towards the
+/// source stops at the first overused node or node whose verdict is known,
+/// and stamps the nodes it passed with the verdict, so no node is walked
+/// twice. The pruned tree is the old one filtered in order: the clean nodes
+/// and the PIPs entering them.
+fn prune_tree(
+    device: &Device,
+    old: &RouteTree,
+    states: &[NodeState],
+    scratch: &mut RouterScratch,
+) -> RouteTree {
+    let entered = scratch.next_generation();
+    let clean = scratch.next_generation();
+    let dirty = scratch.next_generation();
+    let search = &mut scratch.search;
+    debug_assert_eq!(old.nodes.first(), Some(&old.source));
+    search[old.source.index()].generation = clean;
+    for (node, &pip) in old.nodes[1..].iter().zip(&old.pips) {
+        debug_assert_eq!(device.pip_endpoints(pip).1, *node);
+        search[node.index()] = SearchRec {
+            best_cost: 0.0,
+            generation: entered,
+            prev_pip: pip.index() as u32,
         };
-        if clean {
-            keep_nodes.extend_from_slice(&path_nodes);
-            keep_pips.extend_from_slice(&path_pips);
+    }
+    for &(sink, _, _) in &old.sinks {
+        let path = &mut scratch.path;
+        path.clear();
+        let mut node = sink;
+        let verdict = loop {
+            if states[node.index()].occupancy > 1 {
+                break dirty;
+            }
+            let rec = search[node.index()];
+            if rec.generation != entered {
+                break rec.generation;
+            }
+            path.push(node);
+            node = device
+                .pip_endpoints(PipId::from_index(rec.prev_pip as usize))
+                .0;
+        };
+        for node in path.iter() {
+            search[node.index()].generation = verdict;
         }
     }
-    keep_nodes.sort_unstable();
-    keep_nodes.dedup();
-    keep_pips.sort_unstable();
-    keep_pips.dedup();
-
+    let kept = |node: &NodeId| search[node.index()].generation == clean;
     RouteTree {
         source: old.source,
-        nodes: old
-            .nodes
+        nodes: old.nodes.iter().copied().filter(kept).collect(),
+        pips: old.nodes[1..]
             .iter()
-            .copied()
-            .filter(|n| keep_nodes.binary_search(&(n.index() as u32)).is_ok())
-            .collect(),
-        pips: old
-            .pips
-            .iter()
-            .copied()
-            .filter(|p| keep_pips.binary_search(&(p.index() as u32)).is_ok())
+            .zip(&old.pips)
+            .filter(|(node, _)| kept(node))
+            .map(|(_, &pip)| pip)
             .collect(),
         sinks: Vec::new(),
     }
@@ -579,6 +638,9 @@ pub(crate) fn base_cost(node: &RouteNode) -> f32 {
     }
 }
 
+/// Routes every sink of a net not yet in `start`, growing `start` into the
+/// net's tree. The tree's nodes are marked [`IN_TREE`] for the call, and
+/// the marks are cleared on every exit.
 fn route_net(
     ctx: &RouteContext<'_>,
     terminals: &NetTerminals,
@@ -587,48 +649,52 @@ fn route_net(
     present_factor: f32,
     scratch: &mut RouterScratch,
 ) -> Result<RouteTree, PnrError> {
-    let device = ctx.device;
     // `start` is either a fresh source-only tree or the clean subtree a
     // partial rip-up preserved; either way its sinks are re-collected below.
     let mut tree = start;
-    scratch.tree_generation += 1;
-    let tree_generation = scratch.tree_generation;
-    for node in &tree.nodes {
-        scratch.in_tree[node.index()] = tree_generation;
+    for &node in &tree.nodes {
+        scratch.join_tree(node, &states[node.index()]);
     }
+    let routed = route_sinks(ctx, terminals, &mut tree, states, present_factor, scratch);
+    scratch.leave_tree();
+    routed.map(|()| tree)
+}
 
+/// The sink searches of [`route_net`].
+fn route_sinks(
+    ctx: &RouteContext<'_>,
+    terminals: &NetTerminals,
+    tree: &mut RouteTree,
+    states: &[NodeState],
+    present_factor: f32,
+    scratch: &mut RouterScratch,
+) -> Result<(), PnrError> {
+    let device = ctx.device;
     for sink in &terminals.sinks {
         let (sink_node, sink_cell, sink_pin) = (sink.node, sink.cell, sink.pin);
-        if scratch.in_tree[sink_node.index()] == tree_generation {
+        if scratch.search[sink_node.index()].generation == IN_TREE {
             tree.sinks.push((sink_node, sink_cell, sink_pin));
             continue;
         }
         let floor = ctx.lookahead.floor(sink.target);
 
-        scratch.current_generation += 1;
-        let generation_id = scratch.current_generation;
+        let generation_id = scratch.next_generation();
         // Seed the search with every tree node: distinct nodes, so distinct
         // keys, and one heapify pops them in the same order as pushing them
-        // one by one. Besides wires the tree holds the source output pin,
-        // one pin entry from the sink if it feeds it directly, and sinks
-        // already reached, which drive nothing.
+        // one by one. Their records already read cost 0 ([`IN_TREE`]).
+        // Besides wires the tree holds the source output pin, one pin entry
+        // from the sink if it feeds it directly, and sinks already reached,
+        // which drive nothing.
         scratch.queue.clear();
-        for &node in &tree.nodes {
-            let index = node.index();
-            let state = states[index];
-            scratch.search[index] = SearchRec {
-                best_cost: 0.0,
-                generation: generation_id,
-                prev_pip: u32::MAX,
-            };
-            let remaining = match state.track {
+        for member in &scratch.tree {
+            let remaining = match member.track {
                 OUT_PIN if sink.fed_by_source => PIN_COST,
-                IN_PIN | OUT_PIN => cost_floor(floor.distance(state.tile_x, state.tile_y)),
-                track => floor.wire(state.tile_x, state.tile_y, track),
+                IN_PIN | OUT_PIN => cost_floor(floor.distance(member.tile_x, member.tile_y)),
+                track => floor.wire(member.tile_x, member.tile_y, track),
             };
             scratch
                 .queue
-                .push_unordered(remaining * ASTAR_WEIGHT, 0.0, node);
+                .push_unordered(remaining * ASTAR_WEIGHT, 0.0, member.node);
         }
         scratch.queue.heapify();
 
@@ -664,7 +730,9 @@ fn route_net(
                 let step = state.cost_static * (1.0 + present_factor * f32::from(state.occupancy));
                 let next_cost = cost + step;
                 let rec = &mut scratch.search[index];
-                if rec.generation != generation_id || next_cost + f32::EPSILON < rec.best_cost {
+                // An older search's record is stale; a tree node's never
+                // improves.
+                if rec.generation < generation_id || next_cost + f32::EPSILON < rec.best_cost {
                     let estimate = if index == sink_index {
                         next_cost
                     } else {
@@ -697,34 +765,25 @@ fn route_net(
             });
         }
 
-        // Backtrack from the sink until we meet the existing tree.
+        // Backtrack from the sink, which the search reached over a PIP,
+        // until we meet the existing tree; then the new nodes join it.
+        let first_new = tree.nodes.len();
         let mut node = sink_node;
-        let mut new_nodes = Vec::new();
-        let mut new_pips = Vec::new();
         loop {
-            new_nodes.push(node);
-            let pip_raw = scratch.search[node.index()].prev_pip;
-            if pip_raw == u32::MAX {
-                // Reached a node that was seeded from the existing tree.
-                new_nodes.pop();
-                break;
-            }
-            let pip_id = PipId::from_index(pip_raw as usize);
-            new_pips.push(pip_id);
-            node = device.pip_endpoints(pip_id).0;
-            if scratch.in_tree[node.index()] == tree_generation {
+            let pip = PipId::from_index(scratch.search[node.index()].prev_pip as usize);
+            tree.nodes.push(node);
+            tree.pips.push(pip);
+            node = device.pip_endpoints(pip).0;
+            if scratch.search[node.index()].generation == IN_TREE {
                 break;
             }
         }
-        for &new_node in &new_nodes {
-            scratch.in_tree[new_node.index()] = tree_generation;
+        for &node in &tree.nodes[first_new..] {
+            scratch.join_tree(node, &states[node.index()]);
         }
-        tree.nodes.extend(new_nodes);
-        tree.pips.extend(new_pips);
         tree.sinks.push((sink_node, sink_cell, sink_pin));
     }
-
-    Ok(tree)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -885,6 +944,118 @@ mod tests {
             .map(|it| (it.overused_nodes, it.present_factor))
             .collect();
         assert_eq!(steps, [(18, 0.6), (2, 0.6 * 1.2), (0, 0.6 * 1.2 * 2.0)]);
+    }
+
+    /// The rip-up the node-indexed [`prune_tree`] replaced: it sorts the
+    /// tree's PIPs by target, walks every sink to the source with a binary
+    /// search per step, and filters the tree by binary searches in the
+    /// sorted lists of clean nodes and PIPs.
+    fn sorted_prune(device: &Device, old: &RouteTree, states: &[NodeState]) -> RouteTree {
+        let mut parent: Vec<(u32, PipId)> = old
+            .pips
+            .iter()
+            .map(|&pip| (device.pip_endpoints(pip).1.index() as u32, pip))
+            .collect();
+        parent.sort_unstable_by_key(|&(dst, _)| dst);
+        let mut keep_nodes: Vec<u32> = vec![old.source.index() as u32];
+        let mut keep_pips: Vec<u32> = Vec::new();
+        for &(sink, _, _) in &old.sinks {
+            let (mut path_nodes, mut path_pips) = (Vec::new(), Vec::new());
+            let mut node = sink;
+            let clean = loop {
+                if states[node.index()].occupancy > 1 {
+                    break false;
+                }
+                path_nodes.push(node.index() as u32);
+                let entry = parent
+                    .binary_search_by_key(&(node.index() as u32), |&(dst, _)| dst)
+                    .ok()
+                    .map(|found| parent[found].1);
+                match entry {
+                    Some(pip) => {
+                        path_pips.push(pip.index() as u32);
+                        node = device.pip_endpoints(pip).0;
+                    }
+                    None => break true,
+                }
+            };
+            if clean {
+                keep_nodes.extend_from_slice(&path_nodes);
+                keep_pips.extend_from_slice(&path_pips);
+            }
+        }
+        keep_nodes.sort_unstable();
+        keep_nodes.dedup();
+        keep_pips.sort_unstable();
+        keep_pips.dedup();
+        RouteTree {
+            source: old.source,
+            nodes: (old.nodes.iter().copied())
+                .filter(|n| keep_nodes.binary_search(&(n.index() as u32)).is_ok())
+                .collect(),
+            pips: (old.pips.iter().copied())
+                .filter(|p| keep_pips.binary_search(&(p.index() as u32)).is_ok())
+                .collect(),
+            sinks: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn the_node_indexed_prune_keeps_what_the_sorted_prune_keeps() {
+        // The congested first iteration of `sparse_congestion_takes_the_fast_ramp`.
+        let device = Device::small(5, 5);
+        let netlist = techmap(&optimize(&lower(&moving_sum(4, 4, 8)).unwrap())).unwrap();
+        let placement = place(&device, &netlist, &PlacerOptions { seed: 3 }).unwrap();
+        let mut states = node_states(&device);
+        let mut lookahead = Lookahead::new(&device);
+        let nets = collect_terminals(&device, &netlist, &placement, &mut lookahead);
+        let ctx = RouteContext {
+            device: &device,
+            netlist: &netlist,
+            lookahead,
+        };
+        let mut scratch = RouterScratch::new(device.node_count());
+        let mut trees: Vec<Option<RouteTree>> = nets.iter().map(|_| None).collect();
+        for (terminals, tree) in nets.iter().zip(&mut trees) {
+            reroute(
+                &ctx,
+                terminals,
+                tree,
+                &mut states,
+                0.6,
+                &mut scratch,
+                &mut 0,
+            )
+            .unwrap();
+        }
+        let overused = states.iter().filter(|state| state.occupancy > 1).count();
+        assert_eq!(overused, 18);
+
+        // Each tree as routed, then with each of its nodes overused in turn.
+        let (mut pruned, mut partial) = (0, 0);
+        for tree in trees.iter().flatten() {
+            for overuse in [None].into_iter().chain(tree.nodes.iter().map(Some)) {
+                if let Some(node) = overuse {
+                    states[node.index()].occupancy += 1;
+                }
+                let expected = sorted_prune(&device, tree, &states);
+                let kept = prune_tree(&device, tree, &states, &mut scratch);
+                assert_eq!(
+                    kept, expected,
+                    "net of {} with {overuse:?} overused",
+                    tree.source
+                );
+                pruned += usize::from(kept.nodes.len() < tree.nodes.len());
+                partial += usize::from(kept.nodes.len() > 1 && kept.nodes.len() < tree.nodes.len());
+                if let Some(node) = overuse {
+                    states[node.index()].occupancy -= 1;
+                }
+            }
+        }
+        assert!(
+            pruned > 0 && partial > 0,
+            "{pruned} pruned, {partial} partly"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::{place, route, Placement, PlacerOptions, PnrError, RouterOptions};
 use std::collections::HashMap;
-use tmr_arch::{BitCategory, Bitstream, ConfigResource, Device, NodeId, PipId};
+use tmr_arch::{BitCategory, Bitstream, ConfigResource, Device, NodeId, PipId, RouteNode};
 use tmr_netlist::{CellId, CellKind, Domain, NetId, Netlist};
 
 /// The routing tree of one net: the set of routing-graph nodes and enabled
@@ -149,55 +149,56 @@ impl RoutedDesign {
     ///
     /// The scan is computed once per routed design and cached, and repeated
     /// campaigns on the same design (sweeps, streaming benches, static
-    /// analysis) reuse the list for free. It walks the configuration memory
-    /// in bit order. A wire's switchbox PIPs take consecutive bits
-    /// ([`Device::switchbox_fanout`]), so the scan takes each such block at
-    /// once: every bit of it if the wire is used, else the bits of the PIPs
-    /// whose target is. Any other bit costs a few array probes.
+    /// analysis) reuse the list for free. Its cost follows the used wires,
+    /// not the 7.3 M switchbox PIPs of the paper device. A switchbox PIP is
+    /// related if its source wire is used, and a wire's PIPs take one block
+    /// of consecutive bits; or if its target is used, and
+    /// [`Device::switchbox_fanin_bits`] names the PIPs entering a wire. So a
+    /// transient bitmap with one bit per configuration bit marks each used
+    /// wire's block and fan-in, and each tile's switchbox run
+    /// ([`Device::switchbox_bits`]) yields its marked bits a word at a time.
+    /// Every other bit, a pin or FF-mux PIP or a site's, is tested on its
+    /// own.
     pub fn design_related_bits(&self, device: &Device) -> &[u32] {
         self.design_bits.get_or_init(|| {
             let layout = device.config_layout();
-            let used = |node: NodeId| self.net_of_node(node).is_some();
-            let mut bits = Vec::new();
-            let mut bit = 0;
-            while bit < layout.bit_count() {
-                let related = match layout.resource_at(bit).expect("bit in range") {
-                    ConfigResource::Pip(pip) => {
-                        let (src, dst) = device.pip_endpoints(pip);
-                        if device.node(src).is_wire() && device.node(dst).is_wire() {
-                            // A switchbox PIP: the walk meets the first of
-                            // its source's block.
-                            let block = device.switchbox_fanout(src);
-                            debug_assert_eq!(block.clone().next().map(|edge| edge.pip), Some(pip));
-                            let len = block.len();
-                            if used(src) {
-                                bits.extend(bit as u32..(bit + len) as u32);
-                            } else {
-                                // Without a branch: write every bit, keep
-                                // those whose target is used.
-                                let start = bits.len();
-                                bits.resize(start + len, 0);
-                                let mut kept = start;
-                                for (next, edge) in (bit as u32..).zip(block) {
-                                    bits[kept] = next;
-                                    kept += usize::from(used(edge.dst));
-                                }
-                                bits.truncate(kept);
-                            }
-                            bit += len;
-                            continue;
-                        }
-                        used(src) || used(dst)
-                    }
-                    ConfigResource::LutBit { site, .. } | ConfigResource::FfInit { site } => {
-                        self.placement.cell_at(site).is_some()
-                    }
-                };
-                if related {
-                    bits.push(bit as u32);
+            let mut marks = vec![0u64; layout.bit_count().div_ceil(64)];
+            // In node order: a tile's wires are neighbours in the bitmap too.
+            for (node, _) in (self.node_net.iter().enumerate()).filter(|&(_, &net)| net != NO_NET) {
+                let wire = NodeId::from_index(node);
+                if let RouteNode::Wire { tile, track } = device.node(wire) {
+                    let len = device.switchbox_fanout(wire).len();
+                    let start = device.switchbox_bits(tile).start + usize::from(track) * len;
+                    mark_range(&mut marks, start..start + len);
+                    device
+                        .switchbox_fanin_bits(wire)
+                        .for_each(|bit| marks[bit / 64] |= 1 << (bit % 64));
                 }
-                bit += 1;
             }
+            let used = |node: NodeId| self.net_of_node(node).is_some();
+            let related = |bit: &usize| match layout.resource_at(*bit).expect("bit in range") {
+                ConfigResource::Pip(pip) => {
+                    let (src, dst) = device.pip_endpoints(pip);
+                    used(src) || used(dst)
+                }
+                ConfigResource::LutBit { site, .. } | ConfigResource::FfInit { site } => {
+                    self.placement.cell_at(site).is_some()
+                }
+            };
+            let marked = marks.iter().map(|word| word.count_ones() as usize).sum();
+            let mut bits = Vec::with_capacity(marked);
+            let mut next = 0;
+            for tile in device.tiles() {
+                let run = device.switchbox_bits(tile);
+                bits.extend((next..run.start).filter(related).map(|bit| bit as u32));
+                push_marked(&mut bits, &marks, run.clone());
+                next = run.end;
+            }
+            bits.extend(
+                (next..layout.bit_count())
+                    .filter(related)
+                    .map(|bit| bit as u32),
+            );
             bits
         })
     }
@@ -258,6 +259,33 @@ impl RoutedDesign {
         }
 
         bitstream
+    }
+}
+
+/// Sets the bits of `range` in `marks`, a word at a time.
+fn mark_range(marks: &mut [u64], range: std::ops::Range<usize>) {
+    let mut bit = range.start;
+    while bit < range.end {
+        let shift = bit % 64;
+        let width = (64 - shift).min(range.end - bit);
+        marks[bit / 64] |= (u64::MAX >> (64 - width)) << shift;
+        bit += width;
+    }
+}
+
+/// Appends the bits of `block` set in `marks`, in increasing order, a word
+/// of `marks` at a time.
+fn push_marked(bits: &mut Vec<u32>, marks: &[u64], block: std::ops::Range<usize>) {
+    let mut bit = block.start;
+    while bit < block.end {
+        let shift = bit % 64;
+        let width = (64 - shift).min(block.end - bit);
+        let mut set = (marks[bit / 64] >> shift) & (u64::MAX >> (64 - width));
+        while set != 0 {
+            bits.push((bit + set.trailing_zeros() as usize) as u32);
+            set &= set - 1;
+        }
+        bit += width;
     }
 }
 
@@ -430,7 +458,7 @@ mod tests {
         assert_eq!(routed.bit_report(&device), expected);
     }
 
-    /// The scan the block walk replaced: every bit's resource, one at a
+    /// The scan the bitmap walk replaced: every bit's resource, one at a
     /// time.
     fn per_bit_scan(device: &Device, routed: &RoutedDesign) -> Vec<u32> {
         let layout = device.config_layout();
